@@ -247,7 +247,7 @@ def main(argv=None) -> int:
             {
                 "error": type(exc).__name__,
                 "message": exc.message,
-                "span": list(exc.span),
+                "span": None if exc.span is None else list(exc.span),
             }
         )
         return 2

@@ -22,23 +22,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coords import BaseCoord, JetContext, JetCoord, PARAM
 from .errors import DslSyntaxError, OrderExceeded, UnknownIdentifier
 from .expr import (
-    Add,
+    ONE,
     Expr,
-    Func,
-    Mul,
-    Num,
-    Pow,
-    Sym,
     add,
     div,
     func,
+    is_constant,
     mul,
     neg,
+    num,
+    ordered_terms,
     pow_,
     sym,
 )
@@ -172,7 +169,7 @@ class _Parser:
             self.advance()
             operand = self.expression(_UNARY_PREC)
             if isinstance(operand, DiffForm):
-                return scale(operand, Num(Fraction(-1)))
+                return scale(operand, num(-1))
             return neg(operand)
         return self.primary()
 
@@ -197,12 +194,12 @@ class _Parser:
             if rf:
                 raise DslSyntaxError("cannot divide by a form", span)
             if lf:
-                return scale(left, div(Num(Fraction(1)), right))
+                return scale(left, div(ONE, right))
             return div(left, right)
         # '^': power on scalars, wedge when a form is involved
         if lf or rf:
             return wedge(self._as_form(left), self._as_form(right))
-        if not isinstance(right, Num) or right.value.denominator != 1:
+        if not is_constant(right) or right.value.denominator != 1:
             raise DslSyntaxError("exponent must be an integer", span)
         return pow_(left, int(right.value))
 
@@ -216,7 +213,7 @@ class _Parser:
     def primary(self):
         tok = self.advance()
         if tok.kind == "NUM":
-            return Num(Fraction(int(tok.text)))
+            return num(int(tok.text))
         if tok.kind == "OP" and tok.text == "(":
             inner = self.expression(_ADD_PREC)
             self.expect_op(")")
@@ -259,11 +256,11 @@ class _Parser:
                         f"base differential {name!r} carries no jet index", span
                     )
                 i = ctx.base_names.index(rest) + 1
-                return DiffForm(ctx, 0, 1, {(DX(i),): Num(Fraction(1))})
+                return DiffForm(ctx, 0, 1, {(DX(i),): ONE})
             if rest in ctx.fiber_names:
                 sigma = ctx.fiber_names.index(rest) + 1
                 J = self._jet_index(span)
-                return DiffForm(ctx, len(J), 1, {(DY(sigma, J),): Num(Fraction(1))})
+                return DiffForm(ctx, len(J), 1, {(DY(sigma, J),): ONE})
         raise UnknownIdentifier(f"unknown identifier {name!r}", span)
 
     def _index_follows(self) -> bool:
@@ -332,32 +329,22 @@ def parse_form(source: str, ctx: JetContext) -> DiffForm:
 # --- rendering ----------------------------------------------------------------
 
 
-def _split(term: Expr):
-    if isinstance(term, Mul) and isinstance(term.factors[0], Num):
-        return term.factors[0].value, term.factors[1:]
-    if isinstance(term, Num):
-        return term.value, ()
-    if isinstance(term, Mul):
-        return Fraction(1), term.factors
-    return Fraction(1), (term,)
-
-
 def render_expr(e: Expr, ctx: JetContext) -> str:
-    """Render to the expression grammar; re-parses to an equal Expr."""
-    if isinstance(e, Add):
-        parts = [_render_term(t, ctx) for t in e.terms]
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-    return _render_term(e, ctx)
+    """Render to the expression grammar in canonical order; re-parses to an
+    equal Expr."""
+    parts = [_render_term(c, factors, ctx) for c, factors in ordered_terms(e)]
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
-def _render_term(term: Expr, ctx: JetContext) -> str:
-    coeff, factors = _split(term)
+def _render_term(coeff, factors, ctx: JetContext) -> str:
     if not factors:
         return str(coeff)
-    rendered = "*".join(_render_factor(f, ctx) for f in factors)
+    rendered = "*".join(_render_factor(atom, k, ctx) for atom, k in factors)
     if coeff == 1:
         return rendered
     if coeff == -1:
@@ -365,20 +352,17 @@ def _render_term(term: Expr, ctx: JetContext) -> str:
     return f"{coeff}*{rendered}"
 
 
-def _render_factor(f: Expr, ctx: JetContext) -> str:
-    if isinstance(f, Pow):
-        base = _render_factor(f.base, ctx)
-        if f.exp < 0:
-            return f"{base}^({f.exp})"
-        return f"{base}^{f.exp}"
-    if isinstance(f, Sym):
-        return ctx.coord_name(f.coord)
-    if isinstance(f, Func):
-        return f"{f.name}({render_expr(f.arg, ctx)})"
-    if isinstance(f, Num):
-        return str(f.value) if f.value >= 0 else f"({f.value})"
-    # canonical products never nest sums, but stay safe
-    return f"({render_expr(f, ctx)})"
+def _render_factor(atom, k: int, ctx: JetContext) -> str:
+    if isinstance(atom, tuple):
+        name, arg = atom
+        base = f"{name}({render_expr(arg, ctx)})"
+    else:
+        base = ctx.coord_name(atom)
+    if k == 1:
+        return base
+    if k < 0:
+        return f"{base}^({k})"
+    return f"{base}^{k}"
 
 
 def _render_generator(g, ctx: JetContext) -> str:
@@ -404,11 +388,11 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
         if not gens:
             parts.append(render_expr(coeff, ctx))
             continue
-        if coeff == Num(Fraction(1)):
+        if coeff == ONE:
             parts.append(word)
-        elif coeff == Num(Fraction(-1)):
+        elif coeff == -ONE:
             parts.append("-" + word)
-        elif isinstance(coeff, Add):
+        elif len(coeff.terms) > 1:
             parts.append(f"({render_expr(coeff, ctx)})*{word}")
         else:
             parts.append(f"{render_expr(coeff, ctx)}*{word}")

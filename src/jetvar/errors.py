@@ -25,6 +25,10 @@ class NonPolynomialDivision(JetvarError):
     """Division by a non-invertible expression (a sum of terms)."""
 
 
+class DivisionByZero(JetvarError):
+    """Division by the zero constant, or evaluation at a pole."""
+
+
 class ContextMismatch(JetvarError):
     """Two objects live over incompatible jet contexts."""
 

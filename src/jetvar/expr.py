@@ -1,41 +1,80 @@
-"""Immutable symbolic expression kernel over jet coordinates.
+"""Exact sparse-polynomial kernel over jet coordinates.
 
-Every expression is kept in a fully expanded canonical form at all times:
-a sum of distinct monomials, each monomial a rational coefficient times a
-product of integer powers of atoms (coordinates or sin/cos/exp applications).
-Products of sums are distributed on construction, so structural equality of
-two expressions decides equality of the functions they denote whenever both
-lie in the (Laurent-)polynomial fragment; sin/cos/exp are opaque atoms and
-compare syntactically.
+Every expression is one immutable value, a sparse Laurent polynomial with
+exact rational coefficients.  Its `terms` dict maps each monomial to a
+nonzero coefficient (an int when integral, else a Fraction); zero has no
+terms.  A monomial is a tuple of (atom, exponent) pairs with nonzero integer
+exponents, sorted by atom.  An atom is a coordinate or an application
+sin/cos/exp(arg) whose argument is itself a kernel value; each distinct atom
+is interned once per process to a small int.
 
-Coefficients are exact rationals throughout; no floating point enters the
-symbolic layer.
+Products distribute on construction, so structural equality decides
+equality of the functions denoted on the (Laurent-)polynomial fragment;
+sin/cos/exp atoms are opaque and compare syntactically.
+
+Intern ids depend on which atoms a process met first, so nothing is ever
+ordered by them.  The canonical order (constants last, higher total degree
+first, factors by coordinate order, see `ordered_terms`) is computed once
+per value on demand and cached on it; rendering and floating-point
+evaluation both follow it, so neither text nor floats depend on the
+history of the process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
-from .coords import Coord, JetCoord, PARAM, ParamCoord, coord_key
+from .coords import Coord, JetCoord, PARAM, coord_key
 from .errors import (
+    DivisionByZero,
     NonPolynomialDivision,
     NonPolynomialParameter,
     UnboundCoordinate,
     UnknownCoordinate,
 )
 
-Rational = Fraction
-
 FUNCTIONS = ("sin", "cos", "exp")
 _FUNC_INDEX = {name: k for k, name in enumerate(FUNCTIONS)}
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
 
 class Expr:
-    """Base class of all expression nodes; construction goes through the
-    smart constructors below, which enforce the canonical form."""
+    """A sparse polynomial; build values with the constructors below and
+    never mutate `terms`."""
 
-    __slots__ = ()
+    __slots__ = ("terms", "_hash", "_rows")
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+        self._hash = None
+        self._rows = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Expr:
+            return NotImplemented
+        return self is other or self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+    def __repr__(self):
+        parts = []
+        for coeff, factors in ordered_terms(self):
+            word = "*".join(
+                f"{_atom_text(a)}^{k}" if k != 1 else _atom_text(a) for a, k in factors
+            )
+            parts.append(f"{coeff}*{word}" if word else str(coeff))
+        return f"Expr({' + '.join(parts) or '0'})"
+
+    @property
+    def value(self) -> Fraction:
+        """The rational value of a constant; AttributeError otherwise."""
+        if not is_constant(self):
+            raise AttributeError("a non-constant expression has no value")
+        return Fraction(self.terms.get((), 0))
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -66,391 +105,225 @@ class Expr:
         return div(as_expr(other), self)
 
 
-@dataclass(frozen=True, slots=True)
-class Num(Expr):
-    value: Fraction
+ZERO = Expr({})
+ONE = Expr({(): 1})
 
 
-@dataclass(frozen=True, slots=True)
-class Sym(Expr):
-    coord: Coord
+# --- atoms ---------------------------------------------------------------------
+
+# The intern table, one entry per distinct atom the process has met.  An atom
+# is a Coord or a (function name, argument) pair.
+_ATOM_ID: dict = {}
+_ATOMS: list = []  # id -> atom
+_ATOM_VALUES: list = []  # id -> the Expr of the atom alone
+_ATOM_KEYS: list = []  # id -> position in the canonical order
+_ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
-    terms: tuple
+def _intern(atom) -> int:
+    a = _ATOM_ID.get(atom)
+    if a is None:
+        if atom.__class__ is tuple:
+            name, arg = atom
+            key = (2, _FUNC_INDEX[name], _tree_key(arg))
+            inside = frozenset(coords_in(arg))
+        else:
+            key = (1,) + coord_key(atom)
+            inside = frozenset((atom,))
+        a = len(_ATOMS)
+        _ATOMS.append(atom)
+        _ATOM_VALUES.append(Expr({((a, 1),): 1}))
+        _ATOM_KEYS.append(key)
+        _ATOM_COORDS.append(inside)
+        _ATOM_ID[atom] = a
+    return a
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    factors: tuple
+def _atom_text(atom) -> str:
+    if atom.__class__ is tuple:
+        return f"{atom[0]}({atom[1]!r})"
+    return repr(atom)
 
 
-@dataclass(frozen=True, slots=True)
-class Pow(Expr):
-    base: Expr
-    exp: int
+# --- constructors --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Func(Expr):
-    name: str
-    arg: Expr
+def _rational(value):
+    if value.__class__ is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
 
 
-ZERO = Num(Fraction(0))
-ONE = Num(Fraction(1))
-
-
-def num(value) -> Num:
+def num(value) -> Expr:
     """Exact rational constant."""
-    return Num(Fraction(value))
+    c = _rational(value)
+    return Expr({(): c}) if c else ZERO
 
 
-def sym(coord: Coord) -> Sym:
-    return Sym(coord)
+def sym(coord: Coord) -> Expr:
+    return _ATOM_VALUES[_intern(coord)]
 
 
 def as_expr(value) -> Expr:
-    if isinstance(value, Expr):
+    if value.__class__ is Expr:
         return value
     if isinstance(value, (int, Fraction)):
-        return Num(Fraction(value))
+        return num(value)
     raise TypeError(f"cannot coerce {value!r} to an expression")
 
 
-# --- ordering keys -----------------------------------------------------------
+def func(name: str, arg: Expr) -> Expr:
+    if name not in _FUNC_INDEX:
+        raise ValueError(f"unsupported function {name!r}")
+    return _ATOM_VALUES[_intern((name, as_expr(arg)))]
 
 
-def _expr_key(e: Expr) -> tuple:
-    # Deterministic total order on canonical expressions.
-    if isinstance(e, Num):
-        return (0, e.value)
-    if isinstance(e, Sym):
-        return (1,) + coord_key(e.coord)
-    if isinstance(e, Func):
-        return (2, _FUNC_INDEX[e.name], _expr_key(e.arg))
-    if isinstance(e, Pow):
-        return (3, _expr_key(e.base), e.exp)
-    if isinstance(e, Mul):
-        return (4, tuple(_expr_key(f) for f in e.factors))
-    return (5, tuple(_expr_key(t) for t in e.terms))
+def sin(e: Expr) -> Expr:
+    return func("sin", e)
 
 
-def _split_term(t: Expr):
-    """Split a canonical non-Add term into (coefficient, monomial factors)."""
-    if isinstance(t, Num):
-        return t.value, ()
-    if isinstance(t, Mul):
-        if isinstance(t.factors[0], Num):
-            return t.factors[0].value, t.factors[1:]
-        return Fraction(1), t.factors
-    return Fraction(1), (t,)
+def cos(e: Expr) -> Expr:
+    return func("cos", e)
 
 
-def _base_exp(factor: Expr):
-    if isinstance(factor, Pow):
-        return factor.base, factor.exp
-    return factor, 1
+def exp(e: Expr) -> Expr:
+    return func("exp", e)
 
 
-def _term_sort_key(t: Expr) -> tuple:
-    coeff, mono = _split_term(t)
-    if not mono:
-        return (1,)  # constants last
-    grade = sum(_base_exp(f)[1] for f in mono)
-    return (0, -grade, tuple((_expr_key(_base_exp(f)[0]), -_base_exp(f)[1]) for f in mono))
+# --- arithmetic ----------------------------------------------------------------
 
 
-# --- smart constructors ------------------------------------------------------
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two monomials: exponents of equal atoms add."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    powers = dict(a)
+    for atom, k in b:
+        k += powers.get(atom, 0)
+        if k:
+            powers[atom] = k
+        else:
+            del powers[atom]
+    return tuple(sorted(powers.items()))
 
 
-def _assemble_term(coeff: Fraction, mono: tuple) -> Expr:
-    if coeff == 0:
+def _mul2(a: Expr, b: Expr) -> Expr:
+    at, bt = a.terms, b.terms
+    if len(at) < len(bt):
+        a, b, at, bt = b, a, bt, at
+    if not bt:
         return ZERO
-    if not mono:
-        return Num(coeff)
-    if coeff == 1:
-        if len(mono) == 1:
-            return mono[0]
-        return Mul(mono)
-    return Mul((Num(coeff),) + mono)
+    if len(bt) == 1:
+        # multiplying by one term maps distinct monomials to distinct ones
+        ((mb, cb),) = bt.items()
+        if not mb:
+            if cb == 1:
+                return a
+            return Expr({m: c * cb for m, c in at.items()})
+        return Expr({_mono_mul(m, mb): c * cb for m, c in at.items()})
+    acc: dict = {}
+    get = acc.get
+    for mb, cb in bt.items():
+        for ma, ca in at.items():
+            m = _mono_mul(ma, mb)
+            prev = get(m)
+            acc[m] = ca * cb if prev is None else prev + ca * cb
+    return Expr({m: c for m, c in acc.items() if c})
 
 
 def add(*args) -> Expr:
-    """Canonical sum: flatten, collect like monomials, fold constants."""
-    acc: dict[tuple, Fraction] = {}
-    for a in args:
-        terms = a.terms if isinstance(a, Add) else (a,)
-        for t in terms:
-            coeff, mono = _split_term(t)
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    out = [_assemble_term(c, mono) for mono, c in acc.items() if c != 0]
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    out.sort(key=_term_sort_key)
-    return Add(tuple(out))
-
-
-def _merge_terms(a: Expr, b: Expr) -> Expr:
-    """Product of two canonical non-Add terms (never distributes)."""
-    coeff_a, mono_a = _split_term(a)
-    coeff_b, mono_b = _split_term(b)
-    coeff = coeff_a * coeff_b
-    if coeff == 0:
-        return ZERO
-    powers: dict[Expr, int] = {}
-    order: list[Expr] = []
-    for f in mono_a + mono_b:
-        base, k = _base_exp(f)
-        if base not in powers:
-            powers[base] = 0
-            order.append(base)
-        powers[base] += k
-    mono = tuple(
-        base if powers[base] == 1 else Pow(base, powers[base])
-        for base in sorted(order, key=_expr_key)
-        if powers[base] != 0
-    )
-    return _assemble_term(coeff, mono)
+    """Sum: like monomials collect and zero coefficients drop."""
+    nonzero = [a for a in args if a.terms]
+    if len(nonzero) <= 1:
+        return nonzero[0] if nonzero else ZERO
+    acc = dict(nonzero[0].terms)
+    get = acc.get
+    for a in nonzero[1:]:
+        for m, c in a.terms.items():
+            prev = get(m)
+            acc[m] = c if prev is None else prev + c
+    return Expr({m: c for m, c in acc.items() if c})
 
 
 def mul(*args) -> Expr:
-    """Canonical product: flatten, fold constants, merge powers of equal
-    atoms, and distribute over sums (expressions stay expanded)."""
-    plain = ONE
-    sums: list[Add] = []
-    stack = list(args)
-    for a in stack:
-        if isinstance(a, Mul):
-            for f in a.factors:
-                plain = _merge_terms(plain, f)
-        elif isinstance(a, Add):
-            sums.append(a)
-        else:
-            plain = _merge_terms(plain, a)
-        if plain is ZERO or (isinstance(plain, Num) and plain.value == 0):
-            return ZERO
-    result: Expr = plain
-    for s in sums:
-        left = result.terms if isinstance(result, Add) else (result,)
-        result = add(*[_merge_terms(lt, rt) for lt in left for rt in s.terms])
-        if is_zero(result):
-            return ZERO
+    """Product, distributed over sums so that values stay expanded."""
+    if len(args) == 2:
+        return _mul2(args[0], args[1])
+    result = ONE
+    for a in sorted(args, key=lambda a: len(a.terms)):
+        result = _mul2(result, a)
+        if not result.terms:
+            break
     return result
 
 
 def neg(e: Expr) -> Expr:
-    return mul(Num(Fraction(-1)), e)
+    return Expr({m: -c for m, c in e.terms.items()})
 
 
 def pow_(base: Expr, k: int) -> Expr:
     """Integer power; powers of sums are expanded, negative powers are
-    allowed on atoms only (no rational-function arithmetic)."""
+    allowed on single terms only (no rational-function arithmetic)."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     if k == 0:
         return ONE
     if k == 1:
         return base
-    if isinstance(base, Num):
-        if base.value == 0 and k < 0:
-            raise ZeroDivisionError("zero to a negative power")
-        return Num(base.value**k)
-    if isinstance(base, Mul):
-        return mul(*[pow_(f, k) for f in base.factors])
-    if isinstance(base, Pow):
-        return pow_(base.base, base.exp * k)
-    if isinstance(base, Add):
+    terms = base.terms
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        c = Fraction(c) ** k if k < 0 else c**k
+        if c.__class__ is Fraction and c.denominator == 1:
+            c = c.numerator
+        return Expr({tuple((a, e * k) for a, e in m): c})
+    if not terms:
         if k < 0:
-            raise NonPolynomialDivision("negative power of a sum of terms")
-        result: Expr = base
-        for _ in range(k - 1):
-            result = mul(result, base)
-        return result
-    return Pow(base, k)
+            raise DivisionByZero("division by zero")
+        return ZERO
+    if k < 0:
+        raise NonPolynomialDivision("negative power of a sum of terms")
+    result = base
+    for _ in range(k - 1):
+        result = _mul2(result, base)
+    return result
 
 
 def div(a: Expr, b: Expr) -> Expr:
     return mul(a, pow_(b, -1))
 
 
-def func(name: str, arg: Expr) -> Expr:
-    if name not in _FUNC_INDEX:
-        raise ValueError(f"unsupported function {name!r}")
-    return Func(name, arg)
-
-
-def sin(e: Expr) -> Expr:
-    return Func("sin", e)
-
-
-def cos(e: Expr) -> Expr:
-    return Func("cos", e)
-
-
-def exp(e: Expr) -> Expr:
-    return Func("exp", e)
-
-
-# --- core operations ---------------------------------------------------------
-
-
-def simplify(e: Expr) -> Expr:
-    """Re-canonicalize bottom-up; the identity on constructor-built values."""
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[simplify(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[simplify(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exp)
-    return Func(e.name, simplify(e.arg))
+# --- queries -------------------------------------------------------------------
 
 
 def is_zero(e: Expr) -> bool:
-    """True iff the canonical form is the zero constant.  Complete on the
+    """True iff the value is the zero polynomial.  Complete on the
     polynomial fragment; sound (never true for a nonzero function)."""
-    return isinstance(e, Num) and e.value == 0
+    return not e.terms
 
 
-def partial(e: Expr, c: Coord, ctx=None) -> Expr:
-    """Formal partial derivative treating every coordinate (and t) as an
-    independent symbol.  If a context is supplied the coordinate must be
-    declared in it."""
-    if ctx is not None and not ctx.declares(c):
-        raise UnknownCoordinate(f"cannot differentiate by undeclared {c}")
-    return _partial(e, c)
+def is_constant(e: Expr) -> bool:
+    return not e.terms or (len(e.terms) == 1 and () in e.terms)
 
 
-def _partial(e: Expr, c: Coord) -> Expr:
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.coord == c else ZERO
-    if isinstance(e, Add):
-        return add(*[_partial(t, c) for t in e.terms])
-    if isinstance(e, Mul):
-        out = []
-        for k, f in enumerate(e.factors):
-            df = _partial(f, c)
-            if not is_zero(df):
-                out.append(mul(df, *e.factors[:k], *e.factors[k + 1 :]))
-        return add(*out) if out else ZERO
-    if isinstance(e, Pow):
-        db = _partial(e.base, c)
-        if is_zero(db):
-            return ZERO
-        return mul(Num(Fraction(e.exp)), pow_(e.base, e.exp - 1), db)
-    da = _partial(e.arg, c)
-    if is_zero(da):
-        return ZERO
-    if e.name == "sin":
-        outer: Expr = Func("cos", e.arg)
-    elif e.name == "cos":
-        outer = neg(Func("sin", e.arg))
-    else:
-        outer = e
-    return mul(outer, da)
-
-
-def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
-    """Simultaneous substitution of coordinates by expressions."""
-    if ctx is not None:
-        for c in bindings:
-            if not ctx.declares(c):
-                raise UnknownCoordinate(f"cannot substitute undeclared {c}")
-    if not bindings:
-        return e
-    return _substitute(e, bindings)
-
-
-def _substitute(e: Expr, bindings: dict) -> Expr:
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Sym):
-        return bindings.get(e.coord, e)
-    if isinstance(e, Add):
-        return add(*[_substitute(t, bindings) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[_substitute(f, bindings) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(_substitute(e.base, bindings), e.exp)
-    return Func(e.name, _substitute(e.arg, bindings))
-
-
-def contains_param(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return False
-    if isinstance(e, Sym):
-        return isinstance(e.coord, ParamCoord)
-    if isinstance(e, Add):
-        return any(contains_param(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(contains_param(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return contains_param(e.base)
-    return contains_param(e.arg)
-
-
-def _param_decompose(e: Expr) -> dict[int, list]:
-    """Coefficients of powers of t; raises when e is not polynomial in t."""
-    by_power: dict[int, list] = {}
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for t in terms:
-        coeff, mono = _split_term(t)
-        power = 0
-        rest = []
-        for f in mono:
-            base, k = _base_exp(f)
-            if isinstance(base, Sym) and isinstance(base.coord, ParamCoord):
-                if k < 0:
-                    raise NonPolynomialParameter("parameter in a denominator")
-                power += k
-            else:
-                if contains_param(base):
-                    raise NonPolynomialParameter(
-                        "parameter inside a function application"
-                    )
-                rest.append(f)
-        by_power.setdefault(power, []).append(_assemble_term(coeff, tuple(rest)))
-    return by_power
-
-
-def integrate_param(e: Expr, lower, upper) -> Expr:
-    """Exact definite integral over the parameter t; e must be polynomial
-    in t."""
-    lo, hi = Fraction(lower), Fraction(upper)
-    pieces = []
-    for power, coeffs in _param_decompose(e).items():
-        weight = (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
-        pieces.append(mul(Num(weight), add(*coeffs)))
-    return add(*pieces) if pieces else ZERO
+def has_functions(e: Expr) -> bool:
+    """True iff a sin/cos/exp atom occurs."""
+    return any(_ATOMS[a].__class__ is tuple for m in e.terms for a, _ in m)
 
 
 def coords_in(e: Expr) -> set:
-    """All coordinates (including t) occurring in the canonical form."""
-    out: set = set()
-    _collect_coords(e, out)
-    return out
+    """All coordinates (including t) occurring, also inside functions."""
+    atoms = {a for m in e.terms for a, _ in m}
+    return set().union(*(_ATOM_COORDS[a] for a in atoms))
 
 
-def _collect_coords(e: Expr, out: set) -> None:
-    if isinstance(e, Sym):
-        out.add(e.coord)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_coords(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_coords(f, out)
-    elif isinstance(e, Pow):
-        _collect_coords(e.base, out)
-    elif isinstance(e, Func):
-        _collect_coords(e.arg, out)
+def contains_param(e: Expr) -> bool:
+    return PARAM in coords_in(e)
 
 
 def jet_coords_in(e: Expr) -> list:
@@ -463,28 +336,214 @@ def max_jet_order(e: Expr) -> int:
     return max((len(c.J) for c in jet_coords_in(e)), default=0)
 
 
-def evaluate(e: Expr, env: dict) -> float:
-    """Floating-point evaluation with rationals converted at the leaves."""
-    import math
+# --- canonical order -----------------------------------------------------------
 
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(env[e.coord])
-        except KeyError:
-            raise UnboundCoordinate(f"no value bound for {e.coord}") from None
-    if isinstance(e, Add):
-        total = 0.0
-        for t in e.terms:
-            total += evaluate(t, env)
-        return total
-    if isinstance(e, Mul):
-        product = 1.0
-        for f in e.factors:
-            product *= evaluate(f, env)
-        return product
-    if isinstance(e, Pow):
-        return evaluate(e.base, env) ** e.exp
-    value = evaluate(e.arg, env)
-    return {"sin": math.sin, "cos": math.cos, "exp": math.exp}[e.name](value)
+
+def _rows(e: Expr) -> tuple:
+    """(coefficient, factors) per term in canonical order, factors as
+    (atom id, exponent) in coordinate order; cached on e."""
+    rows = e._rows
+    if rows is None:
+        keys = _ATOM_KEYS
+        keyed = []
+        for m, c in e.terms.items():
+            factors = tuple(sorted(m, key=lambda f: keys[f[0]]))
+            if factors:
+                grade = sum(k for _, k in factors)
+                key = (0, -grade, tuple((keys[a], -k) for a, k in factors))
+            else:
+                key = (1,)
+            keyed.append((key, c, factors))
+        keyed.sort(key=lambda row: row[0])
+        rows = e._rows = tuple((c, f) for _, c, f in keyed)
+    return rows
+
+
+def ordered_terms(e: Expr) -> list:
+    """The terms in canonical order as (coefficient, factors) pairs, each
+    factor an (atom, exponent) pair whose atom is a coordinate or a
+    (function name, argument) pair."""
+    atoms = _ATOMS
+    return [
+        (c, tuple((atoms[a], k) for a, k in factors)) for c, factors in _rows(e)
+    ]
+
+
+def _tree_key(e: Expr) -> tuple:
+    """Sort key of e inside a function atom: a constant, an atom, a power, a
+    product and a sum rank in that order, each compared by its parts in
+    canonical order."""
+    keys = []
+    for c, factors in _rows(e):
+        parts = [
+            _ATOM_KEYS[a] if k == 1 else (3, _ATOM_KEYS[a], k) for a, k in factors
+        ]
+        if not parts:
+            keys.append((0, c))
+        elif c == 1 and len(parts) == 1:
+            keys.append(parts[0])
+        else:
+            keys.append((4, tuple(parts if c == 1 else [(0, c)] + parts)))
+    if not keys:
+        return (0, 0)
+    return keys[0] if len(keys) == 1 else (5, tuple(keys))
+
+
+# --- calculus ------------------------------------------------------------------
+
+
+def derive(e: Expr, leaf) -> Expr:
+    """The chain rule, shared by partial and total derivatives: leaf(coord)
+    is the derivative of a coordinate, and sin/cos/exp atoms differentiate
+    through their argument."""
+    memo: dict = {}
+    acc: dict = {}
+    get = acc.get
+    for m, c in e.terms.items():
+        for i, (a, k) in enumerate(m):
+            d = memo.get(a)
+            if d is None:
+                d = memo[a] = _derive_atom(a, leaf).terms
+            if not d:
+                continue
+            rest = m[:i] + m[i + 1 :] if k == 1 else m[:i] + ((a, k - 1),) + m[i + 1 :]
+            ck = c * k
+            for dm, dc in d.items():
+                key = _mono_mul(rest, dm)
+                prev = get(key)
+                acc[key] = ck * dc if prev is None else prev + ck * dc
+    return Expr({m: c for m, c in acc.items() if c})
+
+
+def _derive_atom(a: int, leaf) -> Expr:
+    atom = _ATOMS[a]
+    if atom.__class__ is not tuple:
+        return leaf(atom)
+    name, arg = atom
+    darg = derive(arg, leaf)
+    if not darg.terms:
+        return ZERO
+    if name == "sin":
+        outer = func("cos", arg)
+    elif name == "cos":
+        outer = neg(func("sin", arg))
+    else:
+        outer = _ATOM_VALUES[a]
+    return _mul2(outer, darg)
+
+
+def partial(e: Expr, c: Coord, ctx=None) -> Expr:
+    """Formal partial derivative treating every coordinate (and t) as an
+    independent symbol.  If a context is supplied the coordinate must be
+    declared in it."""
+    if ctx is not None and not ctx.declares(c):
+        raise UnknownCoordinate(f"cannot differentiate by undeclared {c}")
+    return derive(e, lambda coord: ONE if coord == c else ZERO)
+
+
+def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
+    """Simultaneous substitution of coordinates by expressions."""
+    if ctx is not None:
+        for c in bindings:
+            if not ctx.declares(c):
+                raise UnknownCoordinate(f"cannot substitute undeclared {c}")
+    if not bindings:
+        return e
+    images: dict = {}  # atom id -> its image, None when unchanged
+    powers: dict = {}  # (atom id, exponent) -> image to that power
+    pieces = []
+    for m, c in e.terms.items():
+        kept = []
+        term = None
+        for a, k in m:
+            if a not in images:
+                images[a] = _substitute_atom(a, bindings)
+            if images[a] is None:
+                kept.append((a, k))
+                continue
+            power = powers.get((a, k))
+            if power is None:
+                power = powers[(a, k)] = pow_(images[a], k)
+            term = power if term is None else _mul2(term, power)
+        own = Expr({tuple(kept): c})
+        pieces.append(own if term is None else _mul2(own, term))
+    return add(*pieces)
+
+
+def _substitute_atom(a: int, bindings: dict):
+    atom = _ATOMS[a]
+    if atom.__class__ is not tuple:
+        return bindings.get(atom)
+    name, arg = atom
+    image = func(name, substitute(arg, bindings))
+    return None if image is _ATOM_VALUES[a] else image
+
+
+def integrate_param(e: Expr, lower, upper) -> Expr:
+    """Exact definite integral over the parameter t; e must be polynomial
+    in t."""
+    lo, hi = Fraction(lower), Fraction(upper)
+    t = _ATOM_ID.get(PARAM)
+    weights: dict = {}
+    acc: dict = {}
+    for m, c in e.terms.items():
+        power = 0
+        rest = m
+        for i, (a, k) in enumerate(m):
+            if a == t:
+                if k < 0:
+                    raise NonPolynomialParameter("parameter in a denominator")
+                power = k
+                rest = m[:i] + m[i + 1 :]
+            elif PARAM in _ATOM_COORDS[a]:
+                raise NonPolynomialParameter("parameter inside a function application")
+        if power not in weights:
+            weights[power] = (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
+        acc[rest] = acc.get(rest, 0) + c * weights[power]
+    return Expr({m: _rational(c) for m, c in acc.items() if c})
+
+
+# --- numeric evaluation --------------------------------------------------------
+
+
+def evaluate(e: Expr, env: dict) -> float:
+    """Floating-point value, summed term by term in canonical order with
+    rationals converted at the leaves."""
+    return _evaluate(e, env, {})
+
+
+def _evaluate(e: Expr, env: dict, values: dict) -> float:
+    rows = _rows(e)
+    if len(rows) == 1:
+        return _evaluate_term(rows[0], env, values)
+    total = 0.0
+    for row in rows:
+        total += _evaluate_term(row, env, values)
+    return total
+
+
+def _evaluate_term(row, env: dict, values: dict) -> float:
+    c, factors = row
+    product = 1.0 if c == 1 and factors else float(c)
+    for a, k in factors:
+        v = values.get(a)
+        if v is None:
+            v = values[a] = _evaluate_atom(a, env, values)
+        if k != 1:
+            if k < 0 and v == 0.0:
+                raise DivisionByZero(
+                    f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole"
+                )
+            v = v**k
+        product *= v
+    return product
+
+
+def _evaluate_atom(a: int, env: dict, values: dict) -> float:
+    atom = _ATOMS[a]
+    if atom.__class__ is tuple:
+        return _MATH[atom[0]](_evaluate(atom[1], env, values))
+    try:
+        return float(env[atom])
+    except KeyError:
+        raise UnboundCoordinate(f"no value bound for {atom}") from None

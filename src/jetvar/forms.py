@@ -43,12 +43,12 @@ from .errors import (
 )
 from .expr import (
     Expr,
-    Num,
     ONE,
     ZERO,
     add,
     as_expr,
     coords_in,
+    is_constant,
     is_zero,
     mul,
     neg,
@@ -241,7 +241,7 @@ def omega_i(i: int, ctx: JetContext) -> DiffForm:
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     gens = tuple(DX(j) for j in range(1, ctx.n + 1) if j != i)
-    coeff = ONE if i % 2 == 1 else Num(Fraction(-1))
+    coeff = ONE if i % 2 == 1 else num(-1)
     return DiffForm(ctx, 0, ctx.n - 1, {gens: coeff})
 
 
@@ -411,7 +411,7 @@ def cartan_form_contact(lam) -> DiffForm:
         for sigma in range(1, ctx.m + 1):
             for K in _sorted_indices(ctx.n, k):
                 value = mul(
-                    Num(Fraction(1, multiplicity(K))),
+                    num(Fraction(1, multiplicity(K))),
                     partial(lam.L, JetCoord(sigma, K)),
                 )
                 if k < r:
@@ -433,7 +433,7 @@ def cartan_form_contact(lam) -> DiffForm:
                         DiffForm(ctx, target, 1, {(W(sigma, J),): ONE}),
                         omega_i(i, ctx),
                     ),
-                    mul(Num(Fraction(weight)), coeff),
+                    mul(num(weight), coeff),
                 )
                 theta = form_add(theta, piece)
     return theta.at_order(target)
@@ -509,7 +509,7 @@ class FiberedIso:
             row = []
             for k in range(1, n + 1):
                 entry = partial(comp, BaseCoord(k))
-                if not isinstance(entry, Num):
+                if not is_constant(entry):
                     raise ValueError("base map must be affine in the base coordinates")
                 row.append(entry.value)
             rows.append(row)
@@ -577,7 +577,7 @@ def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext = None) -> 
                     if a_inv[kk - 1][l - 1] == 0:
                         continue
                     dk = total_derivative(parent, kk, ctx)
-                    pieces.append(mul(Num(a_inv[kk - 1][l - 1]), dk))
+                    pieces.append(mul(num(a_inv[kk - 1][l - 1]), dk))
                 out[JetCoord(sigma, J)] = add(*pieces) if pieces else ZERO
     return out
 
@@ -587,18 +587,27 @@ def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
     prolonged bindings substituted, and each basis one-form becomes the
     differential of the matching binding.  The prolongation order r
     defaults to the form's declared order."""
-    ctx = form.ctx
-    if iso.n != ctx.n or iso.m != ctx.m:
-        raise ContextMismatch(
-            f"isomorphism is {iso.n}x{iso.m}, form context is {ctx.n}x{ctx.m}"
-        )
     if r is None:
         r = form.order
     if max_form_order(form) > r:
         raise OrderOverflow(
             f"form uses jet order {max_form_order(form)}, above the requested {r}"
         )
-    pro = prolong_isomorphism(iso, r, ctx.with_order(max(ctx.order, r)))
+    return _pullback_prolonged(form, _prolong_for_pullback(iso, form.ctx, r), r)
+
+
+def _prolong_for_pullback(iso: FiberedIso, ctx: JetContext, r: int) -> dict:
+    """The prolonged bindings that pull back forms of order up to r."""
+    if iso.n != ctx.n or iso.m != ctx.m:
+        raise ContextMismatch(
+            f"isomorphism is {iso.n}x{iso.m}, form context is {ctx.n}x{ctx.m}"
+        )
+    return prolong_isomorphism(iso, r, ctx.with_order(max(ctx.order, r)))
+
+
+def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
+    """Pullback of a form of order at most r along prolonged bindings."""
+    ctx = form.ctx
     result = zero_form(ctx, form.degree, r)
     for gens, coeff in form.terms.items():
         acc = function_form(ctx, substitute(coeff, pro), r)

@@ -13,25 +13,7 @@ from .coords import (
     multi_indices,
 )
 from .errors import DimensionMismatch, OrderOverflow, UnknownCoordinate
-from .expr import (
-    Add,
-    Expr,
-    Func,
-    Mul,
-    Num,
-    Pow,
-    Sym,
-    ZERO,
-    ONE,
-    add,
-    coords_in,
-    is_zero,
-    mul,
-    neg,
-    partial,
-    pow_,
-    sym,
-)
+from .expr import ONE, ZERO, Expr, coords_in, derive, is_zero, partial, sym
 
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
@@ -43,47 +25,18 @@ def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
     """
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
-    return _td(e, i, ctx.ceiling)
+    ceiling = ctx.ceiling
 
-
-def _td(e: Expr, i: int, ceiling: int) -> Expr:
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Sym):
-        c = e.coord
-        if isinstance(c, BaseCoord):
-            return ONE if c.i == i else ZERO
+    def lift(c):
         if isinstance(c, JetCoord):
             if len(c.J) + 1 > ceiling:
                 raise OrderOverflow(
                     f"total derivative would raise jet order past ceiling {ceiling}"
                 )
-            return Sym(JetCoord(c.sigma, index_with(c.J, i)))
-        return ZERO
-    if isinstance(e, Add):
-        return add(*[_td(t, i, ceiling) for t in e.terms])
-    if isinstance(e, Mul):
-        out = []
-        for k, f in enumerate(e.factors):
-            df = _td(f, i, ceiling)
-            if not is_zero(df):
-                out.append(mul(df, *e.factors[:k], *e.factors[k + 1 :]))
-        return add(*out) if out else ZERO
-    if isinstance(e, Pow):
-        db = _td(e.base, i, ceiling)
-        if is_zero(db):
-            return ZERO
-        return mul(Num(e.exp), pow_(e.base, e.exp - 1), db)
-    da = _td(e.arg, i, ceiling)
-    if is_zero(da):
-        return ZERO
-    if e.name == "sin":
-        outer: Expr = Func("cos", e.arg)
-    elif e.name == "cos":
-        outer = neg(Func("sin", e.arg))
-    else:
-        outer = e
-    return mul(outer, da)
+            return sym(JetCoord(c.sigma, index_with(c.J, i)))
+        return ONE if isinstance(c, BaseCoord) and c.i == i else ZERO
+
+    return derive(e, lift)
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:

@@ -25,26 +25,26 @@ from .coords import (
     JetContext,
     JetCoord,
     PARAM,
-    index_with,
+    coord_key,
     multi_indices,
-    multi_indices_up_to,
     multiplicity,
 )
 from .errors import DegreeMismatch, DimensionMismatch, NotODEContext
 from .expr import (
     Expr,
-    Num,
     ZERO,
     add,
     as_expr,
     contains_param,
     coords_in,
     evaluate,
+    has_functions,
     integrate_param,
     is_zero,
     max_jet_order,
     mul,
     neg,
+    num,
     partial,
     substitute,
     sym,
@@ -59,6 +59,8 @@ from .forms import (
     form_from_terms,
     horizontalize,
     pullback,
+    _prolong_for_pullback,
+    _pullback_prolonged,
 )
 from .jets import iterated_total_derivative, total_derivative
 
@@ -233,25 +235,11 @@ def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
 # --- Helmholtz conditions ------------------------------------------------------
 
 
-def _opaque(e: Expr) -> bool:
-    from .expr import Add, Func, Mul, Pow
-
-    if isinstance(e, Func):
-        return True
-    if isinstance(e, Add):
-        return any(_opaque(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_opaque(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return _opaque(e.base)
-    return False
-
-
 def _probe_nonzero(e: Expr, seed: int) -> bool:
     """Evaluate at random rational points away from coordinate zeros; true
     when some value is clearly nonzero."""
     rng = random.Random(seed)
-    coords = sorted(coords_in(e), key=_coord_key)
+    coords = sorted(coords_in(e), key=coord_key)
     for _ in range(PROBE_POINTS):
         env = {}
         for c in coords:
@@ -262,18 +250,12 @@ def _probe_nonzero(e: Expr, seed: int) -> bool:
     return False
 
 
-def _coord_key(c):
-    from .coords import coord_key
-
-    return coord_key(c)
-
-
 def _verdict(records, seed: int) -> str:
     undecided = False
     for rec in records:
         if is_zero(rec.residual):
             continue
-        if not _opaque(rec.residual):
+        if not has_functions(rec.residual):
             return "not_variational"
         if _probe_nonzero(rec.residual, seed):
             return "not_variational"
@@ -298,35 +280,40 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     it away from zero."""
     ctx = sf.ctx
     s = sf.s
+    memo: dict = {}
+
+    def d_eps(k: int, coord: JetCoord) -> Expr:
+        # partial(eps_k, coord); the same pair recurs across levels and pairs
+        key = (k, coord)
+        if key not in memo:
+            memo[key] = partial(sf.eps[k - 1], coord)
+        return memo[key]
+
     records = []
     for l in range(s + 1):
         for I in multi_indices(ctx.n, l):
-            mu_I = Fraction(1, multiplicity(I))
+            mu_I = num(Fraction(1, multiplicity(I)))
             for sigma in range(1, ctx.m + 1):
                 for nu in range(1, ctx.m + 1):
-                    first = partial(sf.eps[sigma - 1], JetCoord(nu, I))
-                    second = partial(sf.eps[nu - 1], JetCoord(sigma, I))
+                    first = d_eps(sigma, JetCoord(nu, I))
+                    second = d_eps(nu, JetCoord(sigma, I))
                     head = add(first, neg(second) if l % 2 == 0 else second)
-                    residual = mul(Num(mu_I), head)
+                    residual = mul(mu_I, head)
                     for k in range(l + 1, s + 1):
                         sign = 1 if k % 2 == 0 else -1
                         weight = sign * comb(k, l)
                         for M in multi_indices(ctx.n, k - l):
-                            full = index_with_many(I, M)
-                            p = partial(sf.eps[nu - 1], JetCoord(sigma, full))
+                            full = tuple(sorted(I + M))
+                            p = d_eps(nu, JetCoord(sigma, full))
                             if is_zero(p):
                                 continue
                             tail = iterated_total_derivative(
-                                mul(Num(Fraction(1, multiplicity(full))), p), M, ctx
+                                mul(num(Fraction(1, multiplicity(full))), p), M, ctx
                             )
-                            factor = Fraction(-weight * multiplicity(M))
-                            residual = add(residual, mul(Num(factor), tail))
+                            factor = num(-weight * multiplicity(M))
+                            residual = add(residual, mul(factor, tail))
                     records.append(HelmholtzRecord(l, I, sigma, nu, residual))
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
-
-
-def index_with_many(I: tuple, M: tuple) -> tuple:
-    return tuple(sorted(I + M))
 
 
 def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
@@ -344,7 +331,7 @@ def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzRep
         raise NotODEContext(f"classical conditions need one base variable, got {ctx.n}")
     if sf.s > 2:
         raise NotODEContext(f"classical conditions cover order <= 2, got {sf.s}")
-    half = Num(Fraction(1, 2))
+    half = num(Fraction(1, 2))
     records = []
     y = lambda nu, J=(): JetCoord(nu, J)
     for sigma in range(1, ctx.m + 1):
@@ -442,19 +429,27 @@ def tonti_lagrangian(sf: SourceForm) -> Lagrangian:
 def pullback_lagrangian(lam: Lagrangian, iso: FiberedIso) -> Lagrangian:
     """The Lagrangian of the pulled-back horizontal form: the base-map
     Jacobian determinant enters through the pullback of omega_0."""
-    pulled = pullback(lam.as_form(), iso)
+    return _density(pullback(lam.as_form(), iso), lam)
+
+
+def _density(pulled: DiffForm, lam: Lagrangian) -> Lagrangian:
     vol = tuple(DX(i) for i in range(1, lam.ctx.n + 1))
-    density = pulled.terms.get(vol, ZERO)
-    return Lagrangian(density, lam.ctx, lam.r)
+    return Lagrangian(pulled.terms.get(vol, ZERO), lam.ctx, lam.r)
 
 
 def naturality_report(lam: Lagrangian, iso: FiberedIso) -> dict:
     """Whether the Cartan form and the Euler-Lagrange form commute with
-    pullback along the prolonged isomorphism, as two booleans."""
-    pulled_lam = pullback_lagrangian(lam, iso)
-    theta_natural = pullback(cartan_form(lam), iso) == cartan_form(pulled_lam)
+    pullback along the prolonged isomorphism, as two booleans.  The
+    isomorphism is prolonged once, to the order 2r of the source form."""
+    pro = _prolong_for_pullback(iso, lam.ctx, 2 * lam.r)
+    pulled_lam = _density(_pullback_prolonged(lam.as_form(), pro, lam.r), lam)
+    theta = cartan_form(lam)
+    theta_natural = _pullback_prolonged(theta, pro, theta.order) == cartan_form(
+        pulled_lam
+    )
+    source = euler_lagrange(lam).as_form()
     el_natural = (
-        pullback(euler_lagrange(lam).as_form(), iso)
+        _pullback_prolonged(source, pro, source.order)
         == euler_lagrange(pulled_lam).as_form()
     )
     return {"theorem3": theta_natural, "theorem4": el_natural}

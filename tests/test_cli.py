@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from jetvar.cli import main
+from jetvar.errors import DslError
 
 FREE_PARTICLE = """
     [context]
@@ -380,6 +381,53 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
     assert code == 2
     assert diagnostic["error"] == "DslSyntaxError"
     assert diagnostic["span"] == [7, 8]
+
+
+def test_span_less_dsl_error_reports_null_span(tmp_path, capsys, monkeypatch):
+    def fail(path):
+        raise DslError("no position for this error")
+
+    monkeypatch.setattr("jetvar.cli.load_problem", fail)
+    code, payload, diagnostic = run(capsys, ["el", str(tmp_path / "any.ini")])
+    assert code == 2 and payload is None
+    assert diagnostic == {
+        "error": "DslError",
+        "message": "no position for this error",
+        "span": None,
+    }
+
+
+def test_division_by_zero_constant_exits_2(tmp_path, capsys):
+    path = problem(tmp_path, FREE_PARTICLE.replace("1/2*u_{1}^2", "u/0"))
+    code, payload, diagnostic = run(capsys, ["el", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "DivisionByZero"
+
+
+def test_pole_at_evaluation_point_exits_2(tmp_path, capsys):
+    path = problem(
+        tmp_path,
+        """
+        [context]
+        n = 1
+        m = 1
+        order = 0
+        base = x
+        fiber = u
+
+        [source]
+        eps1 = u^(-1)
+
+        [section]
+        comp1 = x
+
+        [points]
+        values = 0
+        """,
+    )
+    code, payload, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "DivisionByZero"
 
 
 def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,6 @@ from jetvar import (
     JetCoord,
     NonPolynomialDivision,
     NonPolynomialParameter,
-    Num,
-    Pow,
     UnboundCoordinate,
     add,
     cos,
@@ -27,15 +25,16 @@ from jetvar import (
     mul,
     neg,
     num,
+    parse_expr,
     partial,
     pow_,
-    simplify,
+    render_expr,
     sin,
     substitute,
     sym,
 )
 from jetvar.coords import PARAM
-from jetvar.expr import ZERO, contains_param, coords_in, jet_coords_in
+from jetvar.expr import ZERO, contains_param, coords_in, jet_coords_in, ordered_terms
 
 from corpus import random_env, random_mixed, random_polynomial
 
@@ -75,7 +74,7 @@ def test_canonical_is_idempotent():
     ctx = JetContext(n=2, m=2, order=2)
     for _ in range(30):
         e = random_mixed(rng, ctx)
-        assert simplify(e) == e
+        assert parse_expr(render_expr(e, ctx), ctx).expr == e
 
 
 def test_arithmetic_matches_float_evaluation():
@@ -221,7 +220,7 @@ def test_structure_queries():
 def test_negative_powers_evaluate():
     u = sym(U)
     e = pow_(u, -2)
-    assert isinstance(e, Pow)
+    assert ordered_terms(e) == [(1, ((U, -2),))]
     assert evaluate(e, {U: 2}) == pytest.approx(0.25)
     d = partial(e, U)
     assert d == mul(num(-2), pow_(u, -3))
