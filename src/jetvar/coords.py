@@ -170,9 +170,6 @@ class JetContext:
             return name + "_{" + ",".join(str(i) for i in c.J) + "}"
         return "t"
 
-    def base_coords(self):
-        return [BaseCoord(i) for i in range(1, self.n + 1)]
-
     def jet_coords(self, order: int | None = None):
         """All jet coordinates with index length 0..order (default: the
         declared order)."""

@@ -32,6 +32,7 @@ from .expr import (
     div,
     func,
     is_constant,
+    max_jet_order,
     mul,
     neg,
     num,
@@ -39,7 +40,18 @@ from .expr import (
     pow_,
     sym,
 )
-from .forms import DX, DY, DiffForm, W, form_from_terms, function_form, scale, wedge
+from .forms import (
+    DX,
+    DY,
+    DiffForm,
+    W,
+    form_from_terms,
+    function_form,
+    gen_key,
+    max_form_order,
+    scale,
+    wedge,
+)
 
 FUNCTION_NAMES = ("sin", "cos", "exp")
 
@@ -206,8 +218,6 @@ class _Parser:
     def _as_form(self, value):
         if isinstance(value, DiffForm):
             return value
-        from .expr import max_jet_order
-
         return function_form(self.ctx, value, max_jet_order(value))
 
     def primary(self):
@@ -318,11 +328,7 @@ def parse_form(source: str, ctx: JetContext) -> DiffForm:
     0-form.  The declared order is the highest jet order occurring."""
     value = _Parser(source, ctx, allow_forms=True).parse()
     if isinstance(value, DiffForm):
-        from .forms import max_form_order
-
         return value.at_order(max_form_order(value))
-    from .expr import max_jet_order
-
     return function_form(ctx, value, max_jet_order(value))
 
 
@@ -382,7 +388,7 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
     if form.is_zero():
         return "0"
     parts = []
-    for gens in sorted(form.terms, key=lambda gs: tuple(map(_gen_sort, gs))):
+    for gens in sorted(form.terms, key=lambda gs: tuple(map(gen_key, gs))):
         coeff = form.terms[gens]
         word = " ^ ".join(_render_generator(g, ctx) for g in gens)
         if not gens:
@@ -400,9 +406,3 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
-
-
-def _gen_sort(g) -> tuple:
-    from .forms import gen_key
-
-    return gen_key(g)

@@ -29,6 +29,10 @@ class DivisionByZero(JetvarError):
     """Division by the zero constant, or evaluation at a pole."""
 
 
+class NumericOverflow(JetvarError):
+    """A floating-point evaluation exceeds the range of a double."""
+
+
 class ContextMismatch(JetvarError):
     """Two objects live over incompatible jet contexts."""
 

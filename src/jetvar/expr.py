@@ -30,8 +30,8 @@ from .errors import (
     DivisionByZero,
     NonPolynomialDivision,
     NonPolynomialParameter,
+    NumericOverflow,
     UnboundCoordinate,
-    UnknownCoordinate,
 )
 
 FUNCTIONS = ("sin", "cos", "exp")
@@ -432,21 +432,14 @@ def _derive_atom(a: int, leaf) -> Expr:
     return _mul2(outer, darg)
 
 
-def partial(e: Expr, c: Coord, ctx=None) -> Expr:
+def partial(e: Expr, c: Coord) -> Expr:
     """Formal partial derivative treating every coordinate (and t) as an
-    independent symbol.  If a context is supplied the coordinate must be
-    declared in it."""
-    if ctx is not None and not ctx.declares(c):
-        raise UnknownCoordinate(f"cannot differentiate by undeclared {c}")
+    independent symbol."""
     return derive(e, lambda coord: ONE if coord == c else ZERO)
 
 
-def substitute(e: Expr, bindings: dict, ctx=None) -> Expr:
+def substitute(e: Expr, bindings: dict) -> Expr:
     """Simultaneous substitution of coordinates by expressions."""
-    if ctx is not None:
-        for c in bindings:
-            if not ctx.declares(c):
-                raise UnknownCoordinate(f"cannot substitute undeclared {c}")
     if not bindings:
         return e
     images: dict = {}  # atom id -> its image, None when unchanged
@@ -509,7 +502,10 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
 def evaluate(e: Expr, env: dict) -> float:
     """Floating-point value, summed term by term in canonical order with
     rationals converted at the leaves."""
-    return _evaluate(e, env, {})
+    try:
+        return _evaluate(e, env, {})
+    except OverflowError:
+        raise NumericOverflow("a value overflows floating point at this point") from None
 
 
 def _evaluate(e: Expr, env: dict, values: dict) -> float:

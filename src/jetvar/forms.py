@@ -29,6 +29,7 @@ from .coords import (
     PARAM,
     coord_key,
     index_with,
+    multi_indices,
     multi_indices_up_to,
     multiplicity,
 )
@@ -308,11 +309,6 @@ def _expand_w(g: W, ctx: JetContext, order: int) -> DiffForm:
 
 def expand_contact(form: DiffForm) -> DiffForm:
     """Rewrite transient contact generators back into the raw dx/dy basis."""
-    return _expand_transient(form)
-
-
-def _expand_transient(form: DiffForm) -> DiffForm:
-    """Rewrite any transient contact generators back to the raw basis."""
     if not any(isinstance(g, W) for gens in form.terms for g in gens):
         return form
     ctx = form.ctx
@@ -381,7 +377,7 @@ def contact_decompose(form: DiffForm) -> list:
             parts = [(f, l) for f, l in grown if not f.is_zero()]
         for f, l in parts:
             buckets[l] = form_add(buckets[l], f)
-    return sorted((l, _expand_transient(f)) for l, f in buckets.items())
+    return sorted((l, expand_contact(f)) for l, f in buckets.items())
 
 
 def horizontalize(form: DiffForm) -> DiffForm:
@@ -409,7 +405,7 @@ def cartan_form_contact(lam) -> DiffForm:
     f: dict[tuple, Expr] = {}
     for k in range(r, 0, -1):
         for sigma in range(1, ctx.m + 1):
-            for K in _sorted_indices(ctx.n, k):
+            for K in multi_indices(ctx.n, k):
                 value = mul(
                     num(Fraction(1, multiplicity(K))),
                     partial(lam.L, JetCoord(sigma, K)),
@@ -454,21 +450,7 @@ def cartan_form(lam) -> DiffForm:
         Theta = L omega_0
               + sum_s sum_{|J| <= r-1} mult(J) f[s][J + i] w^s_J ^ omega_i
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OrderZeroWarning)
-        contact = cartan_form_contact(lam)
-    if lam.r == 0:
-        warnings.warn(
-            "order-0 Lagrangian: the Cartan form is the Lagrangian itself",
-            OrderZeroWarning,
-        )
-    return _expand_transient(contact)
-
-
-def _sorted_indices(n: int, length: int):
-    from .coords import multi_indices
-
-    return multi_indices(n, length)
+    return expand_contact(cartan_form_contact(lam))
 
 
 # --- fibered isomorphisms and pullback ---------------------------------------
@@ -569,7 +551,7 @@ def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext = None) -> 
         out[JetCoord(sigma)] = iso.fiber_map[sigma - 1]
     for k in range(1, order + 1):
         for sigma in range(1, ctx.m + 1):
-            for J in _sorted_indices(ctx.n, k):
+            for J in multi_indices(ctx.n, k):
                 parent = out[JetCoord(sigma, J[:-1])]
                 l = J[-1]
                 pieces = []

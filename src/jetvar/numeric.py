@@ -7,15 +7,15 @@ shows up as a numeric mismatch instead of cancelling symmetrically."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .coords import BaseCoord, JetContext, JetCoord
+from .coords import BaseCoord, JetContext
 from .errors import NotODEContext, ProbeBoundaryError
-from .expr import Expr, add, evaluate, mul, num
+from .expr import add, evaluate, mul, num
 from .jets import SectionSpec, prolong_section
+from .variational import euler_lagrange
 
 BOUNDARY_TOL = 1e-12
 RICHARDSON_DISAGREE = 1e-9
@@ -32,12 +32,37 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("need at least 2 quadrature nodes")
-        if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError("finite-difference step must be positive and finite")
 
     def points_weights(self):
-        x, w = np.polynomial.legendre.leggauss(self.nodes)
-        return (x + 1.0) / 2.0, w / 2.0
+        """Nodes in ascending order and weights of the Gauss-Legendre rule
+        on [0, 1].  Each root z of P_n in [0, 1) is found by Newton's method
+        from a cosine guess and mirrored to -z."""
+        n = self.nodes
+        points = [0.0] * n
+        weights = [0.0] * n
+        for i in range((n + 1) // 2):
+            z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(100):
+                p, dp = _legendre(n, z)
+                dz = p / dp
+                z -= dz
+                if abs(dz) <= 1e-15:
+                    break
+            dp = _legendre(n, z)[1]
+            points[i], points[n - 1 - i] = (1.0 - z) / 2.0, (1.0 + z) / 2.0
+            weights[i] = weights[n - 1 - i] = 1.0 / ((1.0 - z * z) * dp * dp)
+        return points, weights
+
+
+def _legendre(n: int, z: float) -> tuple:
+    """P_n(z) and P_n'(z) by the three-term recurrence, for n >= 1 and
+    |z| < 1."""
+    p, p_prev = z, 1.0
+    for k in range(2, n + 1):
+        p, p_prev = ((2 * k - 1) * z * p - (k - 1) * p_prev) / k, p
+    return p, n * (z * p - p_prev) / (z * z - 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,11 +94,6 @@ class FirstVariationResult:
     abs_diff: float
 
 
-def eval_expr_at(e: Expr, bindings: dict) -> float:
-    """Floating-point value of an expression under coordinate bindings."""
-    return evaluate(e, bindings)
-
-
 def _section_env(jets: dict, base_env: dict) -> dict:
     env = dict(base_env)
     for coord, e in jets.items():
@@ -91,7 +111,7 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
     points, weights = quad.points_weights()
     total = 0.0
     for x, w in zip(points, weights):
-        env = _section_env(jets, {BaseCoord(1): float(x)})
+        env = _section_env(jets, {BaseCoord(1): x})
         total += w * evaluate(lam.L, env)
     return total
 
@@ -116,8 +136,6 @@ def first_variation_check(
     condition kills the boundary terms of integration by parts.  A second
     central difference at half step triggers Richardson extrapolation when
     the two estimates disagree."""
-    from .variational import euler_lagrange
-
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the variation oracle needs one base variable, got {ctx.n}")
@@ -146,7 +164,7 @@ def first_variation_check(
     points, weights = quad.points_weights()
     rhs = 0.0
     for x, w in zip(points, weights):
-        base_env = {BaseCoord(1): float(x)}
+        base_env = {BaseCoord(1): x}
         env = _section_env(jets, base_env)
         value = 0.0
         for sigma in range(1, ctx.m + 1):

@@ -21,6 +21,7 @@ variable.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .errors import ProblemFileError
 from .expr import add, mul, num, sym
 from .forms import DiffForm, FiberedIso
 from .jets import SectionSpec
+from .numeric import QuadratureSpec
 from .variational import Lagrangian, SourceForm
 
 DEFAULT_CEILING = 12
@@ -191,6 +193,14 @@ def _options(cp: configparser.ConfigParser) -> dict:
                 out[key] = float(raw)
         except ValueError:
             raise ProblemFileError(f"bad value for option {key!r}: {raw!r}") from None
+    if not (math.isfinite(out["tolerance"]) and out["tolerance"] >= 0):
+        raise ProblemFileError(
+            f"option 'tolerance' must be finite and non-negative, got {out['tolerance']}"
+        )
+    try:
+        QuadratureSpec(nodes=out["nodes"], step=out["step"])
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
     return out
 
 

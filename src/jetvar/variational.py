@@ -57,8 +57,11 @@ from .forms import (
     exterior_derivative,
     FiberedIso,
     form_from_terms,
+    function_form,
     horizontalize,
+    omega_0,
     pullback,
+    wedge,
     _prolong_for_pullback,
     _pullback_prolonged,
 )
@@ -95,8 +98,6 @@ class Lagrangian:
         object.__setattr__(self, "ctx", self.ctx.with_order(r))
 
     def as_form(self) -> DiffForm:
-        from .forms import function_form, omega_0, wedge
-
         return wedge(function_form(self.ctx, self.L), omega_0(self.ctx)).at_order(
             self.r
         )
@@ -127,8 +128,6 @@ class SourceForm:
         object.__setattr__(self, "ctx", self.ctx.with_order(s))
 
     def as_form(self) -> DiffForm:
-        from .forms import omega_0, wedge
-
         ctx = self.ctx
         vol = omega_0(ctx)
         pairs = []

@@ -430,6 +430,46 @@ def test_pole_at_evaluation_point_exits_2(tmp_path, capsys):
     assert diagnostic["error"] == "DivisionByZero"
 
 
+FIRST_VARIATION = """
+    [context]
+    n = 1
+    m = 1
+    order = 1
+    base = x
+    fiber = u
+
+    [lagrangian]
+    expr = 1/2*u_{1}^2
+
+    [section]
+    comp1 = x^2
+
+    [variation]
+    comp1 = x^2*(1-x)^2
+"""
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["nodes = 1", "step = -1", "step = inf", "tolerance = nan", "tolerance = -1"],
+)
+def test_bad_numeric_option_exits_2(tmp_path, capsys, option):
+    path = problem(tmp_path, FIRST_VARIATION + f"\n    [options]\n    {option}\n")
+    code, payload, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+
+
+def test_evaluation_overflow_exits_2(tmp_path, capsys):
+    text = FIRST_VARIATION.replace("1/2*u_{1}^2", "exp(u_{1})").replace(
+        "comp1 = x^2\n", "comp1 = 1000*x\n", 1
+    )
+    path = problem(tmp_path, text)
+    code, payload, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "NumericOverflow"
+
+
 def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):
     path = problem(tmp_path, FREE_PARTICLE)
     monkeypatch.setenv("JETVAR_ORDER_CEILING", "1")

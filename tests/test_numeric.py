@@ -2,9 +2,13 @@
 on-section residuals."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jetvar
 from jetvar import (
     BaseCoord,
     JetContext,
@@ -18,6 +22,7 @@ from jetvar import (
     VariationProbe,
     action,
     add,
+    evaluate,
     exp,
     first_variation_check,
     mul,
@@ -26,7 +31,6 @@ from jetvar import (
     residual_on_section,
     sym,
 )
-from jetvar.numeric import eval_expr_at
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -47,6 +51,31 @@ def test_quadrature_is_exact_on_polynomials():
     for k in range(0, 21):
         integral = sum(w * t**k for t, w in zip(points, weights))
         assert integral == pytest.approx(1.0 / (k + 1), abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
+def test_quadrature_matches_numpy_leggauss(n):
+    np = pytest.importorskip("numpy")
+    x, w = np.polynomial.legendre.leggauss(n)
+    points, weights = QuadratureSpec(nodes=n).points_weights()
+    assert len(points) == len(weights) == n
+    for got, want in zip(points, (x + 1.0) / 2.0):
+        assert abs(got - want) <= 1e-14
+    for got, want in zip(weights, w / 2.0):
+        assert abs(got - want) <= 1e-14
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, jetvar.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(jetvar.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_action_known_values(ode1):
@@ -141,5 +170,5 @@ def test_residual_on_section_values(ode2, plane2):
 
 def test_eval_expr_at_transcendental():
     e = mul(exp(sym(X)), sym(U))
-    value = eval_expr_at(e, {X: 1.0, U: 2.0})
+    value = evaluate(e, {X: 1.0, U: 2.0})
     assert value == pytest.approx(2.0 * math.e)
