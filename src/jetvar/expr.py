@@ -202,6 +202,16 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
         return a
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        # one factor, the shape of every derivative leaf: insert it in place
+        ((atom, k),) = b
+        for i, (x, e) in enumerate(a):
+            if x == atom:
+                e += k
+                return a[:i] + ((x, e),) + a[i + 1 :] if e else a[:i] + a[i + 1 :]
+            if x > atom:
+                return a[:i] + b + a[i:]
+        return a + b
     powers = dict(a)
     for atom, k in b:
         k += powers.get(atom, 0)
@@ -410,8 +420,9 @@ def derive(e: Expr, leaf) -> Expr:
             ck = c * k
             for dm, dc in d.items():
                 key = _mono_mul(rest, dm)
+                term = ck if dc == 1 else ck * dc
                 prev = get(key)
-                acc[key] = ck * dc if prev is None else prev + ck * dc
+                acc[key] = term if prev is None else prev + term
     return Expr({m: c for m, c in acc.items() if c})
 
 

@@ -26,6 +26,7 @@ from .coords import (
     JetCoord,
     PARAM,
     coord_key,
+    index_with,
     multi_indices,
     multiplicity,
 )
@@ -65,7 +66,7 @@ from .forms import (
     _prolong_for_pullback,
     _pullback_prolonged,
 )
-from .jets import iterated_total_derivative, total_derivative
+from .jets import total_derivative
 
 PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
@@ -192,20 +193,29 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
         eps_sigma = sum_{k=0}^r (-1)^k sum_{|J|=k} d_J partial(L, y^sigma_J)
 
     summed over sorted multi-indices J; the multiplicity of J cancels
-    against the tuple-derivative normalization.  The result is declared on
-    the jet space of order 2r."""
+    against the tuple-derivative normalization.  The sum is evaluated in
+    nested form, from the longest multi-indices down:
+
+        F(J) = partial(L, y^sigma_J) - sum_{i >= last(J)} d_i F(J+i)
+
+    and eps_sigma = F(()); every sorted J is reached along exactly one
+    chain of appended indices, so it enters once with sign (-1)^|J|.  The
+    result is declared on the jet space of order 2r."""
     ctx = lam.ctx
     eps = []
     for sigma in range(1, ctx.m + 1):
-        acc = ZERO
-        for k in range(lam.r + 1):
+        upper: dict = {}  # F at the level above, by multi-index
+        for k in range(lam.r, -1, -1):
+            level = {}
             for J in multi_indices(ctx.n, k):
-                p = partial(lam.L, JetCoord(sigma, J))
-                if is_zero(p):
-                    continue
-                term = iterated_total_derivative(p, J, ctx)
-                acc = add(acc, term if k % 2 == 0 else neg(term))
-        eps.append(acc)
+                value = partial(lam.L, JetCoord(sigma, J))
+                for i in range(J[-1] if J else 1, ctx.n + 1):
+                    above = upper.get(J + (i,), ZERO)
+                    if not is_zero(above):
+                        value = add(value, neg(total_derivative(above, i, ctx)))
+                level[J] = value
+            upper = level
+        eps.append(upper[()])
     return SourceForm(tuple(eps), ctx.with_order(2 * lam.r), 2 * lam.r)
 
 
@@ -273,10 +283,19 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
                 d_M [partial(eps_nu, y^sigma_{I+M}) / mult(I+M)]
 
     where the inner sum runs over sorted completions M, weighted by the
-    number of ordered tuples each represents.  The verdict is variational
-    iff every residual normalizes to zero; a nonzero residual containing
-    opaque atoms downgrades the verdict to undecided unless probing bounds
-    it away from zero."""
+    number of ordered tuples each represents.  The second head term and
+    the tail are evaluated in nested form, from the longest completions
+    down, with q_F = partial(eps_nu, y^sigma_F):
+
+        G(M) = w_|M| q_{I+M} / mult(I+M) + sum_{i=1..n} d_i G(M+i)
+        w_j  = -(-1)^(l+j) C(l+j, l)
+
+    so that R = partial(eps_sigma, y^nu_I) / mult(I) + G(()).  G is kept
+    per sorted M; summing d_i over every i reaches M along mult(M)
+    ordered chains, which supplies the weight mult(M).  The verdict is
+    variational iff every residual normalizes to zero; a nonzero residual
+    containing opaque atoms downgrades the verdict to undecided unless
+    probing bounds it away from zero."""
     ctx = sf.ctx
     s = sf.s
     memo: dict = {}
@@ -294,23 +313,24 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
             mu_I = num(Fraction(1, multiplicity(I)))
             for sigma in range(1, ctx.m + 1):
                 for nu in range(1, ctx.m + 1):
-                    first = d_eps(sigma, JetCoord(nu, I))
-                    second = d_eps(nu, JetCoord(sigma, I))
-                    head = add(first, neg(second) if l % 2 == 0 else second)
-                    residual = mul(mu_I, head)
-                    for k in range(l + 1, s + 1):
-                        sign = 1 if k % 2 == 0 else -1
-                        weight = sign * comb(k, l)
-                        for M in multi_indices(ctx.n, k - l):
+                    upper: dict = {}  # G at the level above, by completion
+                    for j in range(s - l, -1, -1):
+                        weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
+                        level = {}
+                        for M in multi_indices(ctx.n, j):
                             full = tuple(sorted(I + M))
-                            p = d_eps(nu, JetCoord(sigma, full))
-                            if is_zero(p):
-                                continue
-                            tail = iterated_total_derivative(
-                                mul(num(Fraction(1, multiplicity(full))), p), M, ctx
+                            value = mul(
+                                num(Fraction(weight, multiplicity(full))),
+                                d_eps(nu, JetCoord(sigma, full)),
                             )
-                            factor = num(-weight * multiplicity(M))
-                            residual = add(residual, mul(factor, tail))
+                            for i in range(1, ctx.n + 1):
+                                above = upper.get(index_with(M, i), ZERO)
+                                if not is_zero(above):
+                                    value = add(value, total_derivative(above, i, ctx))
+                            level[M] = value
+                        upper = level
+                    first = mul(mu_I, d_eps(sigma, JetCoord(nu, I)))
+                    residual = add(first, upper[()])
                     records.append(HelmholtzRecord(l, I, sigma, nu, residual))
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
 
