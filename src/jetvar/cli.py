@@ -19,7 +19,7 @@ from .errors import DslError, JetvarError, ProblemFileError
 from .expr import is_zero
 from .forms import cartan_form_contact, expand_contact
 from .numeric import QuadratureSpec, VariationProbe, first_variation_check, residual_on_section
-from .problem import ProblemFile, load_problem
+from .problem import ProblemFile, check_tolerance, load_problem
 from .variational import (
     classical_helmholtz_ode,
     euler_lagrange,
@@ -226,7 +226,7 @@ def _merge_options(problem: ProblemFile, args) -> dict:
     if args.skip_variational_check is not None:
         opts["skip-variational-check"] = True
     if args.tolerance is not None:
-        opts["tolerance"] = args.tolerance
+        opts["tolerance"] = check_tolerance(args.tolerance)
     if args.seed is not None:
         opts["seed"] = args.seed
     return opts

@@ -512,11 +512,19 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
 
 def evaluate(e: Expr, env: dict) -> float:
     """Floating-point value, summed term by term in canonical order with
-    rationals converted at the leaves."""
+    rationals converted at the leaves.  Raises NumericOverflow when the
+    value, or the argument of a sin/cos/exp atom, is not finite."""
     try:
-        return _evaluate(e, env, {})
+        value = _evaluate(e, env, {})
     except OverflowError:
-        raise NumericOverflow("a value overflows floating point at this point") from None
+        value = math.inf
+    return _finite(value)
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NumericOverflow("a value overflows floating point at this point")
+    return value
 
 
 def _evaluate(e: Expr, env: dict, values: dict) -> float:
@@ -549,7 +557,7 @@ def _evaluate_term(row, env: dict, values: dict) -> float:
 def _evaluate_atom(a: int, env: dict, values: dict) -> float:
     atom = _ATOMS[a]
     if atom.__class__ is tuple:
-        return _MATH[atom[0]](_evaluate(atom[1], env, values))
+        return _MATH[atom[0]](_finite(_evaluate(atom[1], env, values)))
     try:
         return float(env[atom])
     except KeyError:

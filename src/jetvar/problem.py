@@ -161,6 +161,8 @@ def _points(raw: str, ctx: JetContext) -> list:
             values = [float(part) for part in row.split(",")]
         except ValueError:
             raise ProblemFileError(f"bad point {row!r} in [points]") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ProblemFileError(f"point {row!r} in [points] is not finite")
         if ctx.n == 1:
             out.extend(values)
         elif len(values) != ctx.n:
@@ -172,6 +174,16 @@ def _points(raw: str, ctx: JetContext) -> list:
     if not out:
         raise ProblemFileError("[points] lists no points")
     return out
+
+
+def check_tolerance(tolerance: float) -> float:
+    """The tolerance of a numeric check, which must be finite and
+    non-negative, from a problem file or the command line."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ProblemFileError(
+            f"option 'tolerance' must be finite and non-negative, got {tolerance}"
+        )
+    return tolerance
 
 
 def _options(cp: configparser.ConfigParser) -> dict:
@@ -193,10 +205,7 @@ def _options(cp: configparser.ConfigParser) -> dict:
                 out[key] = float(raw)
         except ValueError:
             raise ProblemFileError(f"bad value for option {key!r}: {raw!r}") from None
-    if not (math.isfinite(out["tolerance"]) and out["tolerance"] >= 0):
-        raise ProblemFileError(
-            f"option 'tolerance' must be finite and non-negative, got {out['tolerance']}"
-        )
+    check_tolerance(out["tolerance"])
     try:
         QuadratureSpec(nodes=out["nodes"], step=out["step"])
     except ValueError as exc:

@@ -470,6 +470,50 @@ def test_evaluation_overflow_exits_2(tmp_path, capsys):
     assert diagnostic["error"] == "NumericOverflow"
 
 
+def test_product_overflow_exits_2(tmp_path, capsys):
+    # each factor is finite (about 1e300); only their product overflows
+    text = FIRST_VARIATION.replace("1/2*u_{1}^2", "u^100*u_{1}^100").replace(
+        "comp1 = x^2\n", "comp1 = 1000*x\n", 1
+    )
+    path = problem(tmp_path, text)
+    code, payload, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "NumericOverflow"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tolerance_flag_exits_2(tmp_path, capsys, value):
+    path = problem(tmp_path, FIRST_VARIATION)
+    code, payload, diagnostic = run(capsys, ["numcheck", path, "--tolerance", value])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+
+
+@pytest.mark.parametrize("values", ["inf", "0.5, nan", "-inf"])
+def test_non_finite_point_exits_2(tmp_path, capsys, values):
+    text = """
+        [context]
+        n = 1
+        m = 1
+        order = 0
+        base = x
+        fiber = u
+
+        [source]
+        eps1 = sin(u)
+
+        [section]
+        comp1 = x
+
+        [points]
+        values = {values}
+    """.replace("{values}", values)
+    path = problem(tmp_path, text)
+    code, payload, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+
+
 def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):
     path = problem(tmp_path, FREE_PARTICLE)
     monkeypatch.setenv("JETVAR_ORDER_CEILING", "1")
