@@ -7,6 +7,7 @@ shows up as a numeric mismatch instead of cancelling symmetrically."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,23 +38,29 @@ class QuadratureSpec:
 
     def points_weights(self):
         """Nodes in ascending order and weights of the Gauss-Legendre rule
-        on [0, 1].  Each root z of P_n in [0, 1) is found by Newton's method
-        from a cosine guess and mirrored to -z."""
-        n = self.nodes
-        points = [0.0] * n
-        weights = [0.0] * n
-        for i in range((n + 1) // 2):
-            z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-            for _ in range(100):
-                p, dp = _legendre(n, z)
-                dz = p / dp
-                z -= dz
-                if abs(dz) <= 1e-15:
-                    break
-            dp = _legendre(n, z)[1]
-            points[i], points[n - 1 - i] = (1.0 - z) / 2.0, (1.0 + z) / 2.0
-            weights[i] = weights[n - 1 - i] = 1.0 / ((1.0 - z * z) * dp * dp)
-        return points, weights
+        on [0, 1], as tuples shared by every spec with this node count."""
+        return _gauss_legendre(self.nodes)
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple:
+    """The n-node Gauss-Legendre rule on [0, 1] as (nodes, weights).  Each
+    root z of P_n in [0, 1) is found by Newton's method from a cosine guess
+    and mirrored to -z."""
+    points = [0.0] * n
+    weights = [0.0] * n
+    for i in range((n + 1) // 2):
+        z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(n, z)
+            dz = p / dp
+            z -= dz
+            if abs(dz) <= 1e-15:
+                break
+        dp = _legendre(n, z)[1]
+        points[i], points[n - 1 - i] = (1.0 - z) / 2.0, (1.0 + z) / 2.0
+        weights[i] = weights[n - 1 - i] = 1.0 / ((1.0 - z * z) * dp * dp)
+    return tuple(points), tuple(weights)
 
 
 def _legendre(n: int, z: float) -> tuple:
