@@ -90,7 +90,9 @@ def flat_helmholtz(sf):
 
 
 def records(report):
-    return [(rec.level, rec.I, rec.sigma, rec.nu, rec.residual) for rec in report.records]
+    return [
+        (rec.level, rec.I, rec.sigma, rec.nu, rec.residual) for rec in report.records
+    ]
 
 
 def random_lagrangian(rng, n, m, r):
@@ -138,7 +140,10 @@ def test_nested_helmholtz_matches_flat_formula(n, m, r):
 # --- sympy's euler_equations as an independent oracle --------------------------
 
 
-@pytest.mark.parametrize("n,m,r", [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2)])
+SYMPY_CASES = [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("n,m,r", SYMPY_CASES)
 def test_euler_lagrange_matches_sympy_euler_equations(n, m, r):
     sympy = pytest.importorskip("sympy")
     from sympy.calculus.euler import euler_equations
