@@ -10,7 +10,8 @@ Grammar (scalar mode):
 
 Identifiers are the declared coordinate names; jet indices are written
 `u_{1,2}` after a fiber name and are normalized to sorted order (with a
-warning when given unsorted).  Rational literals are spelled as quotients,
+warning when given unsorted).  Parentheses, function calls and unary minus
+signs nest at most MAX_NESTING levels deep.  Rational literals are spelled as quotients,
 `1/2`.  In form mode the additional atoms `dx1`, `du`, `du_{1,2}` denote
 basis one-forms (`d` followed by a declared name), `^` between forms is the
 wedge product, and `*` scales a form by a scalar.
@@ -54,6 +55,10 @@ from .forms import (
 )
 
 FUNCTION_NAMES = ("sin", "cos", "exp")
+
+# Deeper nesting would exhaust the interpreter stack while parsing or
+# rendering; each level costs a few Python frames.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,7 @@ class _Parser:
         self.allow_forms = allow_forms
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # token plumbing
 
@@ -144,6 +150,14 @@ class _Parser:
                 (tok.start, tok.end),
             )
         return self.advance()
+
+    def enter(self, tok: Token) -> None:
+        """One more level of nesting opens at tok."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", (tok.start, tok.end)
+            )
 
     # entry
 
@@ -179,7 +193,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
+            self.enter(tok)
             operand = self.expression(_UNARY_PREC)
+            self.depth -= 1
             if isinstance(operand, DiffForm):
                 return scale(operand, num(-1))
             return neg(operand)
@@ -225,8 +241,10 @@ class _Parser:
         if tok.kind == "NUM":
             return num(int(tok.text))
         if tok.kind == "OP" and tok.text == "(":
+            self.enter(tok)
             inner = self.expression(_ADD_PREC)
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if tok.kind == "IDENT":
             return self.identifier(tok)
@@ -240,8 +258,10 @@ class _Parser:
         span = (tok.start, tok.end)
         if name in FUNCTION_NAMES:
             self.expect_op("(")
+            self.enter(tok)
             arg = self.expression(_ADD_PREC)
             self.expect_op(")")
+            self.depth -= 1
             if isinstance(arg, DiffForm):
                 raise DslSyntaxError(f"{name} takes a scalar argument", span)
             return func(name, arg)

@@ -2,15 +2,28 @@
 
 Every expression is one immutable value, a sparse Laurent polynomial with
 exact rational coefficients.  Its `terms` dict maps each monomial to a
-nonzero coefficient (an int when integral, else a Fraction); zero has no
-terms.  A monomial is a tuple of (atom, exponent) pairs with nonzero integer
-exponents, sorted by atom.  An atom is a coordinate or an application
-sin/cos/exp(arg) whose argument is itself a kernel value; each distinct atom
-is interned once per process to a small int.
+nonzero coefficient, an int when integral and otherwise a Fraction; every
+constructor and operation here keeps that invariant, so integral
+arithmetic never pays for Fraction.  Zero has no terms.  A monomial is a
+tuple of (atom, exponent) pairs with nonzero integer exponents, sorted by
+atom.  An atom is a coordinate or an application sin/cos/exp(arg) whose
+argument is itself a kernel value; each distinct atom is interned once per
+process to a small int.
 
 Products distribute on construction, so structural equality decides
 equality of the functions denoted on the (Laurent-)polynomial fragment;
 sin/cos/exp atoms are opaque and compare syntactically.
+
+All differentiation goes through one chain-rule walker, `derive(e, leaf)`.
+For a coordinate atom, `leaf(atom id)` returns (slot, terms) pairs, the
+derivative of that coordinate into each output slot, and the walker
+accumulates one result per slot in a single pass over the terms:
+`gradient` has a slot per coordinate (every first partial at once),
+`partial` and the total derivative `jets.total_derivative` have one.  The
+total derivative d_i of a coordinate atom comes from a process-wide lift
+table next to the intern table, so each atom is lifted once per process;
+the jet-order ceiling is checked on every call, against the caller's
+context, never cached.
 
 Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
@@ -25,12 +38,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coords import Coord, JetCoord, PARAM, coord_key
+from .coords import BaseCoord, Coord, JetCoord, PARAM, coord_key, index_with
 from .errors import (
     DivisionByZero,
     NonPolynomialDivision,
     NonPolynomialParameter,
     NumericOverflow,
+    OrderOverflow,
     UnboundCoordinate,
 )
 
@@ -118,11 +132,15 @@ _ATOMS: list = []  # id -> atom
 _ATOM_VALUES: list = []  # id -> the Expr of the atom alone
 _ATOM_KEYS: list = []  # id -> position in the canonical order
 _ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
+_ATOM_ORDERS: list = []  # id -> jet order of a jet coordinate, -1 otherwise
+# (atom id, i) -> d_i of that coordinate as derive leaf pairs
+_LIFTS: dict = {}
 
 
 def _intern(atom) -> int:
     a = _ATOM_ID.get(atom)
     if a is None:
+        order = -1
         if atom.__class__ is tuple:
             name, arg = atom
             key = (2, _FUNC_INDEX[name], _tree_key(arg))
@@ -130,11 +148,14 @@ def _intern(atom) -> int:
         else:
             key = (1,) + coord_key(atom)
             inside = frozenset((atom,))
+            if atom.__class__ is JetCoord:
+                order = len(atom.J)
         a = len(_ATOMS)
         _ATOMS.append(atom)
         _ATOM_VALUES.append(Expr({((a, 1),): 1}))
         _ATOM_KEYS.append(key)
         _ATOM_COORDS.append(inside)
+        _ATOM_ORDERS.append(order)
         _ATOM_ID[atom] = a
     return a
 
@@ -153,6 +174,18 @@ def _rational(value):
         return value
     c = Fraction(value)
     return c.numerator if c.denominator == 1 else c
+
+
+def _collect(acc: dict) -> Expr:
+    """The value of accumulated coefficients: zeros drop and integral
+    Fractions become ints."""
+    return Expr(
+        {
+            m: c if c.__class__ is int or c.denominator != 1 else c.numerator
+            for m, c in acc.items()
+            if c
+        }
+    )
 
 
 def num(value) -> Expr:
@@ -234,8 +267,8 @@ def _mul2(a: Expr, b: Expr) -> Expr:
         if not mb:
             if cb == 1:
                 return a
-            return Expr({m: c * cb for m, c in at.items()})
-        return Expr({_mono_mul(m, mb): c * cb for m, c in at.items()})
+            return _collect({m: c * cb for m, c in at.items()})
+        return _collect({_mono_mul(m, mb): c * cb for m, c in at.items()})
     acc: dict = {}
     get = acc.get
     for mb, cb in bt.items():
@@ -243,7 +276,7 @@ def _mul2(a: Expr, b: Expr) -> Expr:
             m = _mono_mul(ma, mb)
             prev = get(m)
             acc[m] = ca * cb if prev is None else prev + ca * cb
-    return Expr({m: c for m, c in acc.items() if c})
+    return _collect(acc)
 
 
 def add(*args) -> Expr:
@@ -257,7 +290,7 @@ def add(*args) -> Expr:
         for m, c in a.terms.items():
             prev = get(m)
             acc[m] = c if prev is None else prev + c
-    return Expr({m: c for m, c in acc.items() if c})
+    return _collect(acc)
 
 
 def mul(*args) -> Expr:
@@ -402,51 +435,97 @@ def _tree_key(e: Expr) -> tuple:
 # --- calculus ------------------------------------------------------------------
 
 
-def derive(e: Expr, leaf) -> Expr:
-    """The chain rule, shared by partial and total derivatives: leaf(coord)
-    is the derivative of a coordinate, and sin/cos/exp atoms differentiate
-    through their argument."""
+def derive(e: Expr, leaf) -> dict:
+    """The chain rule, shared by every derivative: leaf(a) gives the
+    derivative of the coordinate atom with id a as (slot, terms) pairs, and
+    sin/cos/exp atoms differentiate through their argument.  One pass over
+    the terms accumulates a result per slot; returns slot -> nonzero Expr."""
     memo: dict = {}
-    acc: dict = {}
-    get = acc.get
+    accs: dict = {}
     for m, c in e.terms.items():
         for i, (a, k) in enumerate(m):
             d = memo.get(a)
             if d is None:
-                d = memo[a] = _derive_atom(a, leaf).terms
+                if _ATOMS[a].__class__ is tuple:
+                    d = memo[a] = _derive_function(a, leaf)
+                else:
+                    d = memo[a] = leaf(a)
             if not d:
                 continue
             rest = m[:i] + m[i + 1 :] if k == 1 else m[:i] + ((a, k - 1),) + m[i + 1 :]
-            ck = c * k
-            for dm, dc in d.items():
-                key = _mono_mul(rest, dm)
-                term = ck if dc == 1 else ck * dc
-                prev = get(key)
-                acc[key] = term if prev is None else prev + term
-    return Expr({m: c for m, c in acc.items() if c})
+            ck = c if k == 1 else c * k
+            for slot, dt in d:
+                acc = accs.get(slot)
+                if acc is None:
+                    acc = accs[slot] = {}
+                for dm, dc in dt.items():
+                    key = _mono_mul(rest, dm)
+                    term = ck if dc == 1 else ck * dc
+                    prev = acc.get(key)
+                    acc[key] = term if prev is None else prev + term
+    out = {}
+    for slot, acc in accs.items():
+        value = _collect(acc)
+        if value.terms:
+            out[slot] = value
+    return out
 
 
-def _derive_atom(a: int, leaf) -> Expr:
-    atom = _ATOMS[a]
-    if atom.__class__ is not tuple:
-        return leaf(atom)
-    name, arg = atom
-    darg = derive(arg, leaf)
-    if not darg.terms:
-        return ZERO
+def _derive_function(a: int, leaf) -> tuple:
+    name, arg = _ATOMS[a]
+    dargs = derive(arg, leaf)
+    if not dargs:
+        return ()
     if name == "sin":
         outer = func("cos", arg)
     elif name == "cos":
         outer = neg(func("sin", arg))
     else:
         outer = _ATOM_VALUES[a]
-    return _mul2(outer, darg)
+    return tuple((slot, _mul2(outer, darg).terms) for slot, darg in dargs.items())
+
+
+def _gradient_leaf(a: int) -> tuple:
+    return ((a, ONE.terms),)
+
+
+def gradient(e: Expr) -> dict:
+    """Every nonzero first partial derivative of e, keyed by coordinate
+    (t included), from one pass over the terms."""
+    return {_ATOMS[a]: d for a, d in derive(e, _gradient_leaf).items()}
 
 
 def partial(e: Expr, c: Coord) -> Expr:
     """Formal partial derivative treating every coordinate (and t) as an
     independent symbol."""
-    return derive(e, lambda coord: ONE if coord == c else ZERO)
+    target = _ATOM_ID.get(c)
+    if target is None:  # never interned, so e cannot contain it
+        return ZERO
+    hit = ((None, ONE.terms),)
+    return derive(e, lambda a: hit if a == target else ()).get(None, ZERO)
+
+
+def lift(a: int, i: int, ceiling: int) -> tuple:
+    """The total derivative d_i of the coordinate atom a as derive leaf
+    pairs in the single slot None: x^i goes to 1, y^s_J to y^s_{Ji}, every
+    other coordinate to 0.  Each (a, i) is lifted once per process; the
+    check that y^s_{Ji} stays within the caller's ceiling runs on every
+    call, and raises OrderOverflow."""
+    if _ATOM_ORDERS[a] >= ceiling:
+        raise OrderOverflow(
+            f"total derivative would raise jet order past ceiling {ceiling}"
+        )
+    pairs = _LIFTS.get((a, i))
+    if pairs is None:
+        atom = _ATOMS[a]
+        if atom.__class__ is JetCoord:
+            pairs = ((None, sym(JetCoord(atom.sigma, index_with(atom.J, i))).terms),)
+        elif atom.__class__ is BaseCoord and atom.i == i:
+            pairs = ((None, ONE.terms),)
+        else:
+            pairs = ()
+        _LIFTS[(a, i)] = pairs
+    return pairs
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
@@ -504,7 +583,7 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
         if power not in weights:
             weights[power] = (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
         acc[rest] = acc.get(rest, 0) + c * weights[power]
-    return Expr({m: _rational(c) for m, c in acc.items() if c})
+    return _collect(acc)
 
 
 # --- numeric evaluation --------------------------------------------------------

@@ -26,7 +26,6 @@ from .coords import (
     BaseCoord,
     JetContext,
     JetCoord,
-    PARAM,
     coord_key,
     index_with,
     multi_indices,
@@ -48,7 +47,9 @@ from .expr import (
     ZERO,
     add,
     as_expr,
+    contains_param,
     coords_in,
+    gradient,
     is_constant,
     is_zero,
     mul,
@@ -272,14 +273,13 @@ def max_form_order(form: DiffForm) -> int:
 def differential(e, ctx: JetContext, order: int = 0) -> DiffForm:
     """Exterior derivative of a function, in the coordinate basis."""
     e = as_expr(e)
+    if contains_param(e):
+        raise ValueError("the integration parameter has no differential")
     pairs = []
-    for c in sorted(coords_in(e), key=coord_key):
-        if c is PARAM:
-            raise ValueError("the integration parameter has no differential")
+    grad = gradient(e)
+    for c in sorted(grad, key=coord_key):
         g = DX(c.i) if isinstance(c, BaseCoord) else DY(c.sigma, c.J)
-        de = partial(e, c)
-        if not is_zero(de):
-            pairs.append(((g,), de))
+        pairs.append(((g,), grad[c]))
     return form_from_terms(ctx, order, 1, pairs)
 
 
@@ -402,13 +402,14 @@ def cartan_form_contact(lam) -> DiffForm:
         )
         return wedge(function_form(ctx, lam.L), omega_0(ctx)).at_order(0)
     target = 2 * r - 1
+    grad = gradient(lam.L)
     f: dict[tuple, Expr] = {}
     for k in range(r, 0, -1):
         for sigma in range(1, ctx.m + 1):
             for K in multi_indices(ctx.n, k):
                 value = mul(
                     num(Fraction(1, multiplicity(K))),
-                    partial(lam.L, JetCoord(sigma, K)),
+                    grad.get(JetCoord(sigma, K), ZERO),
                 )
                 if k < r:
                     for i in range(1, ctx.n + 1):

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import (
-    BaseCoord,
-    JetContext,
-    JetCoord,
-    MultiIndex,
-    index_with,
-    multi_indices,
-)
-from .errors import DimensionMismatch, OrderOverflow, UnknownCoordinate
-from .expr import ONE, ZERO, Expr, coords_in, derive, is_zero, partial, sym
+from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, multi_indices
+from .errors import DimensionMismatch, UnknownCoordinate
+from .expr import ZERO, Expr, coords_in, derive, is_zero, lift, partial
 
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
@@ -26,17 +19,7 @@ def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     ceiling = ctx.ceiling
-
-    def lift(c):
-        if isinstance(c, JetCoord):
-            if len(c.J) + 1 > ceiling:
-                raise OrderOverflow(
-                    f"total derivative would raise jet order past ceiling {ceiling}"
-                )
-            return sym(JetCoord(c.sigma, index_with(c.J, i)))
-        return ONE if isinstance(c, BaseCoord) and c.i == i else ZERO
-
-    return derive(e, lift)
+    return derive(e, lambda a: lift(a, i, ceiling)).get(None, ZERO)
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:

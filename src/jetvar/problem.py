@@ -220,6 +220,8 @@ def load_problem(path: str) -> ProblemFile:
             cp.read_file(handle)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path} is not UTF-8 text: {exc}") from None
     except configparser.Error as exc:
         raise ProblemFileError(f"malformed problem file: {exc}") from None
 

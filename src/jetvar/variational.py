@@ -39,6 +39,7 @@ from .expr import (
     contains_param,
     coords_in,
     evaluate,
+    gradient,
     has_functions,
     integrate_param,
     is_zero,
@@ -202,13 +203,14 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
     chain of appended indices, so it enters once with sign (-1)^|J|.  The
     result is declared on the jet space of order 2r."""
     ctx = lam.ctx
+    grad = gradient(lam.L)
     eps = []
     for sigma in range(1, ctx.m + 1):
         upper: dict = {}  # F at the level above, by multi-index
         for k in range(lam.r, -1, -1):
             level = {}
             for J in multi_indices(ctx.n, k):
-                value = partial(lam.L, JetCoord(sigma, J))
+                value = grad.get(JetCoord(sigma, J), ZERO)
                 for i in range(J[-1] if J else 1, ctx.n + 1):
                     above = upper.get(J + (i,), ZERO)
                     if not is_zero(above):
@@ -298,39 +300,51 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     probing bounds it away from zero."""
     ctx = sf.ctx
     s = sf.s
-    memo: dict = {}
-
-    def d_eps(k: int, coord: JetCoord) -> Expr:
-        # partial(eps_k, coord); the same pair recurs across levels and pairs
-        key = (k, coord)
-        if key not in memo:
-            memo[key] = partial(sf.eps[k - 1], coord)
-        return memo[key]
-
+    # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
+    q = [
+        {(c.sigma, c.J): d for c, d in gradient(e).items() if c.__class__ is JetCoord}
+        for e in sf.eps
+    ]
     records = []
     for l in range(s + 1):
         for I in multi_indices(ctx.n, l):
             mu_I = num(Fraction(1, multiplicity(I)))
+            # per level, longest first: each completion M with I+M, the
+            # rational w_|M|/mult(I+M) and its up-links (i, M+i)
+            plan = []
+            for j in range(s - l, -1, -1):
+                weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
+                rows = []
+                for M in multi_indices(ctx.n, j):
+                    full = tuple(sorted(I + M))
+                    rows.append(
+                        (
+                            M,
+                            full,
+                            num(Fraction(weight, multiplicity(full))),
+                            [(i, index_with(M, i)) for i in range(1, ctx.n + 1)],
+                        )
+                    )
+                plan.append(rows)
             for sigma in range(1, ctx.m + 1):
                 for nu in range(1, ctx.m + 1):
-                    upper: dict = {}  # G at the level above, by completion
-                    for j in range(s - l, -1, -1):
-                        weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
+                    q_nu = q[nu - 1]
+                    upper: dict = {}  # nonzero G at the level above, by completion
+                    for rows in plan:
                         level = {}
-                        for M in multi_indices(ctx.n, j):
-                            full = tuple(sorted(I + M))
-                            value = mul(
-                                num(Fraction(weight, multiplicity(full))),
-                                d_eps(nu, JetCoord(sigma, full)),
-                            )
-                            for i in range(1, ctx.n + 1):
-                                above = upper.get(index_with(M, i), ZERO)
-                                if not is_zero(above):
+                        for M, full, coeff, ups in rows:
+                            head = q_nu.get((sigma, full))
+                            value = ZERO if head is None else mul(coeff, head)
+                            for i, up in ups:
+                                above = upper.get(up)
+                                if above is not None:
                                     value = add(value, total_derivative(above, i, ctx))
-                            level[M] = value
+                            if value.terms:
+                                level[M] = value
                         upper = level
-                    first = mul(mu_I, d_eps(sigma, JetCoord(nu, I)))
-                    residual = add(first, upper[()])
+                    head = q[sigma - 1].get((nu, I))
+                    first = ZERO if head is None else mul(mu_I, head)
+                    residual = add(first, upper.get((), ZERO))
                     records.append(HelmholtzRecord(l, I, sigma, nu, residual))
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
 

@@ -41,6 +41,26 @@ def random_polynomial(rng, ctx, order=None, degree=3, terms=3):
     return add(*parts)
 
 
+def random_laurent(rng, ctx, terms=3, order=None, functions=True):
+    """A sum of monomials with rational coefficients and exponents in
+    -2..3, some of them with a sin/cos/exp factor."""
+    atoms = coordinate_atoms(ctx, ctx.order if order is None else order)
+    parts = []
+    for _ in range(rng.randint(1, terms)):
+        coeff = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+        factors = [num(coeff)]
+        for _ in range(rng.randint(0, 3)):
+            factors.append(pow_(sym(rng.choice(atoms)), rng.choice((-2, -1, 1, 1, 2, 3))))
+        if functions and rng.random() < 0.4:
+            arg = add(
+                mul(num(rng.randint(1, 3)), sym(rng.choice(atoms))),
+                pow_(sym(rng.choice(atoms)), rng.randint(1, 2)),
+            )
+            factors.append(rng.choice((sin, cos, exp))(arg))
+        parts.append(mul(*factors))
+    return add(*parts)
+
+
 def random_base_polynomial(rng, ctx, degree=3, terms=2):
     """Random polynomial in the base coordinates only (section material)."""
     atoms = [BaseCoord(i) for i in range(1, ctx.n + 1)]

@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from jetvar.cli import main
+from jetvar.dsl import MAX_NESTING
 from jetvar.errors import DslError
 
 FREE_PARTICLE = """
@@ -512,6 +513,31 @@ def test_non_finite_point_exits_2(tmp_path, capsys, values):
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "ProblemFileError"
+
+
+def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "problem.ini"
+    path.write_bytes(textwrap.dedent(FREE_PARTICLE).encode() + b"# \xff\xfe\n")
+    code, payload, diagnostic = run(capsys, ["el", str(path)])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+    assert "UTF-8" in diagnostic["message"]
+
+
+@pytest.mark.parametrize(
+    "opening, atom, closing",
+    [("(", "u", ")"), ("sin(", "u_{1}", ")"), ("-", "u", "")],
+    ids=["parentheses", "sin", "minus"],
+)
+def test_nesting_past_limit_exits_2(tmp_path, capsys, opening, atom, closing):
+    depth = MAX_NESTING + 1
+    expr = opening * depth + atom + closing * depth
+    path = problem(tmp_path, FREE_PARTICLE.replace("1/2*u_{1}^2", expr))
+    code, payload, diagnostic = run(capsys, ["el", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "DslSyntaxError"
+    start = len(opening) * MAX_NESTING
+    assert diagnostic["span"][0] == start
 
 
 def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):

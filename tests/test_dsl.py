@@ -21,6 +21,7 @@ from jetvar import (
     num,
     parse_expr,
     parse_form,
+    partial,
     pow_,
     render_expr,
     render_form,
@@ -28,6 +29,7 @@ from jetvar import (
     sym,
     wedge,
 )
+from jetvar.dsl import MAX_NESTING
 from jetvar.forms import form_from_terms
 
 from corpus import random_mixed, random_polynomial
@@ -166,6 +168,24 @@ def test_declared_names_shadow_differential_prefix():
     ctx = JetContext(n=1, m=1, order=1, base_names=("x",), fiber_names=("du",))
     assert expr("du", ctx) == sym(U)
     assert parse_form("du_{1}", ctx).degree == 0
+
+
+@pytest.mark.parametrize(
+    "opening, atom, closing",
+    [("(", "u", ")"), ("sin(", "u_{1}", ")"), ("-", "u", "")],
+    ids=["parentheses", "sin", "minus"],
+)
+def test_nesting_up_to_limit(ode1, opening, atom, closing):
+    def nested(depth):
+        return opening * depth + atom + closing * depth
+
+    e = expr(nested(MAX_NESTING), ode1)
+    assert expr(render_expr(e, ode1), ode1) == e
+    d = partial(e, U1)
+    assert expr(render_expr(d, ode1), ode1) == d
+    with pytest.raises(DslSyntaxError, match="nesting") as err:
+        expr(nested(MAX_NESTING + 1), ode1)
+    assert err.value.span[0] == len(opening) * MAX_NESTING
 
 
 def test_render_expr_round_trip_corpus():

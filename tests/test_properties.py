@@ -1,0 +1,112 @@
+"""Property tests of the variational identities, drawn by hypothesis over
+small polynomial Lagrangians, source forms and differential forms."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from jetvar import (  # noqa: E402
+    DX,
+    DY,
+    JetContext,
+    JetCoord,
+    Lagrangian,
+    add,
+    cos,
+    euler_lagrange,
+    exp,
+    exterior_derivative,
+    is_null_lagrangian,
+    mul,
+    num,
+    sin,
+    sym,
+    tonti_lagrangian,
+    total_derivative,
+)
+from jetvar.forms import form_from_terms  # noqa: E402
+
+from corpus import coordinate_atoms  # noqa: E402
+
+SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
+CONTEXTS = [
+    JetContext(n=1, m=1, order=1),
+    JetContext(n=1, m=2, order=1),
+    JetContext(n=2, m=1, order=1),
+    JetContext(n=1, m=1, order=2),
+]
+
+
+def polynomials(ctx, order, functions=False):
+    """Sums of up to three monomials of degree at most three in the base
+    and jet coordinates up to order, with small integer coefficients;
+    with functions, a term may carry a sin/cos/exp of a coordinate."""
+    atoms = [sym(c) for c in coordinate_atoms(ctx, order)]
+    wrappers = st.sampled_from([sin, cos, exp]) if functions else st.nothing()
+    factor = st.one_of(
+        st.sampled_from(atoms),
+        st.builds(lambda f, a: f(a), wrappers, st.sampled_from(atoms)),
+    )
+    term = st.builds(
+        lambda c, fs: mul(num(c), *fs),
+        st.integers(-3, 3).filter(bool),
+        st.lists(factor, max_size=3),
+    )
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: add(*ts))
+
+
+def with_context(build):
+    return st.sampled_from(CONTEXTS).flatmap(
+        lambda ctx: st.tuples(st.just(ctx), build(ctx))
+    )
+
+
+@SETTINGS
+@given(with_context(lambda ctx: polynomials(ctx, ctx.order)))
+def test_euler_lagrange_of_tonti_is_identity(drawn):
+    ctx, L = drawn
+    source = euler_lagrange(Lagrangian(L, ctx))
+    assert euler_lagrange(tonti_lagrangian(source)).eps == source.eps
+
+
+@SETTINGS
+@given(
+    with_context(
+        lambda ctx: st.tuples(
+            polynomials(ctx, ctx.order - 1, functions=True),
+            st.integers(1, ctx.n),
+        )
+    )
+)
+def test_euler_lagrange_kills_total_derivatives(drawn):
+    ctx, (f, i) = drawn
+    assert is_null_lagrangian(Lagrangian(total_derivative(f, i, ctx), ctx))
+
+
+def generators(ctx):
+    jets = [c for c in coordinate_atoms(ctx, ctx.order) if isinstance(c, JetCoord)]
+    return [DX(i) for i in range(1, ctx.n + 1)] + [DY(c.sigma, c.J) for c in jets]
+
+
+def forms(ctx):
+    """A 0-, 1- or 2-form with polynomial coefficients, some with
+    sin/cos/exp factors."""
+    coefficient = polynomials(ctx, ctx.order, functions=True)
+
+    def of_degree(degree):
+        word = st.lists(
+            st.sampled_from(generators(ctx)), min_size=degree, max_size=degree
+        )
+        pairs = st.lists(st.tuples(word, coefficient), min_size=1, max_size=3)
+        return pairs.map(lambda ps: form_from_terms(ctx, ctx.order, degree, ps))
+
+    return st.integers(0, 2).flatmap(of_degree)
+
+
+@SETTINGS
+@given(with_context(forms))
+def test_exterior_derivative_squares_to_zero(drawn):
+    _, form = drawn
+    assert exterior_derivative(exterior_derivative(form)).is_zero()
