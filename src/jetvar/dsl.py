@@ -80,6 +80,7 @@ class Token:
 
 
 _OPS = set("+-*/^(){},_")
+_DIGITS = set("0123456789")  # str.isdigit also takes digits int() rejects
 
 
 def tokenize(source: str) -> list:
@@ -91,9 +92,9 @@ def tokenize(source: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             tokens.append(Token("NUM", source[i:j], i, j))
             i = j
@@ -112,6 +113,18 @@ def tokenize(source: str) -> list:
         raise DslSyntaxError(f"unexpected character {ch!r}", (i, i + 1))
     tokens.append(Token("END", "", n, n))
     return tokens
+
+
+def _integer(tok: Token) -> int:
+    """The value of a NUM token; a literal past the interpreter's limit on
+    digits converted to int is a syntax error at the token."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise DslSyntaxError(
+            f"integer literal of {len(tok.text)} digits is too long",
+            (tok.start, tok.end),
+        ) from None
 
 
 # --- parser -------------------------------------------------------------------
@@ -239,7 +252,7 @@ class _Parser:
     def primary(self):
         tok = self.advance()
         if tok.kind == "NUM":
-            return num(int(tok.text))
+            return num(_integer(tok))
         if tok.kind == "OP" and tok.text == "(":
             self.enter(tok)
             inner = self.expression(_ADD_PREC)
@@ -310,7 +323,7 @@ class _Parser:
                     f"expected a base index, found {tok.text or 'end of input'!r}",
                     (tok.start, tok.end),
                 )
-            value = int(tok.text)
+            value = _integer(tok)
             if not 1 <= value <= self.ctx.n:
                 raise UnknownIdentifier(
                     f"no base direction {value} (n = {self.ctx.n})",
@@ -358,7 +371,14 @@ def parse_form(source: str, ctx: JetContext) -> DiffForm:
 def render_expr(e: Expr, ctx: JetContext) -> str:
     """Render to the expression grammar in canonical order; re-parses to an
     equal Expr."""
-    parts = [_render_term(c, factors, ctx) for c, factors in ordered_terms(e)]
+    return _render_sum(e, ctx, {})
+
+
+def _render_sum(e: Expr, ctx: JetContext, texts: dict) -> str:
+    """`render_expr` with `texts`, the text of each sin/cos/exp argument
+    already rendered in this call, so an argument is rendered once however
+    often it occurs."""
+    parts = [_render_term(c, factors, ctx, texts) for c, factors in ordered_terms(e)]
     if not parts:
         return "0"
     out = parts[0]
@@ -367,10 +387,10 @@ def render_expr(e: Expr, ctx: JetContext) -> str:
     return out
 
 
-def _render_term(coeff, factors, ctx: JetContext) -> str:
+def _render_term(coeff, factors, ctx: JetContext, texts: dict) -> str:
     if not factors:
         return str(coeff)
-    rendered = "*".join(_render_factor(atom, k, ctx) for atom, k in factors)
+    rendered = "*".join(_render_factor(atom, k, ctx, texts) for atom, k in factors)
     if coeff == 1:
         return rendered
     if coeff == -1:
@@ -378,10 +398,13 @@ def _render_term(coeff, factors, ctx: JetContext) -> str:
     return f"{coeff}*{rendered}"
 
 
-def _render_factor(atom, k: int, ctx: JetContext) -> str:
+def _render_factor(atom, k: int, ctx: JetContext, texts: dict) -> str:
     if isinstance(atom, tuple):
         name, arg = atom
-        base = f"{name}({render_expr(arg, ctx)})"
+        inner = texts.get(arg)
+        if inner is None:
+            inner = texts[arg] = _render_sum(arg, ctx, texts)
+        base = f"{name}({inner})"
     else:
         base = ctx.coord_name(atom)
     if k == 1:
@@ -407,21 +430,22 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
     for display only."""
     if form.is_zero():
         return "0"
+    texts: dict = {}
     parts = []
     for gens in sorted(form.terms, key=lambda gs: tuple(map(gen_key, gs))):
         coeff = form.terms[gens]
         word = " ^ ".join(_render_generator(g, ctx) for g in gens)
         if not gens:
-            parts.append(render_expr(coeff, ctx))
+            parts.append(_render_sum(coeff, ctx, texts))
             continue
         if coeff == ONE:
             parts.append(word)
         elif coeff == -ONE:
             parts.append("-" + word)
         elif len(coeff.terms) > 1:
-            parts.append(f"({render_expr(coeff, ctx)})*{word}")
+            parts.append(f"({_render_sum(coeff, ctx, texts)})*{word}")
         else:
-            parts.append(f"{render_expr(coeff, ctx)}*{word}")
+            parts.append(f"{_render_sum(coeff, ctx, texts)}*{word}")
     out = parts[0]
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p

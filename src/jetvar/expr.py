@@ -31,6 +31,15 @@ first, factors by coordinate order, see `ordered_terms`) is computed once
 per value on demand and cached on it; rendering and floating-point
 evaluation both follow it, so neither text nor floats depend on the
 history of the process.
+
+`evaluate` reads a float plan, built on a value's first evaluation and
+cached on it: the canonical rows with each coefficient converted once by
+float(c).  The plan keeps the operations of a term-by-term evaluation, so
+its floats are bit-identical to one: the same row order, a single term
+returned as it is, several summed from 0.0, and each term's product
+started at float(c) and multiplied by each factor in turn.  The values
+of atoms go to a table keyed by atom id, which calls at one point may
+share.
 """
 
 from __future__ import annotations
@@ -57,7 +66,9 @@ class Expr:
     """A sparse polynomial; build values with the constructors below and
     never mutate `terms`."""
 
-    __slots__ = ("terms", "_hash", "_rows")
+    # _plan, the float plan of `evaluate`, is set on first evaluation only,
+    # so building a value pays nothing for it
+    __slots__ = ("terms", "_hash", "_rows", "_plan")
 
     def __init__(self, terms: dict):
         self.terms = terms
@@ -158,6 +169,12 @@ def _intern(atom) -> int:
         _ATOM_ORDERS.append(order)
         _ATOM_ID[atom] = a
     return a
+
+
+def atom_id(c: Coord) -> int:
+    """The intern id of coordinate c, the key of its value in an atom table
+    of `evaluate`."""
+    return _intern(c)
 
 
 def _atom_text(atom) -> str:
@@ -589,54 +606,54 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
 # --- numeric evaluation --------------------------------------------------------
 
 
-def evaluate(e: Expr, env: dict) -> float:
-    """Floating-point value, summed term by term in canonical order with
-    rationals converted at the leaves.  Raises NumericOverflow when the
-    value, or the argument of a sin/cos/exp atom, is not finite."""
+def evaluate(e: Expr, env: dict, values: dict | None = None) -> float:
+    """Floating-point value at the point env binds (coordinate -> number),
+    summed term by term in canonical order.  Raises NumericOverflow when
+    the value, or the argument of a sin/cos/exp atom, is not finite.
+
+    `values` is the point's atom table, atom id -> float: an atom found
+    there is not evaluated again, and each atom this call evaluates is
+    added.  Calls at one point may share one table, because an atom's value
+    depends on the point alone; coordinates are read from env once each."""
     try:
-        value = _evaluate(e, env, {})
+        value = _evaluate(e, env, {} if values is None else values)
+        if math.isfinite(value):
+            return value
     except OverflowError:
-        value = math.inf
-    return _finite(value)
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise NumericOverflow("a value overflows floating point at this point")
-    return value
+        pass
+    raise NumericOverflow("a value overflows floating point at this point")
 
 
 def _evaluate(e: Expr, env: dict, values: dict) -> float:
-    rows = _rows(e)
-    if len(rows) == 1:
-        return _evaluate_term(rows[0], env, values)
+    try:
+        plan = e._plan
+    except AttributeError:  # first evaluation of this value
+        plan = e._plan = tuple((float(c), factors) for c, factors in _rows(e))
     total = 0.0
-    for row in rows:
-        total += _evaluate_term(row, env, values)
-    return total
-
-
-def _evaluate_term(row, env: dict, values: dict) -> float:
-    c, factors = row
-    product = 1.0 if c == 1 and factors else float(c)
-    for a, k in factors:
-        v = values.get(a)
-        if v is None:
-            v = values[a] = _evaluate_atom(a, env, values)
-        if k != 1:
-            if k < 0 and v == 0.0:
-                raise DivisionByZero(
-                    f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole"
-                )
-            v = v**k
-        product *= v
-    return product
+    for product, factors in plan:
+        for a, k in factors:
+            v = values.get(a)
+            if v is None:
+                v = values[a] = _evaluate_atom(a, env, values)
+            if k != 1:
+                if k < 0 and v == 0.0:
+                    raise DivisionByZero(
+                        f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole"
+                    )
+                v = v**k
+            product *= v
+        total += product
+    # a single term is its own value: 0.0 + -0.0 would lose the sign
+    return product if len(plan) == 1 else total
 
 
 def _evaluate_atom(a: int, env: dict, values: dict) -> float:
     atom = _ATOMS[a]
     if atom.__class__ is tuple:
-        return _MATH[atom[0]](_finite(_evaluate(atom[1], env, values)))
+        arg = _evaluate(atom[1], env, values)
+        if not math.isfinite(arg):
+            raise OverflowError  # evaluate reports it as NumericOverflow
+        return _MATH[atom[0]](arg)
     try:
         return float(env[atom])
     except KeyError:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .coords import BaseCoord, JetContext
 from .errors import NotODEContext, ProbeBoundaryError
-from .expr import add, evaluate, mul, num
+from .expr import add, atom_id, evaluate, mul, num
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
 
@@ -85,8 +85,9 @@ class VariationProbe:
         jets = prolong_section(self.phi, order, ctx)
         for endpoint in (0.0, 1.0):
             env = {BaseCoord(1): endpoint}
+            values: dict = {}
             for coord, e in jets.items():
-                value = evaluate(e, env)
+                value = evaluate(e, env, values)
                 if abs(value) > BOUNDARY_TOL:
                     raise ProbeBoundaryError(
                         f"variation direction has {ctx.coord_name(coord)} = "
@@ -101,11 +102,19 @@ class FirstVariationResult:
     abs_diff: float
 
 
-def _section_env(jets: dict, base_env: dict) -> dict:
-    env = dict(base_env)
-    for coord, e in jets.items():
-        env[coord] = evaluate(e, base_env)
-    return env
+def _jets_by_atom(jets: dict) -> tuple:
+    """The jets of a prolonged section as (atom id, Expr) pairs."""
+    return tuple((atom_id(c), e) for c, e in jets.items())
+
+
+def _point_values(jets: tuple, base_env: dict) -> dict:
+    """The atom table of one base point: every jet of the section is
+    evaluated into it, under the atom id of its coordinate, so values taken
+    later at the point read the jets, and every atom met, from the table."""
+    values: dict = {}
+    for a, e in jets:
+        values[a] = evaluate(e, base_env, values)
+    return values
 
 
 def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -114,23 +123,16 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the action oracle needs one base variable, got {ctx.n}")
-    jets = prolong_section(gamma, lam.r, ctx)
+    return _integrate(lam.L, _jets_by_atom(prolong_section(gamma, lam.r, ctx)), quad)
+
+
+def _integrate(density, jets: tuple, quad: QuadratureSpec) -> float:
     points, weights = quad.points_weights()
     total = 0.0
     for x, w in zip(points, weights):
-        env = _section_env(jets, {BaseCoord(1): x})
-        total += w * evaluate(lam.L, env)
+        env = {BaseCoord(1): x}
+        total += w * evaluate(density, env, _point_values(jets, env))
     return total
-
-
-def _shifted(gamma: SectionSpec, phi: SectionSpec, s: float) -> SectionSpec:
-    factor = num(Fraction(s))
-    return SectionSpec(
-        tuple(
-            add(g, mul(factor, p))
-            for g, p in zip(gamma.components, phi.components)
-        )
-    )
 
 
 def first_variation_check(
@@ -151,10 +153,20 @@ def first_variation_check(
     # boundary terms involve the variation's jets up to order r - 1 only
     probe.check_boundary(max(lam.r - 1, 0), ctx)
 
+    # d/dx is Q-linear and the kernel canonical, so the jets of gamma + s phi
+    # are exactly those of gamma plus s times those of phi: each section is
+    # prolonged once, gamma at once to 2r, the order of the source form
+    gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
+    phi_jets = prolong_section(probe.phi, lam.r, ctx)
+    pairs = [(atom_id(c), gamma_jets[c], p) for c, p in phi_jets.items()]
+
+    def shifted_action(s: float) -> float:
+        factor = num(Fraction(s))
+        shifted = tuple((a, add(g, mul(factor, p))) for a, g, p in pairs)
+        return _integrate(lam.L, shifted, quad)
+
     def difference(h: float) -> float:
-        plus = action(lam, _shifted(probe.gamma, probe.phi, h), quad)
-        minus = action(lam, _shifted(probe.gamma, probe.phi, -h), quad)
-        return (plus - minus) / (2.0 * h)
+        return (shifted_action(h) - shifted_action(-h)) / (2.0 * h)
 
     h = quad.step
     d_h = difference(h)
@@ -164,19 +176,17 @@ def first_variation_check(
         lhs = (4.0 * d_half - d_h) / 3.0
 
     sf = euler_lagrange(lam)
-    jets = prolong_section(probe.gamma, sf.s, ctx)
-    phi_values = {
-        sigma: probe.phi.components[sigma - 1] for sigma in range(1, ctx.m + 1)
-    }
+    phi = probe.phi.components
+    jets = _jets_by_atom(gamma_jets)
     points, weights = quad.points_weights()
     rhs = 0.0
     for x, w in zip(points, weights):
-        base_env = {BaseCoord(1): x}
-        env = _section_env(jets, base_env)
+        env = {BaseCoord(1): x}
+        values = _point_values(jets, env)
         value = 0.0
-        for sigma in range(1, ctx.m + 1):
-            value += evaluate(sf.eps[sigma - 1], env) * evaluate(
-                phi_values[sigma], base_env
+        for sigma in range(ctx.m):
+            value += evaluate(sf.eps[sigma], env, values) * evaluate(
+                phi[sigma], env, values
             )
         rhs += w * value
     return FirstVariationResult(lhs, rhs, abs(lhs - rhs))
@@ -186,7 +196,7 @@ def residual_on_section(sf, gamma: SectionSpec, points) -> list:
     """Source form components evaluated along the prolonged section at the
     given base points (numbers for n = 1, index-ordered tuples otherwise)."""
     ctx = sf.ctx
-    jets = prolong_section(gamma, sf.s, ctx)
+    jets = _jets_by_atom(prolong_section(gamma, sf.s, ctx))
     out = []
     for p in points:
         if ctx.n == 1 and not isinstance(p, (tuple, list)):
@@ -194,6 +204,6 @@ def residual_on_section(sf, gamma: SectionSpec, points) -> list:
         if len(p) != ctx.n:
             raise ValueError(f"base point {p!r} has wrong dimension")
         base_env = {BaseCoord(i): float(p[i - 1]) for i in range(1, ctx.n + 1)}
-        env = _section_env(jets, base_env)
-        out.append([evaluate(e, env) for e in sf.eps])
+        values = _point_values(jets, base_env)
+        out.append([evaluate(e, base_env, values) for e in sf.eps])
     return out

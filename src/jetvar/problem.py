@@ -14,8 +14,8 @@ an isomorphism, sections, evaluation points, and options:
     [lagrangian]
     expr = 1/2*u_{1}^2
 
-The prolongation ceiling honors the JETVAR_ORDER_CEILING environment
-variable.
+Values are read literally, with no `%` interpolation.  The prolongation
+ceiling honors the JETVAR_ORDER_CEILING environment variable.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ def _options(cp: configparser.ConfigParser) -> dict:
 
 
 def load_problem(path: str) -> ProblemFile:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             cp.read_file(handle)

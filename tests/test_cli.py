@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -382,6 +383,30 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
     assert code == 2
     assert diagnostic["error"] == "DslSyntaxError"
     assert diagnostic["span"] == [7, 8]
+
+
+@pytest.mark.parametrize(
+    "expr, span",
+    [
+        ("u_{1}%2", [5, 6]),
+        ("u_{1}%(x)s", [5, 6]),
+        ("²*u_{1}", [0, 1]),
+        ("u_{¹}^2", [3, 4]),
+        ("9" * 5000 + "*u_{1}^2", [0, 5000]),
+    ],
+    ids=["percent", "percent-interpolation", "superscript", "superscript-index", "long-literal"],
+)
+def test_crashing_expressions_exit_2(tmp_path, capsys, expr, span):
+    path = problem(tmp_path, FREE_PARTICLE.replace("1/2*u_{1}^2", expr))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        code, payload, diagnostic = run(capsys, ["el", path])
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "DslSyntaxError"
+    assert diagnostic["span"] == span
 
 
 def test_span_less_dsl_error_reports_null_span(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Expression language: parsing, precedence, diagnostics, rendering."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,12 @@ from jetvar import (
     DY,
     JetContext,
     JetCoord,
+    Lagrangian,
     OrderExceeded,
     UnknownIdentifier,
     add,
+    cartan_form,
+    euler_lagrange,
     mul,
     neg,
     num,
@@ -29,7 +34,9 @@ from jetvar import (
     sym,
     wedge,
 )
+from jetvar import dsl
 from jetvar.dsl import MAX_NESTING
+from jetvar.expr import ordered_terms
 from jetvar.forms import form_from_terms
 
 from corpus import random_mixed, random_polynomial
@@ -96,6 +103,33 @@ def test_syntax_errors_carry_spans(ode1):
         parse_expr("(u + 1", ode1)
     with pytest.raises(DslSyntaxError):
         parse_expr("u ? 1", ode1)
+
+
+@pytest.mark.parametrize(
+    "source, span",
+    [("²*u_{1}", (0, 1)), ("u_{¹}^2", (3, 4)), ("u + ٣", (4, 5))],
+    ids=["superscript", "superscript-index", "arabic-indic"],
+)
+def test_only_ascii_digits_make_numbers(ode1, source, span):
+    with pytest.raises(DslSyntaxError, match="unexpected character") as err:
+        parse_expr(source, ode1)
+    assert err.value.span == span
+
+
+def test_over_long_integer_literal_is_a_syntax_error(ode1):
+    limit = 4300
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert expr("9" * limit, ode1) == num(int("9" * limit))
+        with pytest.raises(DslSyntaxError, match=f"{limit + 1} digits") as err:
+            parse_expr("2*" + "9" * (limit + 1) + "*u_{1}^2", ode1)
+        assert err.value.span == (2, limit + 3)
+        with pytest.raises(DslSyntaxError, match="digits") as err:
+            parse_expr("u_{" + "0" * limit + "1}", ode1)
+        assert err.value.span == (3, limit + 4)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_identifier_errors(ode1):
@@ -236,3 +270,78 @@ def test_parsed_expr_metadata(ode1):
     parsed = parse_expr(" u + 1 ", ode1)
     assert parsed.source == " u + 1 "
     assert parsed.span == (0, len(parsed.source))
+
+
+def reference_render(e, ctx):
+    """`render_expr` without a text memo: each atom's argument is rendered
+    again wherever the atom occurs."""
+
+    def factor(atom, k):
+        if isinstance(atom, tuple):
+            base = f"{atom[0]}({reference_render(atom[1], ctx)})"
+        else:
+            base = ctx.coord_name(atom)
+        if k == 1:
+            return base
+        return f"{base}^({k})" if k < 0 else f"{base}^{k}"
+
+    parts = []
+    for coeff, factors in ordered_terms(e):
+        if not factors:
+            parts.append(str(coeff))
+            continue
+        word = "*".join(factor(atom, k) for atom, k in factors)
+        parts.append(word if coeff == 1 else "-" + word if coeff == -1 else f"{coeff}*{word}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def nested_sin_lagrangian(depth, ctx):
+    return Lagrangian(expr("sin(" * depth + "u_{1}" + ")" * depth, ctx), ctx, 1)
+
+
+def atom_arguments(e, into=None):
+    """Every argument of a sin/cos/exp atom in e, inner ones included."""
+    into = set() if into is None else into
+    for _, factors in ordered_terms(e):
+        for atom, _ in factors:
+            if isinstance(atom, tuple) and atom[1] not in into:
+                into.add(atom[1])
+                atom_arguments(atom[1], into)
+    return into
+
+
+def test_render_matches_unmemoized_reference(ode1):
+    lam = nested_sin_lagrangian(10, ode1)
+    for e in (lam.L,) + euler_lagrange(lam).eps:
+        assert render_expr(e, ode1) == reference_render(e, ode1)
+
+
+def test_render_takes_each_atom_argument_once(ode1, monkeypatch):
+    counts = Counter()
+    real = dsl._render_sum
+
+    def counting(e, ctx, texts):
+        counts[e] += 1
+        return real(e, ctx, texts)
+
+    monkeypatch.setattr(dsl, "_render_sum", counting)
+    lam = nested_sin_lagrangian(10, ode1)
+    (el,) = euler_lagrange(lam).eps
+    render_expr(el, ode1)
+    arguments = atom_arguments(el)
+    assert len(arguments) == 10
+    assert counts == Counter({el: 1, **{a: 1 for a in arguments}})
+
+    # one memo serves every coefficient of a form
+    counts.clear()
+    theta = cartan_form(lam)
+    render_form(theta, ode1)
+    arguments = set()
+    for coeff in theta.terms.values():
+        atom_arguments(coeff, arguments)
+    assert arguments and all(counts[a] == 1 for a in arguments)

@@ -3,18 +3,22 @@ on-section residuals."""
 
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import jetvar
 from jetvar import (
     BaseCoord,
+    DivisionByZero,
     JetContext,
     JetCoord,
     Lagrangian,
     NotODEContext,
+    NumericOverflow,
     ProbeBoundaryError,
     QuadratureSpec,
     SectionSpec,
@@ -22,15 +26,22 @@ from jetvar import (
     VariationProbe,
     action,
     add,
+    cos,
+    euler_lagrange,
     evaluate,
     exp,
     first_variation_check,
     mul,
     num,
     pow_,
+    prolong_section,
     residual_on_section,
+    sin,
     sym,
 )
+from jetvar.expr import ordered_terms
+
+from corpus import coordinate_atoms, random_env, random_laurent, random_polynomial
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -172,3 +183,178 @@ def test_eval_expr_at_transcendental():
     e = mul(exp(sym(X)), sym(U))
     value = evaluate(e, {X: 1.0, U: 2.0})
     assert value == pytest.approx(2.0 * math.e)
+
+
+# --- bit-identity of the float plans ---------------------------------------------
+
+
+def reference_evaluate(e, env):
+    """Term-by-term evaluation in canonical order with nothing cached: each
+    rational is converted at its term and every atom is evaluated afresh
+    wherever it occurs."""
+
+    def atom_value(atom):
+        if isinstance(atom, tuple):
+            name, arg = atom
+            return {"sin": math.sin, "cos": math.cos, "exp": math.exp}[name](
+                reference_evaluate(arg, env)
+            )
+        return float(env[atom])
+
+    def term(coeff, factors):
+        product = 1.0 if coeff == 1 and factors else float(coeff)
+        for atom, k in factors:
+            v = atom_value(atom)
+            product *= v if k == 1 else v**k
+        return product
+
+    rows = ordered_terms(e)
+    if len(rows) == 1:
+        return term(*rows[0])
+    total = 0.0
+    for row in rows:
+        total += term(*row)
+    return total
+
+
+def same_float(a, b):
+    return a == b and a.hex() == b.hex()
+
+
+LAURENT_CTX = JetContext(n=2, m=2, order=2)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_evaluate_matches_term_by_term_reference(seed):
+    rng = random.Random(6000 + seed)
+    e = mul(random_laurent(rng, LAURENT_CTX), random_laurent(rng, LAURENT_CTX, terms=2))
+    coords = coordinate_atoms(LAURENT_CTX, LAURENT_CTX.order)
+    # several points, so that later ones run on the plan the first one cached,
+    # and a shared table on the last
+    for _ in range(4):
+        env = random_env(rng, coords)
+        assert same_float(evaluate(e, env), reference_evaluate(e, env))
+    table: dict = {}
+    for part in (e, mul(e, e), add(e, num(Fraction(1, 3)))):
+        assert same_float(evaluate(part, env, table), reference_evaluate(part, env))
+    # a single term keeps the sign of a zero value
+    single = mul(num(-2), sym(U))
+    assert same_float(evaluate(single, {U: 0.0}), reference_evaluate(single, {U: 0.0}))
+
+
+def reference_action(lam, components, quad):
+    jets = prolong_section(SectionSpec(components), lam.r, lam.ctx)
+    points, weights = quad.points_weights()
+    total = 0.0
+    for x, w in zip(points, weights):
+        base = {X: x}
+        env = dict(base)
+        for coord, e in jets.items():
+            env[coord] = reference_evaluate(e, base)
+        total += w * reference_evaluate(lam.L, env)
+    return total
+
+
+def reference_first_variation(lam, probe, quad):
+    """The first-variation check with each shifted section gamma + s phi
+    prolonged on its own and every value evaluated term by term."""
+
+    def shifted(s):
+        factor = num(Fraction(s))
+        return tuple(
+            add(g, mul(factor, p)) for g, p in zip(probe.gamma.components, probe.phi.components)
+        )
+
+    def difference(h):
+        plus = reference_action(lam, shifted(h), quad)
+        minus = reference_action(lam, shifted(-h), quad)
+        return (plus - minus) / (2.0 * h)
+
+    h = quad.step
+    d_h = difference(h)
+    d_half = difference(h / 2.0)
+    lhs = d_h
+    if abs(d_h - d_half) > 1e-9:
+        lhs = (4.0 * d_half - d_h) / 3.0
+    sf = euler_lagrange(lam)
+    jets = prolong_section(probe.gamma, sf.s, lam.ctx)
+    points, weights = quad.points_weights()
+    rhs = 0.0
+    for x, w in zip(points, weights):
+        base = {X: x}
+        env = dict(base)
+        for coord, e in jets.items():
+            env[coord] = reference_evaluate(e, base)
+        value = 0.0
+        for eps, phi in zip(sf.eps, probe.phi.components):
+            value += reference_evaluate(eps, env) * reference_evaluate(phi, base)
+        rhs += w * value
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def random_variation_case(rng, r, m):
+    ctx = JetContext(n=1, m=m, order=r)
+    L = random_polynomial(rng, ctx, degree=3, terms=3)
+    L = add(L, pow_(sym(JetCoord(1, (1,) * r)), 2))
+    if rng.random() < 0.5:
+        wrap = rng.choice((sin, cos, exp))
+        L = add(L, mul(num(rng.randint(1, 3)), wrap(sym(rng.choice(coordinate_atoms(ctx, r))))))
+    x = sym(X)
+    bump = mul(pow_(x, r), pow_(add(num(1), mul(num(-1), x)), r))
+    gamma = tuple(
+        add(*[mul(num(Fraction(rng.randint(-3, 3), rng.randint(1, 3))), pow_(x, k)) for k in range(4)])
+        for _ in range(m)
+    )
+    phi = tuple(mul(bump, add(num(rng.randint(1, 3)), mul(num(rng.randint(-2, 2)), x))) for _ in range(m))
+    return Lagrangian(L, ctx, r), VariationProbe(SectionSpec(gamma), SectionSpec(phi))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("seed", range(2))
+def test_first_variation_matches_separate_prolongations(r, m, seed):
+    rng = random.Random(7000 + 100 * r + 10 * m + seed)
+    lam, probe = random_variation_case(rng, r, m)
+    quad = QuadratureSpec(nodes=12, step=1e-3)
+    result = first_variation_check(lam, probe, quad)
+    lhs, rhs, abs_diff = reference_first_variation(lam, probe, quad)
+    assert same_float(result.lhs, lhs)
+    assert same_float(result.rhs, rhs)
+    assert same_float(result.abs_diff, abs_diff)
+
+
+def test_first_variation_prolongs_each_section_once(ode2, monkeypatch):
+    calls = []
+    real = jetvar.numeric.prolong_section
+
+    def counting(spec, order, ctx):
+        calls.append(order)
+        return real(spec, order, ctx)
+
+    monkeypatch.setattr(jetvar.numeric, "prolong_section", counting)
+    lam, probe = random_variation_case(random.Random(1), 2, 1)
+    first_variation_check(lam, probe)
+    # the boundary check, the variation and the base section
+    assert sorted(calls) == [1, 2, 4]
+
+
+def test_cached_plan_keeps_pole_and_overflow_checks():
+    u, u1 = sym(U), sym(U1)
+    pole = add(pow_(u, -1), u1)
+    assert evaluate(pole, {U: 2.0, U1: 1.0}) == 1.5
+    with pytest.raises(DivisionByZero):
+        evaluate(pole, {U: 0.0, U1: 1.0})
+    growth = mul(exp(u), u1)
+    assert evaluate(growth, {U: 1.0, U1: 1.0}) == math.e
+    with pytest.raises(NumericOverflow):
+        evaluate(growth, {U: 1000.0, U1: 1.0})
+    product = mul(pow_(u, 200), pow_(u1, 200))
+    assert evaluate(product, {U: 1.0, U1: 1.0}) == 1.0
+    with pytest.raises(NumericOverflow):
+        evaluate(product, {U: 100.0, U1: 100.0})
+    # an argument that is not finite, reached through a shared table
+    wave = sin(product)
+    table: dict = {}
+    assert evaluate(wave, {U: 1.0, U1: 1.0}, table) == math.sin(1.0)
+    with pytest.raises(NumericOverflow):
+        evaluate(wave, {U: 100.0, U1: 100.0}, {})
