@@ -5,7 +5,8 @@ Usage: jetvar <subcommand> <problem-file> [--verbose]
 
 Results are printed to stdout as JSON; diagnostics go to stderr as JSON.
 Exit code 0 means the check passed, 1 means it ran but answered in the
-negative, 2 means the input could not be processed.
+negative, 2 means the input could not be processed, 3 means an internal
+error (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -242,6 +243,7 @@ def main(argv=None) -> int:
         problem = load_problem(args.file)
         opts = _merge_options(problem, args)
         code, payload = _HANDLERS[args.command](problem, opts)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     except DslError as exc:
         _diagnose(
             {
@@ -254,7 +256,10 @@ def main(argv=None) -> int:
     except JetvarError as exc:
         _diagnose({"error": type(exc).__name__, "message": str(exc)})
         return 2
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    except Exception as exc:  # exit 1 would read as a mathematical negative
+        _diagnose({"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"})
+        return 3
+    print(text)
     return code
 
 

@@ -1,5 +1,5 @@
-"""Coordinates on jet spaces: base variables, symmetric jet variables, and
-the auxiliary homotopy parameter, together with the ambient JetContext.
+"""Coordinates on jet spaces: base variables and symmetric jet variables,
+together with the ambient JetContext.
 
 Jet coordinates are labelled by a fiber index and a *sorted* multi-index of
 base-variable indices; ``y_{2,1}`` and ``y_{1,2}`` denote the same symmetric
@@ -66,26 +66,18 @@ class JetCoord:
         object.__setattr__(self, "J", tuple(sorted(self.J)))
 
 
-@dataclass(frozen=True, slots=True)
-class ParamCoord:
-    """The homotopy parameter t used in fiber-scaling integrals."""
+Coord = BaseCoord | JetCoord
 
-
-PARAM = ParamCoord()
-
-Coord = BaseCoord | JetCoord | ParamCoord
-
+# "t" stays reserved: it names the scaling parameter of the Tonti integral
 _RESERVED_NAMES = frozenset({"t", "sin", "cos", "exp"})
 
 
 def coord_key(c: Coord) -> tuple:
     """Total order on coordinates: base first, then jets graded by
-    (fiber index, index length, index), parameter last."""
+    (fiber index, index length, index)."""
     if isinstance(c, BaseCoord):
         return (0, c.i)
-    if isinstance(c, JetCoord):
-        return (1, c.sigma, len(c.J), c.J)
-    return (2,)
+    return (1, c.sigma, len(c.J), c.J)
 
 
 @dataclass(frozen=True)
@@ -134,13 +126,12 @@ class JetContext:
     def declares(self, c: Coord) -> bool:
         if isinstance(c, BaseCoord):
             return 1 <= c.i <= self.n
-        if isinstance(c, JetCoord):
-            return (
-                1 <= c.sigma <= self.m
-                and all(1 <= i <= self.n for i in c.J)
-                and len(c.J) <= self.ceiling
-            )
-        return isinstance(c, ParamCoord)
+        return (
+            isinstance(c, JetCoord)
+            and 1 <= c.sigma <= self.m
+            and all(1 <= i <= self.n for i in c.J)
+            and len(c.J) <= self.ceiling
+        )
 
     def check_coord(self, c: Coord) -> None:
         if not self.declares(c):
@@ -160,15 +151,13 @@ class JetContext:
             if 1 <= c.i <= self.n:
                 return self.base_names[c.i - 1]
             return f"x{c.i}"
-        if isinstance(c, JetCoord):
-            if 1 <= c.sigma <= self.m:
-                name = self.fiber_names[c.sigma - 1]
-            else:
-                name = f"u{c.sigma}"
-            if not c.J:
-                return name
-            return name + "_{" + ",".join(str(i) for i in c.J) + "}"
-        return "t"
+        if 1 <= c.sigma <= self.m:
+            name = self.fiber_names[c.sigma - 1]
+        else:
+            name = f"u{c.sigma}"
+        if not c.J:
+            return name
+        return name + "_{" + ",".join(str(i) for i in c.J) + "}"
 
     def jet_coords(self, order: int | None = None):
         """All jet coordinates with index length 0..order (default: the

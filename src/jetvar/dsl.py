@@ -24,8 +24,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .coords import BaseCoord, JetContext, JetCoord, PARAM
-from .errors import DslSyntaxError, OrderExceeded, UnknownIdentifier
+from .coords import BaseCoord, JetContext, JetCoord
+from .errors import DslSyntaxError, ExpansionBudget, OrderExceeded, UnknownIdentifier
 from .expr import (
     ONE,
     Expr,
@@ -389,13 +389,22 @@ def _render_sum(e: Expr, ctx: JetContext, texts: dict) -> str:
 
 def _render_term(coeff, factors, ctx: JetContext, texts: dict) -> str:
     if not factors:
-        return str(coeff)
+        return _coefficient_text(coeff)
     rendered = "*".join(_render_factor(atom, k, ctx, texts) for atom, k in factors)
     if coeff == 1:
         return rendered
     if coeff == -1:
         return "-" + rendered
-    return f"{coeff}*{rendered}"
+    return f"{_coefficient_text(coeff)}*{rendered}"
+
+
+def _coefficient_text(coeff) -> str:
+    """The text of an int or Fraction; a number past the interpreter's
+    limit on digits converted to text exceeds the expansion budget."""
+    try:
+        return str(coeff)
+    except ValueError:
+        raise ExpansionBudget("a coefficient has too many digits to render") from None
 
 
 def _render_factor(atom, k: int, ctx: JetContext, texts: dict) -> str:

@@ -18,7 +18,8 @@ class OrderOverflow(JetvarError):
 
 
 class NonPolynomialParameter(JetvarError):
-    """The homotopy parameter occurs inside a function or a denominator."""
+    """The fiber scaling puts its parameter inside a function or a
+    denominator, so the fiber-scaling integral is not polynomial."""
 
 
 class NonPolynomialDivision(JetvarError):
@@ -31,6 +32,11 @@ class DivisionByZero(JetvarError):
 
 class NumericOverflow(JetvarError):
     """A floating-point evaluation exceeds the range of a double."""
+
+
+class ExpansionBudget(JetvarError):
+    """A result outgrows a fixed budget, such as a coefficient with more
+    digits than the interpreter converts to text."""
 
 
 class ContextMismatch(JetvarError):

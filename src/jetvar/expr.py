@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coords import BaseCoord, Coord, JetCoord, PARAM, coord_key, index_with
+from .coords import BaseCoord, Coord, JetCoord, coord_key, index_with
 from .errors import (
     DivisionByZero,
     NonPolynomialDivision,
@@ -377,13 +377,9 @@ def has_functions(e: Expr) -> bool:
 
 
 def coords_in(e: Expr) -> set:
-    """All coordinates (including t) occurring, also inside functions."""
+    """All coordinates occurring, also inside functions."""
     atoms = {a for m in e.terms for a, _ in m}
     return set().union(*(_ATOM_COORDS[a] for a in atoms))
-
-
-def contains_param(e: Expr) -> bool:
-    return PARAM in coords_in(e)
 
 
 def jet_coords_in(e: Expr) -> list:
@@ -507,13 +503,13 @@ def _gradient_leaf(a: int) -> tuple:
 
 
 def gradient(e: Expr) -> dict:
-    """Every nonzero first partial derivative of e, keyed by coordinate
-    (t included), from one pass over the terms."""
+    """Every nonzero first partial derivative of e, keyed by coordinate,
+    from one pass over the terms."""
     return {_ATOMS[a]: d for a, d in derive(e, _gradient_leaf).items()}
 
 
 def partial(e: Expr, c: Coord) -> Expr:
-    """Formal partial derivative treating every coordinate (and t) as an
+    """Formal partial derivative treating every coordinate as an
     independent symbol."""
     target = _ATOM_ID.get(c)
     if target is None:  # never interned, so e cannot contain it
@@ -580,26 +576,30 @@ def _substitute_atom(a: int, bindings: dict):
 
 
 def integrate_param(e: Expr, lower, upper) -> Expr:
-    """Exact definite integral over the parameter t; e must be polynomial
-    in t."""
+    """The fiber-scaling integral of e(x, t*y^s_J) over t from lower to
+    upper: a monomial of total fiber-jet degree d is weighed by
+    (upper^(d+1) - lower^(d+1))/(d+1).  NonPolynomialParameter when a jet
+    coordinate sits inside a sin/cos/exp atom, or when d < 0."""
     lo, hi = Fraction(lower), Fraction(upper)
-    t = _ATOM_ID.get(PARAM)
-    weights: dict = {}
+    weights: dict = {}  # degree -> weight
     acc: dict = {}
     for m, c in e.terms.items():
-        power = 0
-        rest = m
-        for i, (a, k) in enumerate(m):
-            if a == t:
-                if k < 0:
-                    raise NonPolynomialParameter("parameter in a denominator")
-                power = k
-                rest = m[:i] + m[i + 1 :]
-            elif PARAM in _ATOM_COORDS[a]:
+        degree = 0
+        for a, k in m:
+            atom = _ATOMS[a]
+            if atom.__class__ is JetCoord:
+                degree += k
+            elif atom.__class__ is tuple and any(
+                x.__class__ is JetCoord for x in _ATOM_COORDS[a]
+            ):
                 raise NonPolynomialParameter("parameter inside a function application")
-        if power not in weights:
-            weights[power] = (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
-        acc[rest] = acc.get(rest, 0) + c * weights[power]
+        if degree < 0:
+            raise NonPolynomialParameter("parameter in a denominator")
+        w = weights.get(degree)
+        if w is None:
+            p = degree + 1
+            w = weights[degree] = (hi**p - lo**p) / p
+        acc[m] = c * w
     return _collect(acc)
 
 

@@ -47,7 +47,6 @@ from .expr import (
     ZERO,
     add,
     as_expr,
-    contains_param,
     coords_in,
     gradient,
     is_constant,
@@ -273,8 +272,6 @@ def max_form_order(form: DiffForm) -> int:
 def differential(e, ctx: JetContext, order: int = 0) -> DiffForm:
     """Exterior derivative of a function, in the coordinate basis."""
     e = as_expr(e)
-    if contains_param(e):
-        raise ValueError("the integration parameter has no differential")
     pairs = []
     grad = gradient(e)
     for c in sorted(grad, key=coord_key):

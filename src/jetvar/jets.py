@@ -11,7 +11,7 @@ from .expr import ZERO, Expr, coords_in, derive, is_zero, lift, partial
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
     """Total derivative in the i-th base direction: differentiates x^i to 1,
-    lifts every jet coordinate one level (y^s_J to y^s_{Ji}), kills t.
+    lifts every jet coordinate one level (y^s_J to y^s_{Ji}).
 
     Raises OrderOverflow when a lifted coordinate would exceed the context
     ceiling; the ceiling guards against runaway iterated derivatives.

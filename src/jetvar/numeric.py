@@ -82,17 +82,24 @@ class VariationProbe:
     phi: SectionSpec
 
     def check_boundary(self, order: int, ctx: JetContext) -> None:
-        jets = prolong_section(self.phi, order, ctx)
-        for endpoint in (0.0, 1.0):
-            env = {BaseCoord(1): endpoint}
-            values: dict = {}
-            for coord, e in jets.items():
-                value = evaluate(e, env, values)
-                if abs(value) > BOUNDARY_TOL:
-                    raise ProbeBoundaryError(
-                        f"variation direction has {ctx.coord_name(coord)} = "
-                        f"{value} at x = {endpoint}"
-                    )
+        _check_vanishing(prolong_section(self.phi, order, ctx), order, ctx)
+
+
+def _check_vanishing(jets: dict, order: int, ctx: JetContext) -> None:
+    """Raise ProbeBoundaryError unless each jet with |J| <= order of a
+    prolonged variation vanishes at both endpoints."""
+    for endpoint in (0.0, 1.0):
+        env = {BaseCoord(1): endpoint}
+        values: dict = {}
+        for coord, e in jets.items():
+            if len(coord.J) > order:
+                continue
+            value = evaluate(e, env, values)
+            if abs(value) > BOUNDARY_TOL:
+                raise ProbeBoundaryError(
+                    f"variation direction has {ctx.coord_name(coord)} = "
+                    f"{value} at x = {endpoint}"
+                )
 
 
 @dataclass(frozen=True)
@@ -150,14 +157,13 @@ def first_variation_check(
         raise NotODEContext(f"the variation oracle needs one base variable, got {ctx.n}")
     probe.gamma.validate(ctx)
     probe.phi.validate(ctx)
-    # boundary terms involve the variation's jets up to order r - 1 only
-    probe.check_boundary(max(lam.r - 1, 0), ctx)
-
     # d/dx is Q-linear and the kernel canonical, so the jets of gamma + s phi
     # are exactly those of gamma plus s times those of phi: each section is
     # prolonged once, gamma at once to 2r, the order of the source form
-    gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
     phi_jets = prolong_section(probe.phi, lam.r, ctx)
+    # boundary terms involve the variation's jets up to order r - 1 only
+    _check_vanishing(phi_jets, max(lam.r - 1, 0), ctx)
+    gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
     pairs = [(atom_id(c), gamma_jets[c], p) for c, p in phi_jets.items()]
 
     def shifted_action(s: float) -> float:

@@ -24,7 +24,6 @@ from math import comb
 from .coords import (
     JetContext,
     JetCoord,
-    PARAM,
     coord_key,
     index_with,
     multi_indices,
@@ -36,7 +35,6 @@ from .expr import (
     ZERO,
     add,
     as_expr,
-    contains_param,
     coords_in,
     evaluate,
     gradient,
@@ -48,7 +46,6 @@ from .expr import (
     neg,
     num,
     partial,
-    substitute,
     sym,
 )
 from .forms import (
@@ -73,13 +70,6 @@ PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
 
 
-def _check_expr(e: Expr, ctx: JetContext, what: str) -> None:
-    if contains_param(e):
-        raise ValueError(f"{what} must not contain the integration parameter")
-    for c in coords_in(e):
-        ctx.check_coord(c)
-
-
 @dataclass(frozen=True)
 class Lagrangian:
     """A horizontal n-form L omega_0 of declared order r (at least the
@@ -91,7 +81,8 @@ class Lagrangian:
 
     def __post_init__(self):
         object.__setattr__(self, "L", as_expr(self.L))
-        _check_expr(self.L, self.ctx, "a Lagrangian")
+        for c in coords_in(self.L):
+            self.ctx.check_coord(c)
         actual = max_jet_order(self.L)
         r = actual if self.r is None else self.r
         if r < actual:
@@ -121,7 +112,8 @@ class SourceForm:
             )
         actual = 0
         for e in self.eps:
-            _check_expr(e, self.ctx, "a source form component")
+            for c in coords_in(e):
+                self.ctx.check_coord(c)
             actual = max(actual, max_jet_order(e))
         s = actual if self.s is None else self.s
         if s < actual:
@@ -154,11 +146,6 @@ class MultiplierMatrix:
         for row in rows:
             if len(row) != len(rows):
                 raise DimensionMismatch("multiplier matrix must be square")
-            for e in row:
-                if contains_param(e):
-                    raise ValueError(
-                        "multiplier entries must not contain the integration parameter"
-                    )
 
 
 @dataclass(frozen=True)
@@ -441,18 +428,14 @@ def tonti_lagrangian(sf: SourceForm) -> Lagrangian:
 
         L = sum_sigma y^sigma int_0^1 eps_sigma(x, t y, ..., t y_J) dt
 
-    computed by exact parameter integration; requires each component to be
-    polynomial in all fiber jet coordinates.  For a variational source
-    form, euler_lagrange of the result returns the input symbolically."""
-    t = sym(PARAM)
+    where a monomial of eps_sigma of total fiber-jet degree d is weighed by
+    int_0^1 t^d dt = 1/(d+1) (`integrate_param`); requires each component
+    to be polynomial in all fiber jet coordinates.  For a variational
+    source form, euler_lagrange of the result returns the input
+    symbolically."""
     total = ZERO
     for sigma, e in enumerate(sf.eps, start=1):
-        scaling = {
-            c: mul(t, sym(c)) for c in coords_in(e) if isinstance(c, JetCoord)
-        }
-        scaled = substitute(e, scaling)
-        integrated = integrate_param(mul(sym(JetCoord(sigma)), scaled), 0, 1)
-        total = add(total, integrated)
+        total = add(total, mul(sym(JetCoord(sigma)), integrate_param(e, 0, 1)))
     return Lagrangian(total, sf.ctx.with_order(sf.s), sf.s)
 
 

@@ -8,6 +8,7 @@ import textwrap
 
 import pytest
 
+import jetvar.cli
 from jetvar.cli import main
 from jetvar.dsl import MAX_NESTING
 from jetvar.errors import DslError
@@ -386,17 +387,28 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "expr, span",
+    "expr, error, span",
     [
-        ("u_{1}%2", [5, 6]),
-        ("u_{1}%(x)s", [5, 6]),
-        ("²*u_{1}", [0, 1]),
-        ("u_{¹}^2", [3, 4]),
-        ("9" * 5000 + "*u_{1}^2", [0, 5000]),
+        ("u_{1}%2", "DslSyntaxError", [5, 6]),
+        ("u_{1}%(x)s", "DslSyntaxError", [5, 6]),
+        ("²*u_{1}", "DslSyntaxError", [0, 1]),
+        ("u_{¹}^2", "DslSyntaxError", [3, 4]),
+        ("9" * 5000 + "*u_{1}^2", "DslSyntaxError", [0, 5000]),
+        # coefficients computed past the digit limit, met when rendering
+        ("2^99999*u_{1}^2", "ExpansionBudget", None),
+        ("(10^4299*u_{1})^2", "ExpansionBudget", None),
     ],
-    ids=["percent", "percent-interpolation", "superscript", "superscript-index", "long-literal"],
+    ids=[
+        "percent",
+        "percent-interpolation",
+        "superscript",
+        "superscript-index",
+        "long-literal",
+        "long-power",
+        "long-square",
+    ],
 )
-def test_crashing_expressions_exit_2(tmp_path, capsys, expr, span):
+def test_crashing_expressions_exit_2(tmp_path, capsys, expr, error, span):
     path = problem(tmp_path, FREE_PARTICLE.replace("1/2*u_{1}^2", expr))
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # the interpreter's default
@@ -405,8 +417,18 @@ def test_crashing_expressions_exit_2(tmp_path, capsys, expr, span):
     finally:
         sys.set_int_max_str_digits(previous)
     assert code == 2 and payload is None
-    assert diagnostic["error"] == "DslSyntaxError"
-    assert diagnostic["span"] == span
+    assert diagnostic["error"] == error
+    assert diagnostic.get("span") == span
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(problem, opts):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(jetvar.cli._HANDLERS, "el", broken)
+    code, payload, diagnostic = run(capsys, ["el", problem(tmp_path, FREE_PARTICLE)])
+    assert code == 3 and payload is None
+    assert diagnostic == {"error": "InternalError", "message": "RuntimeError: a bug"}
 
 
 def test_span_less_dsl_error_reports_null_span(tmp_path, capsys, monkeypatch):

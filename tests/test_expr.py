@@ -1,4 +1,4 @@
-"""Expression kernel: canonical form, calculus, parameter integration."""
+"""Expression kernel: canonical form, calculus, fiber-scaling integration."""
 
 import math
 import random
@@ -32,8 +32,7 @@ from jetvar import (
     substitute,
     sym,
 )
-from jetvar.coords import PARAM
-from jetvar.expr import ZERO, contains_param, coords_in, jet_coords_in, ordered_terms
+from jetvar.expr import ZERO, coords_in, jet_coords_in, ordered_terms
 
 from corpus import random_env, random_mixed, random_polynomial
 
@@ -153,40 +152,60 @@ def test_substitute_matches_composition():
 
 
 def test_integrate_param_monomials():
-    t = sym(PARAM)
+    u, u1, x = sym(U), sym(U1), sym(X)
+    # a monomial of fiber-jet degree k scales by t^k and is weighed by 1/(k+1)
     for k in range(7):
-        assert integrate_param(pow_(t, k), 0, 1) == num(Fraction(1, k + 1))
+        weighed = mul(num(Fraction(1, k + 1)), pow_(u, k))
+        assert integrate_param(pow_(u, k), 0, 1) == weighed
     assert integrate_param(num(5), 0, 1) == num(5)
-    assert integrate_param(t, Fraction(1, 2), 1) == num(Fraction(3, 8))
+    # base coordinates, also inside atoms, do not scale; negative jet
+    # exponents count towards the degree: here 3 - 1 = 2
+    e = mul(x, sin(x), pow_(u, 3), pow_(u1, -1))
+    assert integrate_param(e, 0, 1) == mul(num(Fraction(1, 3)), e)
+    # on [1/2, 1] the weights are 1/2 for degree 0 and 3/8 for degree 1
+    assert integrate_param(add(x, u1), Fraction(1, 2), 1) == add(
+        mul(num(Fraction(1, 2)), x), mul(num(Fraction(3, 8)), u1)
+    )
+    # a weight of zero drops the monomial: t is odd on [-1, 1]
+    assert integrate_param(add(num(1), u), -1, 1) == num(2)
+    # an integral coefficient stays an int: 3 * 1/3 = 1
+    integral = integrate_param(add(mul(num(3), pow_(u, 2)), num(Fraction(1, 2))), 0, 1)
+    assert [c.__class__ for c, _ in ordered_terms(integral)] == [int, Fraction]
 
 
 def test_integrate_param_matches_quadrature():
     np = pytest.importorskip("numpy")
     rng = random.Random(61)
     ctx = JetContext(n=1, m=2, order=1)
-    t = sym(PARAM)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
+    laurent = mul(sin(sym(X)), pow_(sym(U), 2), pow_(sym(U1), -1))
     for _ in range(15):
-        poly = random_polynomial(rng, ctx, degree=2, terms=2)
-        e = add(mul(poly, pow_(t, rng.randint(0, 3))), mul(num(2), t))
-        env = random_env(rng, coords_in(poly))
-        exact = evaluate(integrate_param(e, 0, 1), env)
-        approx = 0.0
-        for tk, wk in zip(nodes, weights):
-            point = dict(env)
-            point[PARAM] = tk
-            approx += wk * evaluate(e, point)
-        assert exact == pytest.approx(approx, rel=1e-10, abs=1e-10)
+        e = add(random_polynomial(rng, ctx, degree=3, terms=3), laurent)
+        env = random_env(rng, coords_in(e))
+        for lo, hi in ((0, 1), (Fraction(1, 2), 1)):
+            exact = evaluate(integrate_param(e, lo, hi), env)
+            # Gauss-Legendre in t on [lo, hi] of e at the jets scaled by t
+            approx = 0.0
+            for tk, wk in zip(nodes, weights):
+                t = float(lo) + float(hi - lo) * (tk + 1) / 2
+                point = {
+                    c: t * v if isinstance(c, JetCoord) else v for c, v in env.items()
+                }
+                approx += float(hi - lo) / 2 * wk * evaluate(e, point)
+            assert exact == pytest.approx(approx, rel=1e-10, abs=1e-10)
 
 
 def test_integrate_param_rejects_nonpolynomial_parameter():
-    t = sym(PARAM)
-    with pytest.raises(NonPolynomialParameter):
-        integrate_param(sin(t), 0, 1)
-    with pytest.raises(NonPolynomialParameter):
-        integrate_param(pow_(t, -1), 0, 1)
+    u, x = sym(U), sym(X)
+    inside = "^parameter inside a function application$"
+    for e in (sin(u), mul(x, exp(add(x, sym(U1))))):
+        with pytest.raises(NonPolynomialParameter, match=inside):
+            integrate_param(e, 0, 1)
+    for e in (pow_(u, -1), pow_(u, -2), mul(x, u, pow_(sym(U1), -2))):
+        with pytest.raises(NonPolynomialParameter, match="^parameter in a denominator$"):
+            integrate_param(e, 0, 1)
+    # an atom of base coordinates only scales like a constant
+    assert integrate_param(cos(x), 0, 1) == cos(x)
 
 
 def test_division():
@@ -212,8 +231,6 @@ def test_structure_queries():
     assert jet_coords_in(e) == [U, U1]
     assert max_jet_order(e) == 1
     assert max_jet_order(num(4)) == 0
-    assert contains_param(mul(sym(PARAM), sym(U)))
-    assert not contains_param(e)
     assert is_zero(ZERO) and not is_zero(sym(U))
 
 

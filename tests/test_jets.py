@@ -30,7 +30,6 @@ from jetvar import (
     sym,
     total_derivative,
 )
-from jetvar.coords import PARAM
 from jetvar.expr import coords_in
 
 from corpus import random_base_polynomial, random_polynomial
@@ -82,7 +81,6 @@ def test_context_names_and_coords():
     assert ctx.fiber_names == ("u1", "u2")
     assert ctx.coord_name(JetCoord(2, (1, 2))) == "u2_{1,2}"
     assert ctx.coord_name(BaseCoord(1)) == "x1"
-    assert ctx.coord_name(PARAM) == "t"
     assert len(ctx.jet_coords()) == 2 * (1 + 2 + 3)
     lifted = ctx.with_order(5)
     assert lifted.order == 5 and lifted.ceiling == 12
@@ -97,9 +95,9 @@ def test_total_derivative_on_atoms():
     assert total_derivative(sym(X1), 2, ctx) == num(0)
     assert total_derivative(sym(U), 1, ctx) == sym(JetCoord(1, (1,)))
     assert total_derivative(sym(JetCoord(1, (1,))), 2, ctx) == sym(JetCoord(1, (1, 2)))
-    # the homotopy parameter is treated as a constant
-    assert total_derivative(mul(sym(PARAM), sym(U)), 1, ctx) == mul(
-        sym(PARAM), sym(JetCoord(1, (1,)))
+    # the other base coordinate is treated as a constant
+    assert total_derivative(mul(sym(X2), sym(U)), 1, ctx) == mul(
+        sym(X2), sym(JetCoord(1, (1,)))
     )
 
 

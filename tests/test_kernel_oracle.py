@@ -2,8 +2,8 @@
 
 Seeded random Laurent polynomials in jet coordinates, with sin/cos/exp
 atoms around small polynomial arguments, go through add, mul, pow_,
-partial and total_derivative; each result must equal what sympy's
-expand/diff compute from the same inputs.
+partial, total_derivative and the Tonti Lagrangian; each result must equal
+what sympy's expand/diff/integrate compute from the same inputs.
 """
 
 import random
@@ -17,16 +17,19 @@ from jetvar import (  # noqa: E402
     BaseCoord,
     JetContext,
     JetCoord,
+    NonPolynomialParameter,
+    SourceForm,
     add,
     mul,
     partial,
     pow_,
+    tonti_lagrangian,
     total_derivative,
 )
-from jetvar.coords import PARAM, index_with  # noqa: E402
+from jetvar.coords import index_with  # noqa: E402
 from jetvar.expr import coords_in, ordered_terms  # noqa: E402
 
-from corpus import coordinate_atoms, random_laurent  # noqa: E402
+from corpus import coordinate_atoms, random_laurent, random_polynomial  # noqa: E402
 
 CTX = JetContext(n=2, m=2, order=2)
 CASES = 25
@@ -35,10 +38,7 @@ CASES = 25
 def oracle_symbol(c):
     if isinstance(c, BaseCoord):
         return sympy.Symbol(f"x{c.i}")
-    if isinstance(c, JetCoord):
-        return sympy.Symbol("_".join([f"y{c.sigma}"] + [str(i) for i in c.J]))
-    assert c == PARAM
-    return sympy.Symbol("t")
+    return sympy.Symbol("_".join([f"y{c.sigma}"] + [str(i) for i in c.J]))
 
 
 def to_sympy(e):
@@ -98,3 +98,34 @@ def test_total_derivative_matches_sympy_chain_rule(seed):
                 lifted = oracle_symbol(JetCoord(c.sigma, index_with(c.J, i)))
                 want += lifted * sympy.diff(se, oracle_symbol(c))
         assert same(total_derivative(e, i, CTX), want)
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_tonti_matches_sympy_integral(seed):
+    rng = random.Random(5000 + seed)
+    # half the components gain a Laurent term, which may put t in a
+    # denominator or inside an atom: 17 of the 25 forms are accepted
+    eps = []
+    for _ in range(CTX.m):
+        e = random_polynomial(rng, CTX)
+        if rng.random() < 0.5:
+            e = add(e, random_laurent(rng, CTX, terms=1))
+        eps.append(e)
+    sf = SourceForm(tuple(eps), CTX)
+    t = sympy.Symbol("t")
+    scaling = {
+        oracle_symbol(c): t * oracle_symbol(c)
+        for c in coordinate_atoms(CTX, CTX.order)
+        if isinstance(c, JetCoord)
+    }
+    integrands = [sympy.expand(to_sympy(e).xreplace(scaling)) for e in eps]
+    if not all(f.is_polynomial(t) for f in integrands):
+        # t in a denominator or inside sin/cos/exp: no polynomial integral
+        with pytest.raises(NonPolynomialParameter):
+            tonti_lagrangian(sf)
+        return
+    want = sum(
+        oracle_symbol(JetCoord(sigma)) * sympy.integrate(f, (t, 0, 1))
+        for sigma, f in enumerate(integrands, start=1)
+    )
+    assert same(tonti_lagrangian(sf).L, want)

@@ -123,6 +123,34 @@ def test_variation_probe_boundary_guard(ode1, ode2):
     first_variation_check(lam, VariationProbe(gamma, tent))
 
 
+@pytest.mark.parametrize(
+    "phi, r, message",
+    [
+        ((0, 1), 1, "variation direction has u = 1.0 at x = 1.0"),
+        ((0, 1, -1), 1, None),
+        ((0, 1, -1), 2, "variation direction has u_{1} = 1.0 at x = 0.0"),
+        ((0, 0, 1, -1), 2, "variation direction has u_{1} = -1.0 at x = 1.0"),
+        ((0, 0, 1, -2, 1), 3, "variation direction has u_{1,1} = 2.0 at x = 0.0"),
+    ],
+    ids=["r1-value", "r1-vanishes", "r2-slope", "r2-right-slope", "r3-curvature"],
+)
+def test_boundary_check_names_the_first_nonvanishing_jet(phi, r, message):
+    ctx = JetContext(n=1, m=1, order=r)
+    lam = Lagrangian(pow_(sym(JetCoord(1, (1,) * r)), 2), ctx, r)
+    probe = VariationProbe(SectionSpec((sym(X),)), SectionSpec((poly_x(*phi),)))
+    # the endpoint loop runs outside the jets, and the jets run by order
+    for check in (
+        lambda: first_variation_check(lam, probe),
+        lambda: probe.check_boundary(max(r - 1, 0), ctx),
+    ):
+        if message is None:
+            check()
+        else:
+            with pytest.raises(ProbeBoundaryError) as info:
+                check()
+            assert str(info.value) == message
+
+
 def test_first_variation_simple_potential(ode1):
     # L = u^3 on gamma = x: dS = int 3x^2 phi = 3/20 for phi = x(1-x)
     gamma = SectionSpec((sym(X),))
@@ -334,8 +362,9 @@ def test_first_variation_prolongs_each_section_once(ode2, monkeypatch):
     monkeypatch.setattr(jetvar.numeric, "prolong_section", counting)
     lam, probe = random_variation_case(random.Random(1), 2, 1)
     first_variation_check(lam, probe)
-    # the boundary check, the variation and the base section
-    assert sorted(calls) == [1, 2, 4]
+    # the variation, whose jets also serve the boundary check, and the base
+    # section
+    assert sorted(calls) == [2, 4]
 
 
 def test_cached_plan_keeps_pole_and_overflow_checks():
