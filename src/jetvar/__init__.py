@@ -5,20 +5,14 @@ prolongations of fibered manifolds over R^n: Euler-Lagrange forms,
 variationality tests, Lagrangian reconstruction, Poincare-Cartan
 equivalents, behavior under fibered changes of variables, and a numeric
 cross-check layer.
+
+The top level exports the documented surface; every other name imports
+from its own module (`jetvar.expr`, `jetvar.forms`, ...).  Importing the
+package loads every library module, `jetvar.cli` aside.
 """
 
-from .coords import (
-    BaseCoord,
-    JetContext,
-    JetCoord,
-    coord_key,
-    index_with,
-    midx,
-    multi_indices,
-    multi_indices_up_to,
-    multiplicity,
-)
-from .dsl import ParsedExpr, parse_expr, parse_form, render_expr, render_form
+from .coords import JetContext
+from .dsl import parse_expr, parse_form, render_expr, render_form
 from .errors import (
     ContextMismatch,
     DegreeMismatch,
@@ -42,183 +36,25 @@ from .errors import (
     UnknownCoordinate,
     UnknownIdentifier,
 )
-from .expr import (
-    Expr,
-    add,
-    as_expr,
-    cos,
-    div,
-    evaluate,
-    exp,
-    func,
-    integrate_param,
-    is_zero,
-    max_jet_order,
-    mul,
-    neg,
-    num,
-    partial,
-    pow_,
-    sin,
-    substitute,
-    sym,
-)
-from .forms import (
-    DX,
-    DY,
-    DiffForm,
-    FiberedIso,
-    W,
-    cartan_form,
-    cartan_form_contact,
-    contact_decompose,
-    contact_form,
-    differential,
-    expand_contact,
-    exterior_derivative,
-    form_add,
-    form_from_terms,
-    function_form,
-    horizontalize,
-    omega_0,
-    omega_i,
-    prolong_isomorphism,
-    pullback,
-    scale,
-    wedge,
-    zero_form,
-)
-from .jets import SectionSpec, iterated_total_derivative, prolong_section, total_derivative
+from .expr import add, is_zero
+from .forms import FiberedIso, cartan_form, cartan_form_contact, pullback
+from .jets import SectionSpec, total_derivative
 from .numeric import (
-    FirstVariationResult,
     QuadratureSpec,
     VariationProbe,
-    action,
     first_variation_check,
     residual_on_section,
 )
-from .problem import ProblemFile, load_problem
+from .problem import load_problem
 from .variational import (
-    HelmholtzRecord,
-    HelmholtzReport,
     Lagrangian,
-    MultiplierMatrix,
     SourceForm,
     classical_helmholtz_ode,
     euler_lagrange,
     helmholtz_residuals,
     is_null_lagrangian,
-    multiplier_check,
     naturality_report,
     null_lagrangian_from_eta,
     pullback_lagrangian,
     tonti_lagrangian,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BaseCoord",
-    "ContextMismatch",
-    "DegreeMismatch",
-    "DiffForm",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "DslError",
-    "DslSyntaxError",
-    "DX",
-    "DY",
-    "ExpansionBudget",
-    "Expr",
-    "FiberedIso",
-    "FirstVariationResult",
-    "HelmholtzRecord",
-    "HelmholtzReport",
-    "JetContext",
-    "JetCoord",
-    "JetvarError",
-    "Lagrangian",
-    "MultiplierMatrix",
-    "NonPolynomialDivision",
-    "NonPolynomialParameter",
-    "NotODEContext",
-    "NumericOverflow",
-    "OrderExceeded",
-    "OrderOverflow",
-    "OrderZeroWarning",
-    "ParsedExpr",
-    "ProbeBoundaryError",
-    "ProblemFile",
-    "ProblemFileError",
-    "QuadratureSpec",
-    "SectionSpec",
-    "SingularBaseMap",
-    "SourceForm",
-    "UnboundCoordinate",
-    "UnknownCoordinate",
-    "UnknownIdentifier",
-    "VariationProbe",
-    "W",
-    "action",
-    "add",
-    "as_expr",
-    "cartan_form",
-    "cartan_form_contact",
-    "classical_helmholtz_ode",
-    "contact_decompose",
-    "contact_form",
-    "coord_key",
-    "cos",
-    "differential",
-    "div",
-    "euler_lagrange",
-    "evaluate",
-    "exp",
-    "expand_contact",
-    "exterior_derivative",
-    "first_variation_check",
-    "form_add",
-    "form_from_terms",
-    "func",
-    "function_form",
-    "helmholtz_residuals",
-    "horizontalize",
-    "index_with",
-    "integrate_param",
-    "is_null_lagrangian",
-    "is_zero",
-    "iterated_total_derivative",
-    "load_problem",
-    "max_jet_order",
-    "midx",
-    "mul",
-    "multi_indices",
-    "multi_indices_up_to",
-    "multiplicity",
-    "multiplier_check",
-    "naturality_report",
-    "neg",
-    "null_lagrangian_from_eta",
-    "num",
-    "omega_0",
-    "omega_i",
-    "parse_expr",
-    "parse_form",
-    "partial",
-    "pow_",
-    "prolong_isomorphism",
-    "prolong_section",
-    "pullback",
-    "pullback_lagrangian",
-    "render_expr",
-    "render_form",
-    "residual_on_section",
-    "scale",
-    "sin",
-    "substitute",
-    "sym",
-    "tonti_lagrangian",
-    "total_derivative",
-    "wedge",
-    "zero_form",
-]

@@ -18,11 +18,6 @@ from .errors import UnknownCoordinate
 MultiIndex = tuple  # sorted tuple of 1-based base indices
 
 
-def midx(*indices: int) -> MultiIndex:
-    """Build a sorted multi-index from the given base indices."""
-    return tuple(sorted(indices))
-
-
 def index_with(J: MultiIndex, i: int) -> MultiIndex:
     """The multi-index J with one extra occurrence of i, kept sorted."""
     return tuple(sorted(J + (i,)))
@@ -158,13 +153,3 @@ class JetContext:
         if not c.J:
             return name
         return name + "_{" + ",".join(str(i) for i in c.J) + "}"
-
-    def jet_coords(self, order: int | None = None):
-        """All jet coordinates with index length 0..order (default: the
-        declared order)."""
-        top = self.order if order is None else order
-        return [
-            JetCoord(s, J)
-            for s in range(1, self.m + 1)
-            for J in multi_indices_up_to(self.n, top)
-        ]

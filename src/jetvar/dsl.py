@@ -45,8 +45,7 @@ from .forms import (
     DX,
     DY,
     DiffForm,
-    W,
-    form_from_terms,
+    form_add,
     function_form,
     gen_key,
     max_form_order,
@@ -221,7 +220,7 @@ class _Parser:
             if lf != rf:
                 raise DslSyntaxError("cannot add a scalar and a form", span)
             if lf:
-                return left + right if op.text == "+" else left - right
+                return form_add(left, right if op.text == "+" else scale(right, num(-1)))
             return add(left, right if op.text == "+" else neg(right))
         if op.text == "*":
             if lf and rf:
@@ -449,7 +448,7 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
             continue
         if coeff == ONE:
             parts.append(word)
-        elif coeff == -ONE:
+        elif coeff.terms == {(): -1}:
             parts.append("-" + word)
         elif len(coeff.terms) > 1:
             parts.append(f"({_render_sum(coeff, ctx, texts)})*{word}")

@@ -101,34 +101,6 @@ class Expr:
             raise AttributeError("a non-constant expression has no value")
         return Fraction(self.terms.get((), 0))
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, k: int):
-        return pow_(self, k)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
 
 ZERO = Expr({})
 ONE = Expr({(): 1})
@@ -382,14 +354,8 @@ def coords_in(e: Expr) -> set:
     return set().union(*(_ATOM_COORDS[a] for a in atoms))
 
 
-def jet_coords_in(e: Expr) -> list:
-    return sorted(
-        (c for c in coords_in(e) if isinstance(c, JetCoord)), key=coord_key
-    )
-
-
 def max_jet_order(e: Expr) -> int:
-    return max((len(c.J) for c in jet_coords_in(e)), default=0)
+    return max((len(c.J) for c in coords_in(e) if isinstance(c, JetCoord)), default=0)
 
 
 # --- canonical order -----------------------------------------------------------

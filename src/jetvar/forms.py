@@ -144,15 +144,6 @@ class DiffForm:
         """The same form regarded on a jet space of another order."""
         return replace(self, order=order)
 
-    def __add__(self, other):
-        return form_add(self, other)
-
-    def __sub__(self, other):
-        return form_add(self, scale(other, num(-1)))
-
-    def __neg__(self):
-        return scale(self, num(-1))
-
 
 def zero_form(ctx: JetContext, degree: int, order: int = 0) -> DiffForm:
     return DiffForm(ctx, order, degree, {})
@@ -504,9 +495,6 @@ class FiberedIso:
                     )
         return rows
 
-    def default_context(self, order: int) -> JetContext:
-        return JetContext(n=self.n, m=self.m, order=order, ceiling=max(order, 12))
-
 
 def _invert_matrix(rows):
     """Exact inverse by Gauss-Jordan elimination; raises SingularBaseMap."""
@@ -526,21 +514,21 @@ def _invert_matrix(rows):
     return [row[n:] for row in aug]
 
 
-def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext = None) -> dict:
-    """Components of the prolonged automorphism: each transformed
-    coordinate as an expression in the source coordinates.
+def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> dict:
+    """Components of the automorphism prolonged to the given order, on the
+    chart of ctx: each transformed coordinate as an expression in the source
+    coordinates.  The context is raised to the order where it declares less.
 
     New jet coordinates come from the chain rule against the constant base
     Jacobian A:
 
         ybar^s_{Jl} = sum_k inv(A)[k][l] d_k(ybar^s_J)
     """
-    if ctx is None:
-        ctx = iso.default_context(order)
     if iso.n != ctx.n or iso.m != ctx.m:
         raise DimensionMismatch(
             f"isomorphism is {iso.n}x{iso.m}, context is {ctx.n}x{ctx.m}"
         )
+    ctx = ctx.with_order(max(ctx.order, order))
     a_inv = _invert_matrix(iso.jacobian())
     out: dict = {}
     for i in range(1, ctx.n + 1):
@@ -573,20 +561,12 @@ def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
         raise OrderOverflow(
             f"form uses jet order {max_form_order(form)}, above the requested {r}"
         )
-    return _pullback_prolonged(form, _prolong_for_pullback(iso, form.ctx, r), r)
-
-
-def _prolong_for_pullback(iso: FiberedIso, ctx: JetContext, r: int) -> dict:
-    """The prolonged bindings that pull back forms of order up to r."""
-    if iso.n != ctx.n or iso.m != ctx.m:
-        raise ContextMismatch(
-            f"isomorphism is {iso.n}x{iso.m}, form context is {ctx.n}x{ctx.m}"
-        )
-    return prolong_isomorphism(iso, r, ctx.with_order(max(ctx.order, r)))
+    return _pullback_prolonged(form, prolong_isomorphism(iso, r, form.ctx), r)
 
 
 def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
-    """Pullback of a form of order at most r along prolonged bindings."""
+    """Pullback of a form of order at most r along prolonged bindings; a
+    term that vanishes partway through its wedge word contributes nothing."""
     ctx = form.ctx
     result = zero_form(ctx, form.degree, r)
     for gens, coeff in form.terms.items():
@@ -596,5 +576,6 @@ def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
             acc = wedge(acc, differential(comp, ctx, r))
             if acc.is_zero():
                 break
-        result = form_add(result, acc)
+        else:
+            result = form_add(result, acc)
     return result.at_order(r)

@@ -81,9 +81,6 @@ class VariationProbe:
     gamma: SectionSpec
     phi: SectionSpec
 
-    def check_boundary(self, order: int, ctx: JetContext) -> None:
-        _check_vanishing(prolong_section(self.phi, order, ctx), order, ctx)
-
 
 def _check_vanishing(jets: dict, order: int, ctx: JetContext) -> None:
     """Raise ProbeBoundaryError unless each jet with |J| <= order of a
@@ -161,8 +158,10 @@ def first_variation_check(
     # are exactly those of gamma plus s times those of phi: each section is
     # prolonged once, gamma at once to 2r, the order of the source form
     phi_jets = prolong_section(probe.phi, lam.r, ctx)
-    # boundary terms involve the variation's jets up to order r - 1 only
-    _check_vanishing(phi_jets, max(lam.r - 1, 0), ctx)
+    # boundary terms involve the variation's jets up to order r - 1 only, so
+    # an order-0 Lagrangian has none
+    if lam.r >= 1:
+        _check_vanishing(phi_jets, lam.r - 1, ctx)
     gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
     pairs = [(atom_id(c), gamma_jets[c], p) for c, p in phi_jets.items()]
 

@@ -59,9 +59,9 @@ from .forms import (
     function_form,
     horizontalize,
     omega_0,
+    prolong_isomorphism,
     pullback,
     wedge,
-    _prolong_for_pullback,
     _pullback_prolonged,
 )
 from .jets import total_derivative
@@ -457,7 +457,7 @@ def naturality_report(lam: Lagrangian, iso: FiberedIso) -> dict:
     """Whether the Cartan form and the Euler-Lagrange form commute with
     pullback along the prolonged isomorphism, as two booleans.  The
     isomorphism is prolonged once, to the order 2r of the source form."""
-    pro = _prolong_for_pullback(iso, lam.ctx, 2 * lam.r)
+    pro = prolong_isomorphism(iso, 2 * lam.r, lam.ctx)
     pulled_lam = _density(_pullback_prolonged(lam.as_form(), pro, lam.r), lam)
     theta = cartan_form(lam)
     theta_natural = _pullback_prolonged(theta, pro, theta.order) == cartan_form(

@@ -3,19 +3,8 @@
 import random
 from fractions import Fraction
 
-from jetvar import (
-    BaseCoord,
-    JetCoord,
-    add,
-    cos,
-    exp,
-    mul,
-    multi_indices_up_to,
-    num,
-    pow_,
-    sin,
-    sym,
-)
+from jetvar.coords import BaseCoord, JetCoord, multi_indices_up_to
+from jetvar.expr import add, cos, exp, mul, num, pow_, sin, sym
 
 
 def coordinate_atoms(ctx, order):

@@ -11,40 +11,35 @@ import time
 from fractions import Fraction
 
 from jetvar import (
-    DX,
-    DY,
     FiberedIso,
     JetContext,
-    JetCoord,
     Lagrangian,
     SectionSpec,
     SourceForm,
     VariationProbe,
-    add,
     cartan_form,
     classical_helmholtz_ode,
-    contact_decompose,
     euler_lagrange,
-    exterior_derivative,
     first_variation_check,
-    form_from_terms,
-    function_form,
     helmholtz_residuals,
-    horizontalize,
     is_null_lagrangian,
-    is_zero,
-    mul,
     naturality_report,
-    neg,
     null_lagrangian_from_eta,
-    num,
     parse_expr,
-    pow_,
-    sym,
     tonti_lagrangian,
     total_derivative,
 )
-from jetvar.coords import BaseCoord
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import add, is_zero, mul, neg, num, pow_, sym
+from jetvar.forms import (
+    DX,
+    DY,
+    contact_decompose,
+    exterior_derivative,
+    form_from_terms,
+    function_form,
+    horizontalize,
+)
 
 from corpus import random_polynomial
 

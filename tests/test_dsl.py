@@ -8,36 +8,23 @@ from fractions import Fraction
 import pytest
 
 from jetvar import (
-    BaseCoord,
-    DiffForm,
     DslSyntaxError,
-    DX,
-    DY,
     JetContext,
-    JetCoord,
     Lagrangian,
     OrderExceeded,
     UnknownIdentifier,
-    add,
     cartan_form,
     euler_lagrange,
-    mul,
-    neg,
-    num,
     parse_expr,
     parse_form,
-    partial,
-    pow_,
     render_expr,
+    dsl,
     render_form,
-    sin,
-    sym,
-    wedge,
 )
-from jetvar import dsl
+from jetvar.coords import BaseCoord, JetCoord
 from jetvar.dsl import MAX_NESTING
-from jetvar.expr import ordered_terms
-from jetvar.forms import form_from_terms
+from jetvar.expr import add, mul, neg, num, ordered_terms, partial, pow_, sin, sym
+from jetvar.forms import DX, DY, form_from_terms
 
 from corpus import random_mixed, random_polynomial
 

@@ -7,46 +7,45 @@ from fractions import Fraction
 import pytest
 
 from jetvar import (
-    BaseCoord,
     ContextMismatch,
     DegreeMismatch,
-    DiffForm,
-    DX,
-    DY,
+    DimensionMismatch,
     FiberedIso,
     JetContext,
-    JetCoord,
     Lagrangian,
     OrderZeroWarning,
     SingularBaseMap,
     UnknownCoordinate,
-    W,
-    add,
     cartan_form,
     cartan_form_contact,
+    euler_lagrange,
+    naturality_report,
+    pullback,
+    pullback_lagrangian,
+)
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import add, is_zero, mul, neg, num, pow_, sym
+from jetvar.forms import (
+    DX,
+    DY,
+    DiffForm,
+    W,
     contact_decompose,
     contact_form,
     differential,
-    euler_lagrange,
     expand_contact,
     exterior_derivative,
     form_add,
+    form_from_terms,
     function_form,
     horizontalize,
-    mul,
-    neg,
-    num,
     omega_0,
     omega_i,
-    pow_,
     prolong_isomorphism,
-    pullback,
     scale,
-    sym,
     wedge,
     zero_form,
 )
-from jetvar.forms import form_from_terms
 
 from corpus import random_polynomial
 
@@ -257,14 +256,15 @@ def test_fibered_iso_guards():
         (sym(U),),
     )
     with pytest.raises(SingularBaseMap):
-        prolong_isomorphism(degenerate, 1)
+        prolong_isomorphism(degenerate, 1, JetContext(n=2, m=1, order=1))
     assert FiberedIso((mul(num(2), x),), (sym(U),)).jacobian() == [[Fraction(2)]]
 
 
 def test_prolong_isomorphism_chain_rule():
-    # xbar = 2x, ubar = u: each derivative picks up a factor 1/2
+    # xbar = 2x, ubar = u: each derivative picks up a factor 1/2; the
+    # order-0 context is raised to the requested order
     iso = FiberedIso((mul(num(2), sym(X)),), (sym(U),))
-    pro = prolong_isomorphism(iso, 2)
+    pro = prolong_isomorphism(iso, 2, JetContext(n=1, m=1, order=0))
     assert pro[BaseCoord(1)] == mul(num(2), sym(X))
     assert pro[U1] == mul(num(Fraction(1, 2)), sym(U1))
     assert pro[U11] == mul(num(Fraction(1, 4)), sym(U11))
@@ -317,6 +317,44 @@ def test_pullback_along_identity(ode1):
     assert pullback(alpha, iso) == alpha
 
 
+def test_pullback_drops_a_term_that_vanishes_partway():
+    # ubar = x1 turns the coefficient u - x1 into 0 before dx1 ^ dx2 is
+    # pulled back, and du ^ dx1 ^ dx2 into dx1 ^ dx1 ^ dx2 after two of its
+    # three generators: each term contributes nothing to the sum
+    ctx = JetContext(n=2, m=1, order=0)
+    x1, x2 = sym(BaseCoord(1)), sym(BaseCoord(2))
+    iso = FiberedIso((x1, x2), (x1,))
+    lam = Lagrangian(add(sym(U), neg(x1)), ctx, 0)
+    pulled = pullback(lam.as_form(), iso)
+    assert pulled.is_zero() and pulled.degree == 2
+    assert is_zero(pullback_lagrangian(lam, iso).L)
+    volume = form_from_terms(ctx, 0, 3, [((DY(1), DX(1), DX(2)), sym(U))])
+    pulled = pullback(volume, iso)
+    assert pulled.is_zero() and pulled.degree == 3
+
+
+@pytest.mark.parametrize(
+    "iso",
+    [
+        FiberedIso((sym(X),), (sym(U),)),
+        FiberedIso((sym(BaseCoord(1)), sym(BaseCoord(2))), (sym(U), sym(U))),
+    ],
+    ids=["n-differs", "m-differs"],
+)
+def test_prolongation_rejects_an_isomorphism_of_other_dimensions(iso, plane1):
+    # the context is n = 2, m = 1; each entry point prolongs through the
+    # one dimension check of prolong_isomorphism
+    lam = Lagrangian(pow_(sym(JetCoord(1, (1,))), 2), plane1, 1)
+    calls = (
+        lambda: prolong_isomorphism(iso, 1, plane1),
+        lambda: pullback(lam.as_form(), iso),
+        lambda: naturality_report(lam, iso),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="context is 2x1"):
+            call()
+
+
 def test_form_arithmetic_guards(ode1, plane1):
     a = function_form(ode1, sym(U))
     b = function_form(plane1, sym(U))
@@ -325,5 +363,5 @@ def test_form_arithmetic_guards(ode1, plane1):
     dx = DiffForm(ode1, 0, 1, {(DX(1),): num(1)})
     with pytest.raises(DegreeMismatch):
         form_add(a, dx)
-    assert (dx - dx).is_zero()
-    assert (-dx).terms == {(DX(1),): num(-1)}
+    assert form_add(dx, scale(dx, num(-1))).is_zero()
+    assert scale(dx, num(-1)).terms == {(DX(1),): num(-1)}

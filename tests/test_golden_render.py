@@ -30,15 +30,14 @@ from jetvar import (
     euler_lagrange,
     first_variation_check,
     helmholtz_residuals,
-    mul,
     naturality_report,
     parse_expr,
     render_expr,
     render_form,
-    sym,
     tonti_lagrangian,
 )
 from jetvar.coords import BaseCoord
+from jetvar.expr import mul, sym
 
 GOLDEN = Path(__file__).parent / "golden" / "dense_render.json"
 

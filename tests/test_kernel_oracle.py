@@ -14,20 +14,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from jetvar import (  # noqa: E402
-    BaseCoord,
     JetContext,
-    JetCoord,
     NonPolynomialParameter,
     SourceForm,
-    add,
-    mul,
-    partial,
-    pow_,
     tonti_lagrangian,
     total_derivative,
 )
-from jetvar.coords import index_with  # noqa: E402
-from jetvar.expr import coords_in, ordered_terms  # noqa: E402
+from jetvar.coords import BaseCoord, JetCoord, index_with  # noqa: E402
+from jetvar.expr import add, coords_in, mul, ordered_terms, partial, pow_  # noqa: E402
 
 from corpus import coordinate_atoms, random_laurent, random_polynomial  # noqa: E402
 

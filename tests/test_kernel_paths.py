@@ -6,29 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from jetvar import (
-    BaseCoord,
-    JetContext,
-    JetCoord,
-    OrderOverflow,
-    add,
-    cos,
-    mul,
-    num,
-    partial,
-    pow_,
-    sin,
-    sym,
-    total_derivative,
-)
+from jetvar import JetContext, OrderOverflow, total_derivative
+from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import (
     ZERO,
+    add,
     coords_in,
+    cos,
     gradient,
     integrate_param,
     is_zero,
+    mul,
+    num,
     ordered_terms,
+    partial,
+    pow_,
+    sin,
     substitute,
+    sym,
 )
 
 from corpus import coordinate_atoms, random_laurent

@@ -13,24 +13,15 @@ from math import comb
 import pytest
 
 from jetvar import (
-    BaseCoord,
     JetContext,
-    JetCoord,
     Lagrangian,
     SourceForm,
-    add,
     euler_lagrange,
     helmholtz_residuals,
-    is_zero,
-    iterated_total_derivative,
-    mul,
-    neg,
-    num,
-    partial,
-    sym,
 )
-from jetvar.coords import multi_indices, multiplicity
-from jetvar.expr import ZERO, ordered_terms
+from jetvar.coords import BaseCoord, JetCoord, multi_indices, multiplicity
+from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, sym
+from jetvar.jets import iterated_total_derivative
 
 from corpus import coordinate_atoms, random_polynomial
 

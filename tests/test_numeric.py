@@ -12,10 +12,8 @@ import pytest
 
 import jetvar
 from jetvar import (
-    BaseCoord,
     DivisionByZero,
     JetContext,
-    JetCoord,
     Lagrangian,
     NotODEContext,
     NumericOverflow,
@@ -24,22 +22,14 @@ from jetvar import (
     SectionSpec,
     SourceForm,
     VariationProbe,
-    action,
-    add,
-    cos,
     euler_lagrange,
-    evaluate,
-    exp,
     first_variation_check,
-    mul,
-    num,
-    pow_,
-    prolong_section,
     residual_on_section,
-    sin,
-    sym,
 )
-from jetvar.expr import ordered_terms
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import add, cos, evaluate, exp, mul, num, ordered_terms, pow_, sin, sym
+from jetvar.jets import prolong_section
+from jetvar.numeric import action
 
 from corpus import coordinate_atoms, random_env, random_laurent, random_polynomial
 
@@ -124,31 +114,32 @@ def test_variation_probe_boundary_guard(ode1, ode2):
 
 
 @pytest.mark.parametrize(
-    "phi, r, message",
+    "phi, r, outcome",
     [
+        # an order-0 Lagrangian leaves no boundary terms: L = u^2 on gamma = x
+        # with phi = 1 gives int 2x = 1 on both sides
+        ((1,), 0, 1.0),
         ((0, 1), 1, "variation direction has u = 1.0 at x = 1.0"),
-        ((0, 1, -1), 1, None),
+        ((0, 1, -1), 1, 0.0),
         ((0, 1, -1), 2, "variation direction has u_{1} = 1.0 at x = 0.0"),
         ((0, 0, 1, -1), 2, "variation direction has u_{1} = -1.0 at x = 1.0"),
         ((0, 0, 1, -2, 1), 3, "variation direction has u_{1,1} = 2.0 at x = 0.0"),
     ],
-    ids=["r1-value", "r1-vanishes", "r2-slope", "r2-right-slope", "r3-curvature"],
+    ids=["r0-free", "r1-value", "r1-vanishes", "r2-slope", "r2-right-slope", "r3-curvature"],
 )
-def test_boundary_check_names_the_first_nonvanishing_jet(phi, r, message):
+def test_boundary_check_names_the_first_nonvanishing_jet(phi, r, outcome):
     ctx = JetContext(n=1, m=1, order=r)
     lam = Lagrangian(pow_(sym(JetCoord(1, (1,) * r)), 2), ctx, r)
     probe = VariationProbe(SectionSpec((sym(X),)), SectionSpec((poly_x(*phi),)))
     # the endpoint loop runs outside the jets, and the jets run by order
-    for check in (
-        lambda: first_variation_check(lam, probe),
-        lambda: probe.check_boundary(max(r - 1, 0), ctx),
-    ):
-        if message is None:
-            check()
-        else:
-            with pytest.raises(ProbeBoundaryError) as info:
-                check()
-            assert str(info.value) == message
+    if isinstance(outcome, str):
+        with pytest.raises(ProbeBoundaryError) as info:
+            first_variation_check(lam, probe)
+        assert str(info.value) == outcome
+    else:
+        result = first_variation_check(lam, probe)
+        assert result.lhs == pytest.approx(outcome, abs=1e-8)
+        assert result.rhs == pytest.approx(outcome, abs=1e-12)
 
 
 def test_first_variation_simple_potential(ode1):

@@ -8,25 +8,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from jetvar import (  # noqa: E402
-    DX,
-    DY,
     JetContext,
-    JetCoord,
     Lagrangian,
-    add,
-    cos,
     euler_lagrange,
-    exp,
-    exterior_derivative,
     is_null_lagrangian,
-    mul,
-    num,
-    sin,
-    sym,
     tonti_lagrangian,
     total_derivative,
 )
-from jetvar.forms import form_from_terms  # noqa: E402
+from jetvar.coords import JetCoord  # noqa: E402
+from jetvar.expr import add, cos, exp, mul, num, sin, sym  # noqa: E402
+from jetvar.forms import DX, DY, exterior_derivative, form_from_terms  # noqa: E402
 
 from corpus import coordinate_atoms  # noqa: E402
 

@@ -7,39 +7,28 @@ from fractions import Fraction
 import pytest
 
 from jetvar import (
-    BaseCoord,
     DegreeMismatch,
     DimensionMismatch,
     FiberedIso,
     JetContext,
-    JetCoord,
     Lagrangian,
-    MultiplierMatrix,
     NonPolynomialParameter,
     NotODEContext,
     SourceForm,
-    add,
     classical_helmholtz_ode,
-    cos,
     euler_lagrange,
-    exp,
-    function_form,
     helmholtz_residuals,
     is_null_lagrangian,
-    is_zero,
-    mul,
-    multiplier_check,
     naturality_report,
-    neg,
     null_lagrangian_from_eta,
-    num,
-    pow_,
     pullback_lagrangian,
-    sin,
-    sym,
-    total_derivative,
     tonti_lagrangian,
+    total_derivative,
 )
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import add, cos, exp, is_zero, mul, neg, num, pow_, sin, sym
+from jetvar.forms import function_form
+from jetvar.variational import MultiplierMatrix, multiplier_check
 
 from corpus import random_polynomial
 
