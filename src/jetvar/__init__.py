@@ -32,6 +32,7 @@ from .errors import (
     ProbeBoundaryError,
     ProblemFileError,
     SingularBaseMap,
+    SingularFiberMap,
     UnboundCoordinate,
     UnknownCoordinate,
     UnknownIdentifier,

@@ -196,8 +196,17 @@ _HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as a JSON diagnostic,
+    exit 2; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        _diagnose({"error": "UsageError", "message": message})
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetvar",
         description="symbolic variational calculus on jet spaces",
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 
 from .errors import UnknownCoordinate
 
@@ -43,22 +42,54 @@ def multi_indices_up_to(n: int, order: int):
         yield from multi_indices(n, k)
 
 
-@dataclass(frozen=True, slots=True)
-class BaseCoord:
+class Value:
+    """Base of the records compared by value.  A record equals a record of
+    the same class whose fields (its __slots__) are equal, and hashes as the
+    tuple of its fields.  Records are immutable by convention, as `Expr` is:
+    build a new record instead of assigning to a field.  Coordinates and
+    generators, hashed in hot loops, spell out `_fields`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+
+class BaseCoord(Value):
     """The base variable x^i (1-based)."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def _fields(self) -> tuple:
+        return (self.i,)
 
 
-@dataclass(frozen=True, slots=True)
-class JetCoord:
+class JetCoord(Value):
     """The jet variable y^sigma_J (sigma 1-based, J sorted)."""
 
-    sigma: int
-    J: MultiIndex = ()
+    __slots__ = ("sigma", "J")
 
-    def __post_init__(self):
-        object.__setattr__(self, "J", tuple(sorted(self.J)))
+    def __init__(self, sigma: int, J: MultiIndex = ()):
+        self.sigma = sigma
+        self.J = tuple(sorted(J))
+
+    def _fields(self) -> tuple:
+        return (self.sigma, self.J)
 
 
 Coord = BaseCoord | JetCoord
@@ -75,35 +106,32 @@ def coord_key(c: Coord) -> tuple:
     return (1, c.sigma, len(c.J), c.J)
 
 
-@dataclass(frozen=True)
-class JetContext:
+class JetContext(Value):
     """Ambient chart data: n base variables, m fiber variables, a maximum
     declared jet order, display names, and a hard prolongation ceiling."""
 
-    n: int
-    m: int
-    order: int
-    base_names: tuple = ()
-    fiber_names: tuple = ()
-    ceiling: int = 12
+    __slots__ = ("n", "m", "order", "base_names", "fiber_names", "ceiling")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.order < 0:
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        order: int,
+        base_names: tuple = (),
+        fiber_names: tuple = (),
+        ceiling: int = 12,
+    ):
+        if n < 1 or m < 1 or order < 0:
             raise ValueError("need n >= 1, m >= 1, order >= 0")
-        if not self.base_names:
-            object.__setattr__(
-                self, "base_names", tuple(f"x{i}" for i in range(1, self.n + 1))
-            )
-        if not self.fiber_names:
-            if self.m == 1:
-                object.__setattr__(self, "fiber_names", ("u",))
-            else:
-                object.__setattr__(
-                    self, "fiber_names", tuple(f"u{s}" for s in range(1, self.m + 1))
-                )
-        if len(self.base_names) != self.n or len(self.fiber_names) != self.m:
+        if not base_names:
+            base_names = tuple(f"x{i}" for i in range(1, n + 1))
+        if not fiber_names:
+            fiber_names = ("u",) if m == 1 else tuple(f"u{s}" for s in range(1, m + 1))
+        self.n, self.m, self.order, self.ceiling = n, m, order, ceiling
+        self.base_names, self.fiber_names = base_names, fiber_names
+        if len(base_names) != n or len(fiber_names) != m:
             raise ValueError("name counts must match n and m")
-        names = tuple(self.base_names) + tuple(self.fiber_names)
+        names = tuple(base_names) + tuple(fiber_names)
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be pairwise distinct")
         for name in names:
@@ -111,12 +139,13 @@ class JetContext:
                 raise ValueError(f"{name!r} is reserved")
             if not name.isidentifier():
                 raise ValueError(f"{name!r} is not a valid identifier")
-        if self.ceiling < self.order:
+        if ceiling < order:
             raise ValueError("ceiling must be at least the declared order")
 
     def with_order(self, order: int) -> "JetContext":
         """Copy of this context carrying a different declared order."""
-        return replace(self, order=order, ceiling=max(self.ceiling, order))
+        names = (self.base_names, self.fiber_names)
+        return JetContext(self.n, self.m, order, *names, max(self.ceiling, order))
 
     def declares(self, c: Coord) -> bool:
         if isinstance(c, BaseCoord):

@@ -22,7 +22,6 @@ Rendering produces strings that re-parse to the same canonical value.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .coords import BaseCoord, JetContext, JetCoord
 from .errors import DslSyntaxError, ExpansionBudget, OrderExceeded, UnknownIdentifier
@@ -60,22 +59,22 @@ FUNCTION_NAMES = ("sin", "cos", "exp")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
 class ParsedExpr:
-    expr: Expr
-    source: str
-    span: tuple
+    __slots__ = ("expr", "source", "span")
+
+    def __init__(self, expr: Expr, source: str, span: tuple):
+        self.expr, self.source, self.span = expr, source, span
 
 
 # --- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # NUM | IDENT | OP | END
-    text: str
-    start: int
-    end: int
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind = kind  # NUM | IDENT | OP | END
+        self.text, self.start, self.end = text, start, end
 
 
 _OPS = set("+-*/^(){},_")

@@ -47,6 +47,11 @@ class SingularBaseMap(JetvarError):
     """The base matrix of a fibered isomorphism is not invertible."""
 
 
+class SingularFiberMap(JetvarError):
+    """The fiber map of a fibered isomorphism is not invertible: its
+    Jacobian determinant in the fiber coordinates vanishes identically."""
+
+
 class DegreeMismatch(JetvarError):
     """A differential form does not have the degree an operation requires."""
 

@@ -18,14 +18,15 @@ carries (-1)^(i-1), which makes dx^j wedge omega_i equal delta^j_i omega_0.
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .coords import (
     BaseCoord,
     JetContext,
     JetCoord,
+    Value,
     coord_key,
     index_with,
     multi_indices,
@@ -39,6 +40,7 @@ from .errors import (
     OrderOverflow,
     OrderZeroWarning,
     SingularBaseMap,
+    SingularFiberMap,
     UnknownCoordinate,
 )
 from .expr import (
@@ -64,33 +66,43 @@ from .jets import total_derivative
 # --- basis one-form generators ----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class W:
+class W(Value):
     """Contact form w^sigma_J (transient basis element)."""
 
-    sigma: int
-    J: tuple = ()
+    __slots__ = ("sigma", "J")
 
-    def __post_init__(self):
-        object.__setattr__(self, "J", tuple(sorted(self.J)))
+    def __init__(self, sigma: int, J: tuple = ()):
+        self.sigma = sigma
+        self.J = tuple(sorted(J))
 
-
-@dataclass(frozen=True, slots=True)
-class DY:
-    """Coordinate differential dy^sigma_J."""
-
-    sigma: int
-    J: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", tuple(sorted(self.J)))
+    def _fields(self) -> tuple:
+        return (self.sigma, self.J)
 
 
-@dataclass(frozen=True, slots=True)
-class DX:
+class DY(Value):
+    """Coordinate differential dy^sigma_J.  Not a subclass of W, whose
+    generators `gen_key` sorts first."""
+
+    __slots__ = ("sigma", "J")
+
+    def __init__(self, sigma: int, J: tuple = ()):
+        self.sigma = sigma
+        self.J = tuple(sorted(J))
+
+    def _fields(self) -> tuple:
+        return (self.sigma, self.J)
+
+
+class DX(Value):
     """Base differential dx^i."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        self.i = i
+
+    def _fields(self) -> tuple:
+        return (self.i,)
 
 
 def gen_key(g) -> tuple:
@@ -123,26 +135,32 @@ def _normalize_gens(gens):
 # --- forms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffForm:
+class DiffForm(Value):
     """A differential form on the jet space of the stated order.
 
     The context is carried for dimension data and error reporting but does
     not take part in equality; two forms are equal when degree, order, and
-    canonical terms agree.
+    canonical terms agree.  A form is not hashable: its terms are a dict.
     """
 
-    ctx: JetContext = field(compare=False)
-    order: int
-    degree: int
-    terms: dict  # sorted generator tuple -> nonzero canonical Expr
+    __slots__ = ("ctx", "order", "degree", "terms")
+    __hash__ = None
+
+    def __init__(self, ctx: JetContext, order: int, degree: int, terms: dict):
+        self.ctx = ctx
+        self.order = order
+        self.degree = degree
+        self.terms = terms  # sorted generator tuple -> nonzero canonical Expr
+
+    def _fields(self) -> tuple:
+        return (self.order, self.degree, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def at_order(self, order: int) -> "DiffForm":
         """The same form regarded on a jet space of another order."""
-        return replace(self, order=order)
+        return DiffForm(self.ctx, order, self.degree, self.terms)
 
 
 def zero_form(ctx: JetContext, degree: int, order: int = 0) -> DiffForm:
@@ -445,19 +463,16 @@ def cartan_form(lam) -> DiffForm:
 # --- fibered isomorphisms and pullback ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberedIso:
+class FiberedIso(Value):
     """A fibration automorphism: an affine invertible base map together
-    with fiber components in the base and order-0 fiber coordinates."""
+    with an invertible fiber map in the base and order-0 fiber
+    coordinates."""
 
-    base_map: tuple
-    fiber_map: tuple
+    __slots__ = ("base_map", "fiber_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_map", tuple(as_expr(e) for e in self.base_map))
-        object.__setattr__(
-            self, "fiber_map", tuple(as_expr(e) for e in self.fiber_map)
-        )
+    def __init__(self, base_map: tuple, fiber_map: tuple):
+        self.base_map = tuple(as_expr(e) for e in base_map)
+        self.fiber_map = tuple(as_expr(e) for e in fiber_map)
 
     @property
     def n(self) -> int:
@@ -468,7 +483,9 @@ class FiberedIso:
         return len(self.fiber_map)
 
     def jacobian(self):
-        """Constant base Jacobian as rows of exact rationals."""
+        """Constant base Jacobian as rows of exact rationals.  Raises
+        SingularFiberMap when the Jacobian determinant of the fiber map in
+        the order-0 fiber coordinates vanishes identically."""
         n = self.n
         rows = []
         for comp in self.base_map:
@@ -493,7 +510,34 @@ class FiberedIso:
                     raise UnknownCoordinate(
                         f"fiber map may only use base and order-0 coordinates, found {c}"
                     )
+        fiber_rows = [
+            [partial(comp, JetCoord(nu)) for nu in range(1, self.m + 1)]
+            for comp in self.fiber_map
+        ]
+        if is_zero(_determinant(fiber_rows)):
+            raise SingularFiberMap(
+                "fiber map Jacobian determinant vanishes identically"
+            )
         return rows
+
+
+def _determinant(rows) -> Expr:
+    """Determinant of a square matrix of expressions by cofactor expansion,
+    built from the bottom row up: the minor of the last rows on each set of
+    columns is computed once, so the cost grows as 2^m, not m!."""
+    m = len(rows)
+    minors = {(): ONE}
+    for k in range(m - 1, -1, -1):
+        minors = {
+            cols: add(
+                *(
+                    mul(num((-1) ** p), rows[k][j], minors[cols[:p] + cols[p + 1 :]])
+                    for p, j in enumerate(cols)
+                )
+            )
+            for cols in itertools.combinations(range(m), m - k)
+        }
+    return minors[tuple(range(m))]
 
 
 def _invert_matrix(rows):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, multi_indices
+from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, Value, multi_indices
 from .errors import DimensionMismatch, UnknownCoordinate
 from .expr import ZERO, Expr, coords_in, derive, is_zero, lift, partial
 
@@ -33,15 +31,14 @@ def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:
     return out
 
 
-@dataclass(frozen=True)
-class SectionSpec:
+class SectionSpec(Value):
     """A section of the fibration given by one expression per fiber
     component, each depending on base coordinates only."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: tuple):
+        self.components = tuple(components)
 
     def validate(self, ctx: JetContext) -> None:
         if len(self.components) != ctx.m:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import BaseCoord, JetContext
@@ -22,19 +21,18 @@ BOUNDARY_TOL = 1e-12
 RICHARDSON_DISAGREE = 1e-9
 
 
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre quadrature on [0, 1] plus a central finite-difference
     step."""
 
-    nodes: int = 32
-    step: float = 1e-4
+    __slots__ = ("nodes", "step")
 
-    def __post_init__(self):
-        if self.nodes < 2:
+    def __init__(self, nodes: int = 32, step: float = 1e-4):
+        if nodes < 2:
             raise ValueError("need at least 2 quadrature nodes")
-        if not (math.isfinite(self.step) and self.step > 0):
+        if not (math.isfinite(step) and step > 0):
             raise ValueError("finite-difference step must be positive and finite")
+        self.nodes, self.step = nodes, step
 
     def points_weights(self):
         """Nodes in ascending order and weights of the Gauss-Legendre rule
@@ -72,14 +70,15 @@ def _legendre(n: int, z: float) -> tuple:
     return p, n * (z * p - p_prev) / (z * z - 1.0)
 
 
-@dataclass(frozen=True)
 class VariationProbe:
     """A base section and a variation direction; the direction and its
     derivatives below the Lagrangian's order must vanish at both endpoints
     of [0, 1] so the boundary terms of integration by parts drop."""
 
-    gamma: SectionSpec
-    phi: SectionSpec
+    __slots__ = ("gamma", "phi")
+
+    def __init__(self, gamma: SectionSpec, phi: SectionSpec):
+        self.gamma, self.phi = gamma, phi
 
 
 def _check_vanishing(jets: dict, order: int, ctx: JetContext) -> None:
@@ -99,11 +98,11 @@ def _check_vanishing(jets: dict, order: int, ctx: JetContext) -> None:
                 )
 
 
-@dataclass(frozen=True)
 class FirstVariationResult:
-    lhs: float
-    rhs: float
-    abs_diff: float
+    __slots__ = ("lhs", "rhs", "abs_diff")
+
+    def __init__(self, lhs: float, rhs: float, abs_diff: float):
+        self.lhs, self.rhs, self.abs_diff = lhs, rhs, abs_diff
 
 
 def _jets_by_atom(jets: dict) -> tuple:

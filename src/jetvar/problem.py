@@ -23,14 +23,13 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coords import BaseCoord, JetContext
 from .dsl import parse_expr, parse_form
 from .errors import ProblemFileError
 from .expr import add, mul, num, sym
-from .forms import DiffForm, FiberedIso
+from .forms import FiberedIso
 from .jets import SectionSpec
 from .numeric import QuadratureSpec
 from .variational import Lagrangian, SourceForm
@@ -47,17 +46,26 @@ DEFAULT_OPTIONS = {
 }
 
 
-@dataclass
 class ProblemFile:
-    ctx: JetContext
-    lagrangian: Lagrangian = None
-    source: SourceForm = None
-    eta: DiffForm = None
-    iso: FiberedIso = None
-    section: SectionSpec = None
-    variation: SectionSpec = None
-    points: list = None
-    options: dict = field(default_factory=dict)
+    """A loaded problem: the context, an options dict, and one attribute
+    per block, None where the file has no such block."""
+
+    __slots__ = (
+        "ctx",
+        "options",
+        "lagrangian",
+        "source",
+        "eta",
+        "iso",
+        "section",
+        "variation",
+        "points",
+    )
+
+    def __init__(self, ctx: JetContext, options: dict):
+        self.ctx, self.options = ctx, options
+        self.lagrangian = self.source = self.eta = self.iso = None
+        self.section = self.variation = self.points = None
 
 
 def _names(raw: str) -> tuple:

@@ -17,13 +17,13 @@ number of ordered tuples representing it).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .coords import (
     JetContext,
     JetCoord,
+    Value,
     coord_key,
     index_with,
     multi_indices,
@@ -70,25 +70,22 @@ PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Value):
     """A horizontal n-form L omega_0 of declared order r (at least the
     maximal jet order occurring in L)."""
 
-    L: Expr
-    ctx: JetContext
-    r: int = None
+    __slots__ = ("L", "ctx", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "L", as_expr(self.L))
-        for c in coords_in(self.L):
-            self.ctx.check_coord(c)
-        actual = max_jet_order(self.L)
-        r = actual if self.r is None else self.r
+    def __init__(self, L: Expr, ctx: JetContext, r: int = None):
+        L = as_expr(L)
+        for c in coords_in(L):
+            ctx.check_coord(c)
+        actual = max_jet_order(L)
+        if r is None:
+            r = actual
         if r < actual:
             raise ValueError(f"declared order {r} below occurring order {actual}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "ctx", self.ctx.with_order(r))
+        self.L, self.ctx, self.r = L, ctx.with_order(r), r
 
     def as_form(self) -> DiffForm:
         return wedge(function_form(self.ctx, self.L), omega_0(self.ctx)).at_order(
@@ -96,30 +93,27 @@ class Lagrangian:
         )
 
 
-@dataclass(frozen=True)
-class SourceForm:
+class SourceForm(Value):
     """A source form eps_sigma dy^sigma ^ omega_0 of declared order s."""
 
-    eps: tuple
-    ctx: JetContext
-    s: int = None
+    __slots__ = ("eps", "ctx", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(as_expr(e) for e in self.eps))
-        if len(self.eps) != self.ctx.m:
+    def __init__(self, eps: tuple, ctx: JetContext, s: int = None):
+        eps = tuple(as_expr(e) for e in eps)
+        if len(eps) != ctx.m:
             raise DimensionMismatch(
-                f"{len(self.eps)} components for {self.ctx.m} fiber variables"
+                f"{len(eps)} components for {ctx.m} fiber variables"
             )
         actual = 0
-        for e in self.eps:
+        for e in eps:
             for c in coords_in(e):
-                self.ctx.check_coord(c)
+                ctx.check_coord(c)
             actual = max(actual, max_jet_order(e))
-        s = actual if self.s is None else self.s
+        if s is None:
+            s = actual
         if s < actual:
             raise ValueError(f"declared order {s} below occurring order {actual}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "ctx", self.ctx.with_order(s))
+        self.eps, self.ctx, self.s = eps, ctx.with_order(s), s
 
     def as_form(self) -> DiffForm:
         ctx = self.ctx
@@ -133,36 +127,35 @@ class SourceForm:
         return form_from_terms(ctx, self.s, ctx.n + 1, pairs)
 
 
-@dataclass(frozen=True)
 class MultiplierMatrix:
     """A square matrix of multiplier functions, one row per target
     component."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_expr(e) for e in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple):
+        rows = tuple(tuple(as_expr(e) for e in row) for row in entries)
         for row in rows:
             if len(row) != len(rows):
                 raise DimensionMismatch("multiplier matrix must be square")
+        self.entries = rows
 
 
-@dataclass(frozen=True)
 class HelmholtzRecord:
-    level: int
-    I: tuple
-    sigma: int
-    nu: int
-    residual: Expr
+    __slots__ = ("level", "I", "sigma", "nu", "residual")
+
+    def __init__(self, level: int, I: tuple, sigma: int, nu: int, residual: Expr):
+        self.level, self.I, self.sigma, self.nu = level, I, sigma, nu
+        self.residual = residual
 
 
-@dataclass(frozen=True)
 class HelmholtzReport:
-    records: tuple
-    verdict: str  # variational | not_variational | undecided
-    ctx: JetContext = field(compare=False)
-    multiplier: MultiplierMatrix = None
+    __slots__ = ("records", "verdict", "ctx", "multiplier")
+
+    def __init__(self, records: tuple, verdict: str, ctx: JetContext, multiplier=None):
+        self.records = records
+        self.verdict = verdict  # variational | not_variational | undecided
+        self.ctx, self.multiplier = ctx, multiplier
 
     @property
     def is_variational(self) -> bool:

@@ -611,3 +611,61 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["components"] == ["-u_{1,1}"]
+
+
+def test_singular_fiber_map_exits_2(tmp_path, capsys):
+    # ubar = x1 does not depend on u, so the map is no fibered isomorphism
+    text = """
+        [context]
+        n = 2
+        m = 1
+        order = 1
+        base = x1, x2
+        fiber = u
+
+        [lagrangian]
+        expr = u - x1
+
+        [iso]
+        a = 1, 0; 0, 1
+        fiber1 = x1
+        """
+    code, payload, diagnostic = run(capsys, ["naturality", problem(tmp_path, text)])
+    assert code == 2 and payload is None
+    assert diagnostic == {
+        "error": "SingularFiberMap",
+        "message": "fiber map Jacobian determinant vanishes identically",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus", "FILE"], "argument command: invalid choice: 'bogus'"),
+        (["el"], "the following arguments are required: file"),
+        ([], "the following arguments are required: command"),
+        (["el", "FILE", "--tolerance", "abc"], "argument --tolerance: invalid float"),
+        (["el", "FILE", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["el", "FILE", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ],
+    ids=["subcommand", "missing-file", "missing-command", "tolerance", "seed", "flag"],
+)
+def test_usage_error_is_a_json_diagnostic(tmp_path, capsys, argv, message):
+    path = problem(tmp_path, FREE_PARTICLE)
+    with pytest.raises(SystemExit) as exit_info:
+        main([path if arg == "FILE" else arg for arg in argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = json.loads(captured.err)
+    assert set(diagnostic) == {"error", "message"}
+    assert diagnostic["error"] == "UsageError"
+    assert diagnostic["message"].startswith(message)
+    assert captured.err == json.dumps(diagnostic, indent=2, sort_keys=True) + "\n"
+
+
+def test_help_stays_plain_text(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["el", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jetvar el")

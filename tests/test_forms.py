@@ -1,6 +1,7 @@
 """Differential forms: wedge algebra, exterior derivative, contact
 structure, Cartan forms, and pullback along fibered automorphisms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from jetvar import (
     Lagrangian,
     OrderZeroWarning,
     SingularBaseMap,
+    SingularFiberMap,
     UnknownCoordinate,
     cartan_form,
     cartan_form_contact,
@@ -24,12 +26,14 @@ from jetvar import (
     pullback_lagrangian,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, is_zero, mul, neg, num, pow_, sym
+from jetvar.expr import add, mul, neg, num, pow_, sym
 from jetvar.forms import (
     DX,
     DY,
     DiffForm,
     W,
+    _determinant,
+    _pullback_prolonged,
     contact_decompose,
     contact_form,
     differential,
@@ -320,17 +324,68 @@ def test_pullback_along_identity(ode1):
 def test_pullback_drops_a_term_that_vanishes_partway():
     # ubar = x1 turns the coefficient u - x1 into 0 before dx1 ^ dx2 is
     # pulled back, and du ^ dx1 ^ dx2 into dx1 ^ dx1 ^ dx2 after two of its
-    # three generators: each term contributes nothing to the sum
+    # three generators: each term contributes nothing to the sum.  That
+    # fiber map is singular and every public entry point refuses it, so the
+    # bindings go to the pullback directly
     ctx = JetContext(n=2, m=1, order=0)
     x1, x2 = sym(BaseCoord(1)), sym(BaseCoord(2))
-    iso = FiberedIso((x1, x2), (x1,))
+    pro = {BaseCoord(1): x1, BaseCoord(2): x2, U: x1}
     lam = Lagrangian(add(sym(U), neg(x1)), ctx, 0)
-    pulled = pullback(lam.as_form(), iso)
+    pulled = _pullback_prolonged(lam.as_form(), pro, 0)
     assert pulled.is_zero() and pulled.degree == 2
-    assert is_zero(pullback_lagrangian(lam, iso).L)
     volume = form_from_terms(ctx, 0, 3, [((DY(1), DX(1), DX(2)), sym(U))])
-    pulled = pullback(volume, iso)
+    pulled = _pullback_prolonged(volume, pro, 0)
     assert pulled.is_zero() and pulled.degree == 3
+    with pytest.raises(SingularFiberMap):
+        pullback_lagrangian(lam, FiberedIso((x1, x2), (x1,)))
+
+
+@pytest.mark.parametrize(
+    "fiber",
+    [
+        lambda x1, u, v: (x1, v),
+        lambda x1, u, v: (add(u, v), mul(num(2), add(u, v))),
+        lambda x1, u, v: (mul(u, v), pow_(mul(u, v), 2)),
+    ],
+    ids=["no-u", "dependent-rows", "dependent-functions"],
+)
+def test_fiber_map_with_identically_singular_jacobian_is_refused(fiber):
+    # the determinants of d(ubar)/d(u, v) cancel to 0 as polynomials
+    ctx = JetContext(n=1, m=2, order=1)
+    x1, u, v = sym(BaseCoord(1)), sym(JetCoord(1)), sym(JetCoord(2))
+    iso = FiberedIso((x1,), fiber(x1, u, v))
+    with pytest.raises(SingularFiberMap, match="vanishes identically"):
+        iso.jacobian()
+    lam = Lagrangian(pow_(sym(JetCoord(1, (1,))), 2), ctx, 1)
+    with pytest.raises(SingularFiberMap):
+        naturality_report(lam, iso)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_determinant_matches_the_permutation_sum(m):
+    # reference: the Leibniz formula, a signed product over every permutation
+    rng = random.Random(300 + m)
+    ctx = JetContext(n=1, m=m, order=0)
+    for _ in range(3):
+        rows = [
+            [random_polynomial(rng, ctx, degree=2, terms=2) for _ in range(m)]
+            for _ in range(m)
+        ]
+        expected = []
+        for perm in itertools.permutations(range(m)):
+            odd = sum(perm[a] > perm[b] for b in range(m) for a in range(b)) % 2
+            term = mul(*(rows[i][perm[i]] for i in range(m)))
+            expected.append(neg(term) if odd else term)
+        assert _determinant(rows) == add(*expected)
+
+
+def test_fiber_map_singular_only_somewhere_is_accepted():
+    # determinants 3u^2, -1 and 1 + 2u vanish at points or nowhere: only a
+    # map that is certainly singular is refused
+    x1, u, v = sym(BaseCoord(1)), sym(JetCoord(1)), sym(JetCoord(2))
+    assert FiberedIso((x1,), (pow_(u, 3),)).jacobian() == [[1]]
+    assert FiberedIso((x1,), (v, u)).jacobian() == [[1]]
+    assert FiberedIso((x1,), (add(u, pow_(u, 2)), add(v, x1))).jacobian() == [[1]]
 
 
 @pytest.mark.parametrize(
