@@ -609,8 +609,9 @@ def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
 
 
 def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
-    """Pullback of a form of order at most r along prolonged bindings; a
-    term that vanishes partway through its wedge word contributes nothing."""
+    """Pullback of a form of order at most r along prolonged bindings.  A
+    term that vanishes partway through its wedge word still wedges on to a
+    zero form of the full degree, so every summand has the form's degree."""
     ctx = form.ctx
     result = zero_form(ctx, form.degree, r)
     for gens, coeff in form.terms.items():
@@ -618,8 +619,5 @@ def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
         for g in gens:
             comp = pro[BaseCoord(g.i) if isinstance(g, DX) else JetCoord(g.sigma, g.J)]
             acc = wedge(acc, differential(comp, ctx, r))
-            if acc.is_zero():
-                break
-        else:
-            result = form_add(result, acc)
+        result = form_add(result, acc)
     return result.at_order(r)

@@ -16,6 +16,7 @@ number of ordered tuples representing it).
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import comb
@@ -254,6 +255,37 @@ def _verdict(records, seed: int) -> str:
     return "undecided" if undecided else "variational"
 
 
+@functools.lru_cache(maxsize=8)
+def _completion_plan(n: int, s: int) -> tuple:
+    """The completions of the Helmholtz sums for base dimension n and
+    source order s, shared by every source form of that shape.  One entry
+    (l, I, 1/mult(I), levels) per level l and sorted I of length l, in
+    record order; levels run longest completions first, and each holds
+    rows (M, I+M, w_|M|/mult(I+M), ((i, M+i) for i = 1..n)) with w_j as in
+    helmholtz_residuals.  The rationals are constant values and nothing
+    refers to a context, so the ceiling check stays with each
+    total_derivative call."""
+    plan = []
+    for l in range(s + 1):
+        for I in multi_indices(n, l):
+            levels = []
+            for j in range(s - l, -1, -1):
+                weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
+                levels.append(
+                    tuple(
+                        (
+                            M,
+                            tuple(sorted(I + M)),
+                            num(Fraction(weight, multiplicity(I + M))),
+                            tuple((i, index_with(M, i)) for i in range(1, n + 1)),
+                        )
+                        for M in multi_indices(n, j)
+                    )
+                )
+            plan.append((l, I, num(Fraction(1, multiplicity(I))), tuple(levels)))
+    return tuple(plan)
+
+
 def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     """Variationality residuals of a source form of declared order s.
 
@@ -274,58 +306,40 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
 
     so that R = partial(eps_sigma, y^nu_I) / mult(I) + G(()).  G is kept
     per sorted M; summing d_i over every i reaches M along mult(M)
-    ordered chains, which supplies the weight mult(M).  The verdict is
+    ordered chains, which supplies the weight mult(M).  The completions,
+    weights and up-links depend on n and s alone; `_completion_plan`
+    builds them once per shape and process.  The verdict is
     variational iff every residual normalizes to zero; a nonzero residual
     containing opaque atoms downgrades the verdict to undecided unless
     probing bounds it away from zero."""
     ctx = sf.ctx
-    s = sf.s
     # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
     q = [
         {(c.sigma, c.J): d for c, d in gradient(e).items() if c.__class__ is JetCoord}
         for e in sf.eps
     ]
     records = []
-    for l in range(s + 1):
-        for I in multi_indices(ctx.n, l):
-            mu_I = num(Fraction(1, multiplicity(I)))
-            # per level, longest first: each completion M with I+M, the
-            # rational w_|M|/mult(I+M) and its up-links (i, M+i)
-            plan = []
-            for j in range(s - l, -1, -1):
-                weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
-                rows = []
-                for M in multi_indices(ctx.n, j):
-                    full = tuple(sorted(I + M))
-                    rows.append(
-                        (
-                            M,
-                            full,
-                            num(Fraction(weight, multiplicity(full))),
-                            [(i, index_with(M, i)) for i in range(1, ctx.n + 1)],
-                        )
-                    )
-                plan.append(rows)
-            for sigma in range(1, ctx.m + 1):
-                for nu in range(1, ctx.m + 1):
-                    q_nu = q[nu - 1]
-                    upper: dict = {}  # nonzero G at the level above, by completion
-                    for rows in plan:
-                        level = {}
-                        for M, full, coeff, ups in rows:
-                            head = q_nu.get((sigma, full))
-                            value = ZERO if head is None else mul(coeff, head)
-                            for i, up in ups:
-                                above = upper.get(up)
-                                if above is not None:
-                                    value = add(value, total_derivative(above, i, ctx))
-                            if value.terms:
-                                level[M] = value
-                        upper = level
-                    head = q[sigma - 1].get((nu, I))
-                    first = ZERO if head is None else mul(mu_I, head)
-                    residual = add(first, upper.get((), ZERO))
-                    records.append(HelmholtzRecord(l, I, sigma, nu, residual))
+    for l, I, mu_I, levels in _completion_plan(ctx.n, sf.s):
+        for sigma in range(1, ctx.m + 1):
+            for nu in range(1, ctx.m + 1):
+                q_nu = q[nu - 1]
+                upper: dict = {}  # nonzero G at the level above, by completion
+                for rows in levels:
+                    level = {}
+                    for M, full, coeff, ups in rows:
+                        head = q_nu.get((sigma, full))
+                        value = ZERO if head is None else mul(coeff, head)
+                        for i, up in ups:
+                            above = upper.get(up)
+                            if above is not None:
+                                value = add(value, total_derivative(above, i, ctx))
+                        if value.terms:
+                            level[M] = value
+                    upper = level
+                head = q[sigma - 1].get((nu, I))
+                first = ZERO if head is None else mul(mu_I, head)
+                residual = add(first, upper.get((), ZERO))
+                records.append(HelmholtzRecord(l, I, sigma, nu, residual))
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
 
 

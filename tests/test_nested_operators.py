@@ -22,6 +22,7 @@ from jetvar import (
 from jetvar.coords import BaseCoord, JetCoord, multi_indices, multiplicity
 from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, sym
 from jetvar.jets import iterated_total_derivative
+from jetvar.variational import _completion_plan
 
 from corpus import coordinate_atoms, random_polynomial
 
@@ -126,6 +127,30 @@ def test_nested_helmholtz_matches_flat_formula(n, m, r):
         assert records(helmholtz_residuals(perturbed)) == expected
         nonzero += sum(not is_zero(rec[-1]) for rec in expected)
     assert nonzero > 0
+
+
+def test_helmholtz_builds_one_plan_per_shape():
+    # two source forms with n = 2 and s = 2 that differ in m, in their
+    # fiber names and in the ceiling share one completion plan; the second
+    # is perturbed off the Euler-Lagrange image, so nonzero residuals
+    # compare too
+    rng = random.Random(4212)
+    a = euler_lagrange(random_lagrangian(rng, 2, 1, 1))
+    named = JetContext(2, 2, 2, ("a", "b"), ("p", "q"), ceiling=5)
+    bump = random_polynomial(rng, named, order=2, degree=2)
+    b = SourceForm((bump, ZERO), named, 2)
+    assert (a.ctx.n, a.s) == (b.ctx.n, b.s)
+    assert (a.ctx.m, a.ctx.ceiling) != (b.ctx.m, b.ctx.ceiling)
+
+    _completion_plan.cache_clear()
+    shared = records(helmholtz_residuals(a)), records(helmholtz_residuals(b))
+    info = _completion_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for sf, expected in zip((b, a), reversed(shared)):
+        _completion_plan.cache_clear()
+        assert records(helmholtz_residuals(sf)) == expected
+    assert shared[1] == flat_helmholtz(b)
+    assert any(not is_zero(rec[-1]) for rec in shared[1])
 
 
 # --- sympy's euler_equations as an independent oracle --------------------------

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from jetvar import (  # noqa: E402
     JetContext,
     Lagrangian,
+    SourceForm,
     euler_lagrange,
+    helmholtz_residuals,
     is_null_lagrangian,
     tonti_lagrangian,
     total_derivative,
@@ -60,6 +62,42 @@ def test_euler_lagrange_of_tonti_is_identity(drawn):
     ctx, L = drawn
     source = euler_lagrange(Lagrangian(L, ctx))
     assert euler_lagrange(tonti_lagrangian(source)).eps == source.eps
+
+
+def source_forms(ctx):
+    """Euler-Lagrange images of Lagrangians declared at ctx.order, and the
+    same images with a polynomial of jet order at most 2 * ctx.order added
+    to one component, which may or may not leave them variational."""
+
+    def build(L, bump):
+        sf = euler_lagrange(Lagrangian(L, ctx, ctx.order))
+        if bump is None:
+            return sf
+        sigma, extra = bump
+        eps = list(sf.eps)
+        eps[sigma] = add(eps[sigma], extra)
+        return SourceForm(tuple(eps), sf.ctx, sf.s)
+
+    bump = st.one_of(
+        st.tuples(st.integers(0, ctx.m - 1), polynomials(ctx, 2 * ctx.order)),
+        st.none(),
+    )
+    return st.builds(build, polynomials(ctx, ctx.order), bump)
+
+
+# many small perturbations stay variational (any f(x, u) when m = 1), so
+# this property draws more examples to see both verdicts often
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(with_context(source_forms))
+def test_helmholtz_verdict_agrees_with_the_tonti_round_trip(drawn):
+    # on polynomial source forms the Helmholtz verdict is exact, and a
+    # source form is variational iff it is the Euler-Lagrange form of its
+    # own Tonti Lagrangian
+    _, sf = drawn
+    verdict = helmholtz_residuals(sf).verdict
+    assert verdict != "undecided"
+    round_trip = euler_lagrange(tonti_lagrangian(sf)).eps == sf.eps
+    assert (verdict == "variational") == round_trip
 
 
 @SETTINGS
