@@ -53,6 +53,7 @@ from .expr import (
     gradient,
     is_constant,
     is_zero,
+    max_jet_order,
     mul,
     neg,
     num,
@@ -259,19 +260,18 @@ def contact_form(sigma: int, J: tuple, ctx: JetContext) -> DiffForm:
     """w^sigma_J in the raw basis: dy^sigma_J - sum_i y^sigma_{Ji} dx^i."""
     J = tuple(sorted(J))
     ctx.check_coord(JetCoord(sigma, J))
-    return _expand_w(W(sigma, J), ctx, len(J) + 1)
+    return expand_contact(DiffForm(ctx, len(J) + 1, 1, {(W(sigma, J),): ONE}))
 
 
 def max_form_order(form: DiffForm) -> int:
     """Highest jet order actually occurring in coefficients or generators."""
     order = 0
     for gens, coeff in form.terms.items():
-        for c in coords_in(coeff):
-            if isinstance(c, JetCoord):
-                order = max(order, len(c.J))
-        for g in gens:
-            if isinstance(g, (DY, W)):
-                order = max(order, len(g.J))
+        order = max(
+            order,
+            max_jet_order(coeff),
+            *(len(g.J) for g in gens if not isinstance(g, DX)),
+        )
     return order
 
 
@@ -302,88 +302,84 @@ def exterior_derivative(form: DiffForm) -> DiffForm:
     return form_from_terms(ctx, form.order, form.degree + 1, pairs)
 
 
-def _expand_w(g: W, ctx: JetContext, order: int) -> DiffForm:
+def _map_generators(form: DiffForm, image, order: int, coeff=None) -> DiffForm:
+    """The form with each basis one-form g replaced by the 1-form image(g),
+    given as (generator, coefficient) pairs, and each coefficient c by
+    coeff(c); every wedge word is multiplied out on the jet space of the
+    given order.  Each generator's image is computed once per call."""
+    images: dict = {}
+    pairs = []
+    for gens, c in form.terms.items():
+        products = [((), c if coeff is None else coeff(c))]
+        for g in gens:
+            if g not in images:
+                images[g] = image(g)
+            products = [
+                (word + (h,), mul(p, hc))
+                for word, p in products
+                for h, hc in images[g]
+                if h not in word
+            ]
+        pairs.extend(products)
+    return form_from_terms(form.ctx, order, form.degree, pairs)
+
+
+def _horizontal_part(g, ctx: JetContext) -> list:
+    """sum_i y^s_{Ji} dx^i for g = dy^s_J or w^s_J, as (generator,
+    coefficient) pairs; the one place where lifting a generator checks the
+    ceiling."""
     if len(g.J) + 1 > ctx.ceiling:
         raise OrderOverflow(
-            f"contact expansion would raise jet order past ceiling {ctx.ceiling}"
+            f"lifting a differential of order {len(g.J)} would raise jet order "
+            f"past ceiling {ctx.ceiling}"
         )
-    pairs = [((DY(g.sigma, g.J),), ONE)]
-    for i in range(1, ctx.n + 1):
-        pairs.append(((DX(i),), neg(sym(JetCoord(g.sigma, index_with(g.J, i))))))
-    return form_from_terms(ctx, order, 1, pairs)
+    return [
+        (DX(i), sym(JetCoord(g.sigma, index_with(g.J, i))))
+        for i in range(1, ctx.n + 1)
+    ]
 
 
 def expand_contact(form: DiffForm) -> DiffForm:
-    """Rewrite transient contact generators back into the raw dx/dy basis."""
+    """Rewrite transient contact generators back into the raw dx/dy basis,
+    w^s_J -> dy^s_J - sum_i y^s_{Ji} dx^i."""
     if not any(isinstance(g, W) for gens in form.terms for g in gens):
         return form
-    ctx = form.ctx
-    result = zero_form(ctx, form.degree, form.order)
-    for gens, coeff in form.terms.items():
-        acc = function_form(ctx, coeff, form.order)
-        for g in gens:
-            if isinstance(g, W):
-                acc = wedge(acc, _expand_w(g, ctx, form.order))
-            else:
-                acc = wedge(acc, DiffForm(ctx, form.order, 1, {(g,): ONE}))
-        result = form_add(result, acc)
-    return result.at_order(form.order)
 
+    def image(g):
+        if not isinstance(g, W):
+            return [(g, ONE)]
+        pairs = [(DY(g.sigma, g.J), ONE)]
+        return pairs + [(h, neg(c)) for h, c in _horizontal_part(g, form.ctx)]
 
-def _contact_split_gen(g, ctx: JetContext, order: int):
-    """A basis one-form as (contact part, horizontal part) on the
-    once-prolonged space."""
-    if isinstance(g, DX):
-        return zero_form(ctx, 1, order), DiffForm(ctx, order, 1, {(g,): ONE})
-    if isinstance(g, W):
-        return DiffForm(ctx, order, 1, {(g,): ONE}), zero_form(ctx, 1, order)
-    if len(g.J) + 1 > ctx.ceiling:
-        raise OrderOverflow(
-            f"contact split would raise jet order past ceiling {ctx.ceiling}"
-        )
-    horiz = form_from_terms(
-        ctx,
-        order,
-        1,
-        [
-            ((DX(i),), sym(JetCoord(g.sigma, index_with(g.J, i))))
-            for i in range(1, ctx.n + 1)
-        ],
-    )
-    return DiffForm(ctx, order, 1, {(W(g.sigma, g.J),): ONE}), horiz
+    return _map_generators(form, image, form.order)
 
 
 def contact_decompose(form: DiffForm) -> list:
     """Split a form into its l-contact components, l = 0..degree.
 
     Each coordinate differential dy^s_J is rewritten as
-    w^s_J + sum_i y^s_{Ji} dx^i on the once-prolonged space, the wedge
-    words are expanded, terms are grouped by their number of contact
-    factors, and every component is expanded back to the raw basis.
-    Returns the list of pairs (l, component); the components sum to the
-    original form regarded one order higher.
+    w^s_J + sum_i y^s_{Ji} dx^i on the once-prolonged space, while dx^i and
+    contact generators already present stay; terms are grouped by their
+    number of contact factors, and every group is expanded back to the raw
+    basis.  Returns the list of pairs (l, component) for l = 0..degree;
+    the components sum to the form, its contact generators expanded,
+    regarded one order higher.
     """
     ctx = form.ctx
     lifted = form.order + 1
-    buckets = {l: zero_form(ctx, form.degree, lifted) for l in range(form.degree + 1)}
-    if form.degree == 0:
-        buckets[0] = form.at_order(lifted)
-        return sorted(buckets.items())
-    for gens, coeff in form.terms.items():
-        # expand (c_1 + h_1) ^ ... ^ (c_k + h_k), tracking the contact count
-        parts = [(function_form(ctx, coeff, lifted), 0)]
-        for g in gens:
-            c_part, h_part = _contact_split_gen(g, ctx, lifted)
-            grown = []
-            for acc, l in parts:
-                if not c_part.is_zero():
-                    grown.append((wedge(acc, c_part), l + 1))
-                if not h_part.is_zero():
-                    grown.append((wedge(acc, h_part), l))
-            parts = [(f, l) for f, l in grown if not f.is_zero()]
-        for f, l in parts:
-            buckets[l] = form_add(buckets[l], f)
-    return sorted((l, expand_contact(f)) for l, f in buckets.items())
+
+    def image(g):
+        if not isinstance(g, DY):
+            return [(g, ONE)]
+        return [(W(g.sigma, g.J), ONE)] + _horizontal_part(g, ctx)
+
+    groups = [{} for _ in range(form.degree + 1)]
+    for gens, coeff in _map_generators(form, image, lifted).terms.items():
+        groups[sum(isinstance(g, W) for g in gens)][gens] = coeff
+    return [
+        (l, expand_contact(DiffForm(ctx, lifted, form.degree, terms)))
+        for l, terms in enumerate(groups)
+    ]
 
 
 def horizontalize(form: DiffForm) -> DiffForm:
@@ -406,8 +402,7 @@ def cartan_form_contact(lam) -> DiffForm:
             "order-0 Lagrangian: the Cartan form is the Lagrangian itself",
             OrderZeroWarning,
         )
-        return wedge(function_form(ctx, lam.L), omega_0(ctx)).at_order(0)
-    target = 2 * r - 1
+        return lam.as_form()
     grad = gradient(lam.L)
     f: dict[tuple, Expr] = {}
     for k in range(r, 0, -1):
@@ -423,23 +418,15 @@ def cartan_form_contact(lam) -> DiffForm:
                         if not is_zero(upper):
                             value = add(value, neg(total_derivative(upper, i, ctx)))
                 f[(sigma, K)] = value
-    theta = wedge(function_form(ctx, lam.L), omega_0(ctx))
+    pairs = [(gens, lam.L) for gens in omega_0(ctx).terms]
     for sigma in range(1, ctx.m + 1):
         for J in multi_indices_up_to(ctx.n, r - 1):
-            weight = multiplicity(J)
+            weight = num(multiplicity(J))
             for i in range(1, ctx.n + 1):
                 coeff = f[(sigma, index_with(J, i))]
-                if is_zero(coeff):
-                    continue
-                piece = scale(
-                    wedge(
-                        DiffForm(ctx, target, 1, {(W(sigma, J),): ONE}),
-                        omega_i(i, ctx),
-                    ),
-                    mul(num(weight), coeff),
-                )
-                theta = form_add(theta, piece)
-    return theta.at_order(target)
+                for gens, sign in omega_i(i, ctx).terms.items():
+                    pairs.append(((W(sigma, J),) + gens, mul(sign, weight, coeff)))
+    return form_from_terms(ctx, 2 * r - 1, ctx.n, pairs)
 
 
 def cartan_form(lam) -> DiffForm:
@@ -609,15 +596,14 @@ def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
 
 
 def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
-    """Pullback of a form of order at most r along prolonged bindings.  A
-    term that vanishes partway through its wedge word still wedges on to a
-    zero form of the full degree, so every summand has the form's degree."""
+    """Pullback of a form of order at most r along prolonged bindings: each
+    coefficient has the bindings substituted and each basis one-form
+    becomes the differential of its binding.  The result keeps the form's
+    degree, also when every term vanishes."""
     ctx = form.ctx
-    result = zero_form(ctx, form.degree, r)
-    for gens, coeff in form.terms.items():
-        acc = function_form(ctx, substitute(coeff, pro), r)
-        for g in gens:
-            comp = pro[BaseCoord(g.i) if isinstance(g, DX) else JetCoord(g.sigma, g.J)]
-            acc = wedge(acc, differential(comp, ctx, r))
-        result = form_add(result, acc)
-    return result.at_order(r)
+
+    def image(g):
+        comp = pro[BaseCoord(g.i) if isinstance(g, DX) else JetCoord(g.sigma, g.J)]
+        return [(h, c) for (h,), c in differential(comp, ctx, r).terms.items()]
+
+    return _map_generators(form, image, r, lambda c: substitute(c, pro))

@@ -57,18 +57,32 @@ from .forms import (
     exterior_derivative,
     FiberedIso,
     form_from_terms,
-    function_form,
     horizontalize,
     omega_0,
     prolong_isomorphism,
     pullback,
-    wedge,
     _pullback_prolonged,
 )
 from .jets import total_derivative
 
 PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
+
+
+def _declared(exprs, ctx: JetContext, order) -> tuple:
+    """Check the coordinates of exprs against ctx and the declared order
+    against the occurring one, which it defaults to; returns the context
+    at the declared order and the order."""
+    actual = 0
+    for e in exprs:
+        for c in coords_in(e):
+            ctx.check_coord(c)
+        actual = max(actual, max_jet_order(e))
+    if order is None:
+        order = actual
+    if order < actual:
+        raise ValueError(f"declared order {order} below occurring order {actual}")
+    return ctx.with_order(order), order
 
 
 class Lagrangian(Value):
@@ -78,20 +92,12 @@ class Lagrangian(Value):
     __slots__ = ("L", "ctx", "r")
 
     def __init__(self, L: Expr, ctx: JetContext, r: int = None):
-        L = as_expr(L)
-        for c in coords_in(L):
-            ctx.check_coord(c)
-        actual = max_jet_order(L)
-        if r is None:
-            r = actual
-        if r < actual:
-            raise ValueError(f"declared order {r} below occurring order {actual}")
-        self.L, self.ctx, self.r = L, ctx.with_order(r), r
+        self.L = as_expr(L)
+        self.ctx, self.r = _declared((self.L,), ctx, r)
 
     def as_form(self) -> DiffForm:
-        return wedge(function_form(self.ctx, self.L), omega_0(self.ctx)).at_order(
-            self.r
-        )
+        pairs = [(gens, self.L) for gens in omega_0(self.ctx).terms]
+        return form_from_terms(self.ctx, self.r, self.ctx.n, pairs)
 
 
 class SourceForm(Value):
@@ -105,41 +111,16 @@ class SourceForm(Value):
             raise DimensionMismatch(
                 f"{len(eps)} components for {ctx.m} fiber variables"
             )
-        actual = 0
-        for e in eps:
-            for c in coords_in(e):
-                ctx.check_coord(c)
-            actual = max(actual, max_jet_order(e))
-        if s is None:
-            s = actual
-        if s < actual:
-            raise ValueError(f"declared order {s} below occurring order {actual}")
-        self.eps, self.ctx, self.s = eps, ctx.with_order(s), s
+        self.eps = eps
+        self.ctx, self.s = _declared(eps, ctx, s)
 
     def as_form(self) -> DiffForm:
-        ctx = self.ctx
-        vol = omega_0(ctx)
-        pairs = []
-        for sigma, e in enumerate(self.eps, start=1):
-            for gens, coeff in wedge(
-                DiffForm(ctx, self.s, 1, {(DY(sigma),): e}), vol
-            ).terms.items():
-                pairs.append((gens, coeff))
-        return form_from_terms(ctx, self.s, ctx.n + 1, pairs)
-
-
-class MultiplierMatrix:
-    """A square matrix of multiplier functions, one row per target
-    component."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        rows = tuple(tuple(as_expr(e) for e in row) for row in entries)
-        for row in rows:
-            if len(row) != len(rows):
-                raise DimensionMismatch("multiplier matrix must be square")
-        self.entries = rows
+        pairs = [
+            ((DY(sigma),) + gens, e)
+            for sigma, e in enumerate(self.eps, start=1)
+            for gens in omega_0(self.ctx).terms
+        ]
+        return form_from_terms(self.ctx, self.s, self.ctx.n + 1, pairs)
 
 
 class HelmholtzRecord:
@@ -151,12 +132,12 @@ class HelmholtzRecord:
 
 
 class HelmholtzReport:
-    __slots__ = ("records", "verdict", "ctx", "multiplier")
+    __slots__ = ("records", "verdict", "ctx")
 
-    def __init__(self, records: tuple, verdict: str, ctx: JetContext, multiplier=None):
+    def __init__(self, records: tuple, verdict: str, ctx: JetContext):
         self.records = records
         self.verdict = verdict  # variational | not_variational | undecided
-        self.ctx, self.multiplier = ctx, multiplier
+        self.ctx = ctx
 
     @property
     def is_variational(self) -> bool:
@@ -401,30 +382,6 @@ def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzRep
             records.append(HelmholtzRecord(2, (1, 1), sigma, nu, c3))
     records.sort(key=lambda rec: (rec.level, rec.I, rec.sigma, rec.nu))
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
-
-
-def multiplier_check(
-    sf: SourceForm, mult: MultiplierMatrix, probe_seed: int = 0
-) -> HelmholtzReport:
-    """Helmholtz residuals of the rescaled source form
-    eps'_sigma = sum_rho A[sigma][rho] eps_rho; the report records the
-    multiplier used.  The rescaled form is declared at its actual order."""
-    ctx = sf.ctx
-    if len(mult.entries) != ctx.m:
-        raise DimensionMismatch(
-            f"multiplier is {len(mult.entries)}x{len(mult.entries)}, need {ctx.m}x{ctx.m}"
-        )
-    rescaled = []
-    for sigma in range(1, ctx.m + 1):
-        acc = ZERO
-        for rho in range(1, ctx.m + 1):
-            acc = add(acc, mul(mult.entries[sigma - 1][rho - 1], sf.eps[rho - 1]))
-        rescaled.append(acc)
-    order = max((max_jet_order(e) for e in rescaled), default=0)
-    report = helmholtz_residuals(
-        SourceForm(tuple(rescaled), ctx.with_order(order), order), probe_seed
-    )
-    return HelmholtzReport(report.records, report.verdict, report.ctx, mult)
 
 
 # --- Tonti reconstruction ------------------------------------------------------

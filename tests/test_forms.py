@@ -14,6 +14,7 @@ from jetvar import (
     FiberedIso,
     JetContext,
     Lagrangian,
+    OrderOverflow,
     OrderZeroWarning,
     SingularBaseMap,
     SingularFiberMap,
@@ -161,16 +162,59 @@ def test_expand_contact_matches_contact_form(plane1):
 def test_contact_decompose_reassembles():
     rng = random.Random(83)
     ctx = JetContext(n=2, m=1, order=1)
+    forms = []
     for _ in range(8):
         alpha = _random_one_form(rng, ctx)
-        beta = wedge(alpha, _random_one_form(rng, ctx))
-        for form in (alpha, beta):
-            pieces = contact_decompose(form)
-            total = zero_form(ctx, form.degree, form.order + 1)
-            for _, comp in pieces:
-                assert comp.order == form.order + 1
-                total = form_add(total, comp)
-            assert total == form.at_order(form.order + 1)
+        forms += [alpha, wedge(alpha, _random_one_form(rng, ctx))]
+    # two fiber variables, and degree-3 words mixing dy and dx
+    ctx = JetContext(n=2, m=2, order=1)
+    for _ in range(8):
+        alpha, beta, gamma = (_random_one_form(rng, ctx) for _ in range(3))
+        forms += [wedge(alpha, beta), wedge(wedge(alpha, beta), gamma)]
+    # words that already hold a contact generator w, which stays contact
+    contact = []
+    for n, m, r in ((1, 1, 2), (2, 1, 1), (2, 2, 2)):
+        ctx = JetContext(n=n, m=m, order=r)
+        top = pow_(sym(JetCoord(m, (n,) * r)), 2)
+        lam = Lagrangian(add(random_polynomial(rng, ctx, order=r), top), ctx, r)
+        theta = cartan_form_contact(lam)
+        w = DiffForm(ctx, theta.order, 1, {(W(1, ()),): num(1)})
+        contact.append(wedge(w, wedge(*(_random_one_form(rng, ctx) for _ in range(2)))))
+        pieces = dict(contact_decompose(theta))
+        lifted = theta.order + 1
+        assert pieces[0] == lam.as_form().at_order(lifted)
+        words = {gens: c for gens, c in theta.terms.items() if isinstance(gens[0], W)}
+        assert words
+        assert pieces[1] == expand_contact(DiffForm(ctx, lifted, n, words))
+        forms.append(theta)
+    for form in contact:
+        assert form.terms and contact_decompose(form)[0][1].is_zero()
+    for form in forms + contact:
+        pieces = contact_decompose(form)
+        assert [l for l, _ in pieces] == list(range(form.degree + 1))
+        total = zero_form(form.ctx, form.degree, form.order + 1)
+        for _, comp in pieces:
+            assert comp.order == form.order + 1
+            total = form_add(total, comp)
+        assert total == expand_contact(form).at_order(form.order + 1)
+
+
+def test_lifting_a_differential_of_ceiling_order_overflows():
+    # with ceiling 2, dy_{1,1} and w_{1,1} are declared, but their horizontal
+    # parts would need u_{1,1,1}; one order lower is fine
+    ctx = JetContext(n=1, m=1, order=1, ceiling=2)
+    top, below = (1, 1), (1,)
+    with pytest.raises(OrderOverflow):
+        contact_form(1, top, ctx)
+    with pytest.raises(OrderOverflow):
+        expand_contact(DiffForm(ctx, 2, 1, {(W(1, top),): num(1)}))
+    for g in (DY(1, top), W(1, top)):
+        with pytest.raises(OrderOverflow):
+            contact_decompose(DiffForm(ctx, 2, 1, {(g,): num(1)}))
+    assert contact_form(1, below, ctx).order == 2
+    assert horizontalize(DiffForm(ctx, 1, 1, {(DY(1, below),): num(1)})).terms == {
+        (DX(1),): sym(JetCoord(1, top))
+    }
 
 
 def test_contact_decompose_grades(ode1):

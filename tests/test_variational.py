@@ -26,9 +26,8 @@ from jetvar import (
     total_derivative,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, cos, exp, is_zero, mul, neg, num, pow_, sin, sym
+from jetvar.expr import add, cos, is_zero, mul, neg, num, pow_, sin, sym
 from jetvar.forms import function_form
-from jetvar.variational import MultiplierMatrix, multiplier_check
 
 from corpus import random_polynomial
 
@@ -206,18 +205,6 @@ def test_classical_context_guards(plane1, ode1):
     third = SourceForm((sym(JetCoord(1, (1, 1, 1))),), ode1.with_order(3), 3)
     with pytest.raises(NotODEContext):
         classical_helmholtz_ode(third)
-
-
-def test_multiplier_fixes_damped_oscillator(ode2):
-    eps = add(sym(U11), sym(U1), sym(U))
-    sf = SourceForm((eps,), ode2, 2)
-    assert helmholtz_residuals(sf).verdict == "not_variational"
-    mult = MultiplierMatrix(((exp(sym(X)),),))
-    report = multiplier_check(sf, mult)
-    assert report.verdict == "variational"
-    assert report.multiplier is mult
-    with pytest.raises(DimensionMismatch):
-        multiplier_check(sf, MultiplierMatrix(((num(1), num(0)), (num(0), num(1)))))
 
 
 def test_tonti_free_ode(ode2):
