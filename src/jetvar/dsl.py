@@ -132,6 +132,13 @@ _ADD_PREC = 10
 _MUL_PREC = 20
 _UNARY_PREC = 30
 _POW_PREC = 40
+_PREC = {
+    "+": _ADD_PREC,
+    "-": _ADD_PREC,
+    "*": _MUL_PREC,
+    "/": _MUL_PREC,
+    "^": _POW_PREC,
+}
 
 
 class _Parser:
@@ -187,13 +194,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind != "OP":
                 return left
-            prec = {
-                "+": _ADD_PREC,
-                "-": _ADD_PREC,
-                "*": _MUL_PREC,
-                "/": _MUL_PREC,
-                "^": _POW_PREC,
-            }.get(tok.text)
+            prec = _PREC.get(tok.text)
             if prec is None or prec < min_prec:
                 return left
             self.advance()

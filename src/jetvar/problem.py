@@ -14,13 +14,28 @@ an isomorphism, sections, evaluation points, and options:
     [lagrangian]
     expr = 1/2*u_{1}^2
 
-Values are read literally, with no `%` interpolation.  The prolongation
-ceiling honors the JETVAR_ORDER_CEILING environment variable.
+The file is UTF-8 text, read in one pass over its lines (universal
+newlines: LF, CR LF or CR ends a line, and nothing else does):
+
+- a blank line, or one whose first non-blank character is `#` or `;`, is
+  skipped; there are no inline comments;
+- a line indented deeper than the last key line continues that key's
+  value: its stripped text is appended after a newline;
+- a stripped line `[name]` opens the section `name`; names are
+  case-sensitive, and `[DEFAULT]` is a section like any other;
+- any other line is `key = value` or `key: value`, split at the first
+  `=` or `:`; the key is stripped and lowercased, the value stripped.
+
+A duplicate section, a duplicate key within a section, a key before the
+first section, and a line with no delimiter or an empty key are
+ProblemFileErrors that name the line.  Values are read literally, with
+no `%` interpolation.  Sections that no command reads are ignored.  The
+prolongation ceiling honors the JETVAR_ORDER_CEILING environment
+variable.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from fractions import Fraction
@@ -93,10 +108,51 @@ def _ceiling(order: int) -> int:
         ) from None
 
 
-def _context(cp: configparser.ConfigParser) -> JetContext:
-    if not cp.has_section("context"):
+def _malformed(lineno: int, what: str) -> ProblemFileError:
+    return ProblemFileError(f"malformed problem file: line {lineno}: {what}")
+
+
+def _read_sections(handle) -> dict:
+    """{section: {key: value}} from the lines of an open problem file, by
+    the rules in the module docstring."""
+    sections = {}
+    section = key = None
+    indent = 0
+    for lineno, line in enumerate(handle, start=1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            section[key] += "\n" + text
+            continue
+        indent = depth
+        if text[0] == "[" and text[-1] == "]" and len(text) > 2:
+            name = text[1:-1]
+            if name in sections:
+                raise _malformed(lineno, f"duplicate section [{name}]")
+            section = sections[name] = {}
+            key = None
+            continue
+        if section is None:
+            raise _malformed(lineno, "key before the first [section]")
+        eq, colon = text.find("="), text.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon
+        if cut < 0:
+            raise _malformed(lineno, f"no '=' or ':' in {text!r}")
+        key = text[:cut].rstrip().lower()
+        if not key:
+            raise _malformed(lineno, f"empty key in {text!r}")
+        if key in section:
+            raise _malformed(lineno, f"duplicate key {key!r} in [{name}]")
+        section[key] = text[cut + 1 :].strip()
+    return sections
+
+
+def _context(sections: dict) -> JetContext:
+    if "context" not in sections:
         raise ProblemFileError("missing [context] section")
-    section = cp["context"]
+    section = sections["context"]
     n = _get_int(section, "n", "[context]")
     m = _get_int(section, "m", "[context]")
     order = _get_int(section, "order", "[context]")
@@ -132,8 +188,7 @@ def _fractions(raw: str, what: str):
         raise ProblemFileError(f"bad rational entry in {what}: {raw!r}") from None
 
 
-def _iso(cp: configparser.ConfigParser, ctx: JetContext) -> FiberedIso:
-    section = cp["iso"]
+def _iso(section: dict, ctx: JetContext) -> FiberedIso:
     if "a" not in section:
         raise ProblemFileError("missing 'a' (base matrix) in [iso]")
     rows = [_fractions(row, "[iso] a") for row in section["a"].split(";")]
@@ -194,11 +249,10 @@ def check_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _options(cp: configparser.ConfigParser) -> dict:
+def _options(section: dict) -> dict:
     out = dict(DEFAULT_OPTIONS)
-    if not cp.has_section("options"):
+    if section is None:
         return out
-    section = cp["options"]
     for key in section:
         if key not in DEFAULT_OPTIONS:
             raise ProblemFileError(f"unknown option {key!r}")
@@ -222,58 +276,55 @@ def _options(cp: configparser.ConfigParser) -> dict:
 
 
 def load_problem(path: str) -> ProblemFile:
-    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
-            cp.read_file(handle)
+            sections = _read_sections(handle)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ProblemFileError(f"{path} is not UTF-8 text: {exc}") from None
-    except configparser.Error as exc:
-        raise ProblemFileError(f"malformed problem file: {exc}") from None
 
-    ctx = _context(cp)
-    problem = ProblemFile(ctx=ctx, options=_options(cp))
+    ctx = _context(sections)
+    problem = ProblemFile(ctx=ctx, options=_options(sections.get("options")))
 
-    payloads = [
-        name for name in ("lagrangian", "source", "eta") if cp.has_section(name)
-    ]
+    payloads = [name for name in ("lagrangian", "source", "eta") if name in sections]
     if len(payloads) != 1:
         raise ProblemFileError(
             "need exactly one of [lagrangian], [source], [eta]; "
             f"found {payloads or 'none'}"
         )
 
-    if cp.has_section("lagrangian"):
-        section = cp["lagrangian"]
+    if "lagrangian" in sections:
+        section = sections["lagrangian"]
         if "expr" not in section:
             raise ProblemFileError("missing 'expr' in [lagrangian]")
         problem.lagrangian = Lagrangian(
             parse_expr(section["expr"], ctx).expr, ctx, ctx.order
         )
-    if cp.has_section("source"):
+    if "source" in sections:
         problem.source = SourceForm(
-            _components(cp["source"], "eps", ctx.m, ctx, "source"), ctx, ctx.order
+            _components(sections["source"], "eps", ctx.m, ctx, "source"),
+            ctx,
+            ctx.order,
         )
-    if cp.has_section("eta"):
-        section = cp["eta"]
+    if "eta" in sections:
+        section = sections["eta"]
         if "form" not in section:
             raise ProblemFileError("missing 'form' in [eta]")
         problem.eta = parse_form(section["form"], ctx)
 
-    if cp.has_section("iso"):
-        problem.iso = _iso(cp, ctx)
-    if cp.has_section("section"):
+    if "iso" in sections:
+        problem.iso = _iso(sections["iso"], ctx)
+    if "section" in sections:
         problem.section = SectionSpec(
-            _components(cp["section"], "comp", ctx.m, ctx, "section")
+            _components(sections["section"], "comp", ctx.m, ctx, "section")
         )
-    if cp.has_section("variation"):
+    if "variation" in sections:
         problem.variation = SectionSpec(
-            _components(cp["variation"], "comp", ctx.m, ctx, "variation")
+            _components(sections["variation"], "comp", ctx.m, ctx, "variation")
         )
-    if cp.has_section("points"):
-        section = cp["points"]
+    if "points" in sections:
+        section = sections["points"]
         if "values" not in section:
             raise ProblemFileError("missing 'values' in [points]")
         problem.points = _points(section["values"], ctx)

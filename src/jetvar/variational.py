@@ -42,7 +42,6 @@ from .expr import (
     has_functions,
     integrate_param,
     is_zero,
-    max_jet_order,
     mul,
     neg,
     num,
@@ -77,7 +76,8 @@ def _declared(exprs, ctx: JetContext, order) -> tuple:
     for e in exprs:
         for c in coords_in(e):
             ctx.check_coord(c)
-        actual = max(actual, max_jet_order(e))
+            if c.__class__ is JetCoord and len(c.J) > actual:
+                actual = len(c.J)
     if order is None:
         order = actual
     if order < actual:

@@ -1,0 +1,135 @@
+"""Problem-file reader: the documented INI subset, pinned through main()."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import jetvar
+from jetvar.cli import main
+
+CONTEXT = "[context]\nn = 1\nm = 1\norder = 1\nbase = x\nfiber = u\n"
+FREE_PARTICLE = CONTEXT + "\n[lagrangian]\nexpr = 1/2*u_{1}^2\n"
+
+
+def write(tmp_path, text, newline="\n"):
+    path = tmp_path / "problem.ini"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return str(path)
+
+
+def run_el(capsys, path):
+    code = main(["el", path])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out) if captured.out else None
+    diagnostic = json.loads(captured.err) if captured.err else None
+    return code, payload, diagnostic
+
+
+@pytest.fixture
+def free_particle_output(tmp_path, capsys):
+    code, payload, _ = run_el(capsys, write(tmp_path, FREE_PARTICLE))
+    assert code == 0
+    return payload
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        (FREE_PARTICLE + "\n[context]\nn = 1\n", 11, "duplicate section [context]"),
+        (FREE_PARTICLE + "EXPR = u\n", 10, "duplicate key 'expr' in [lagrangian]"),
+        ("# comment\nn = 1\n" + FREE_PARTICLE, 2, "key before the first [section]"),
+        (FREE_PARTICLE + "u_{1}^2\n", 10, "no '=' or ':'"),
+        (FREE_PARTICLE + "= u\n", 10, "empty key"),
+        (FREE_PARTICLE + ": u\n", 10, "empty key"),
+        (FREE_PARTICLE + "[points] 0\n", 10, "no '=' or ':'"),
+    ],
+    ids=[
+        "duplicate_section",
+        "duplicate_key",
+        "key_before_header",
+        "no_delimiter",
+        "empty_key",
+        "empty_key_colon",
+        "text_after_header",
+    ],
+)
+def test_malformed_lines_exit_2_with_their_line(tmp_path, capsys, text, line, what):
+    code, payload, diagnostic = run_el(capsys, write(tmp_path, text))
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+    assert diagnostic["message"].startswith(f"malformed problem file: line {line}: ")
+    assert what in diagnostic["message"]
+
+
+@pytest.mark.parametrize(
+    "text, newline",
+    [
+        ("# a comment\n; another\n" + CONTEXT + "  # indented\n"
+         "\n[lagrangian]\nexpr = 1/2*u_{1}^2\n", "\n"),
+        (CONTEXT.replace("n = 1", "N = 1") + "\n[lagrangian]\nExpr = 1/2*u_{1}^2\n", "\n"),
+        (CONTEXT.replace(" = ", ": ") + "\n[lagrangian]\nexpr: 1/2*u_{1}^2\n", "\n"),
+        ("  " + FREE_PARTICLE.replace("\n", "\n  "), "\n"),
+        (FREE_PARTICLE, "\r\n"),
+        (FREE_PARTICLE, "\r"),
+    ],
+    ids=["comments", "upper_case_keys", "colon", "uniform_indent", "crlf", "cr"],
+)
+def test_accepted_forms_load_as_before(
+    tmp_path, capsys, free_particle_output, text, newline
+):
+    code, payload, _ = run_el(capsys, write(tmp_path, text, newline))
+    assert code == 0
+    assert payload == free_particle_output
+
+
+def test_indented_line_continues_the_value(tmp_path, capsys):
+    text = CONTEXT + "\n[lagrangian]\nexpr = 1/2*u_{1}^2\n    + u\n\n  - x*u\n"
+    code, payload, _ = run_el(capsys, write(tmp_path, text))
+    one_line = CONTEXT + "\n[lagrangian]\nexpr = 1/2*u_{1}^2 + u - x*u\n"
+    assert code == 0
+    assert (code, payload) == run_el(capsys, write(tmp_path, one_line))[:2]
+
+
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"]
+)
+def test_only_newlines_end_a_line(tmp_path, capsys, free_particle_output, separator):
+    # the separator stays in the value, where the parser reads it as
+    # whitespace; splitting the value there would leave "u_{1}^2" as a
+    # line with no delimiter
+    text = FREE_PARTICLE.replace("1/2*u_{1}^2", f"1/2*{separator}u_{{1}}^2")
+    code, payload, _ = run_el(capsys, write(tmp_path, text))
+    assert code == 0
+    assert payload == free_particle_output
+
+
+def test_default_section_is_an_ordinary_section(tmp_path, capsys, free_particle_output):
+    # keys of [DEFAULT] are not copied into [options], where "colour"
+    # would be an unknown option
+    text = "[DEFAULT]\ncolour = red\n\n" + FREE_PARTICLE + "\n[options]\nseed = 1\n"
+    code, payload, _ = run_el(capsys, write(tmp_path, text))
+    assert code == 0
+    assert payload == free_particle_output
+
+
+def test_section_names_are_case_sensitive(tmp_path, capsys):
+    text = FREE_PARTICLE.replace("[context]", "[Context]")
+    code, _, diagnostic = run_el(capsys, write(tmp_path, text))
+    assert code == 2
+    assert diagnostic["message"] == "missing [context] section"
+
+
+def test_cli_import_leaves_configparser_out():
+    code = "import sys, jetvar.cli; print('configparser' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(jetvar.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
