@@ -3,7 +3,8 @@
 Usage: jetvar <subcommand> <problem-file> [--verbose]
        [--skip-variational-check] [--tolerance T] [--seed S]
 
-Results are printed to stdout as JSON; diagnostics go to stderr as JSON.
+Results are printed to stdout as JSON; diagnostics and warnings go to
+stderr as one JSON document.
 Exit code 0 means the check passed, 1 means it ran but answered in the
 negative, 2 means the input could not be processed, 3 means an internal
 error (a bug, never an answer).
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .dsl import render_expr, render_form
 from .errors import DslError, JetvarError, ProblemFileError
@@ -210,65 +212,62 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jetvar",
         description="symbolic variational calculus on jet spaces",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("file", help="problem file (INI format)")
-    common.add_argument(
-        "--verbose", action="store_true", default=None, help="include zero residuals"
-    )
+    # a flag's dest is the option key it overrides; an absent flag sets none
+    common.add_argument("--verbose", action="store_true", help="include zero residuals")
     common.add_argument(
         "--skip-variational-check",
         action="store_true",
-        default=None,
+        dest="skip-variational-check",
         help="skip the variationality gate before reconstruction",
     )
-    common.add_argument("--tolerance", type=float, default=None, metavar="T")
-    common.add_argument("--seed", type=int, default=None, metavar="S")
+    common.add_argument("--tolerance", type=float, metavar="T")
+    common.add_argument("--seed", type=int, metavar="S")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         sub.add_parser(name, parents=[common], help=_HELP[name])
     return parser
 
 
-def _merge_options(problem: ProblemFile, args) -> dict:
-    opts = dict(problem.options)
-    if args.verbose is not None:
-        opts["verbose"] = True
-    if args.skip_variational_check is not None:
-        opts["skip-variational-check"] = True
-    if args.tolerance is not None:
-        opts["tolerance"] = check_tolerance(args.tolerance)
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    return opts
-
-
 def _diagnose(diag: dict) -> None:
     print(json.dumps(diag, indent=2, sort_keys=True), file=sys.stderr)
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(command: str, path: str, flags: dict):
+    """(exit code, stdout text, None) for a command that answered, or
+    (exit code, None, diagnostic) for one that failed."""
     try:
-        problem = load_problem(args.file)
-        opts = _merge_options(problem, args)
-        code, payload = _HANDLERS[args.command](problem, opts)
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        problem = load_problem(path)
+        opts = {**problem.options, **flags}
+        check_tolerance(opts["tolerance"])
+        code, payload = _HANDLERS[command](problem, opts)
+        return code, json.dumps(payload, indent=2, sort_keys=True), None
     except DslError as exc:
-        _diagnose(
-            {
-                "error": type(exc).__name__,
-                "message": exc.message,
-                "span": None if exc.span is None else list(exc.span),
-            }
-        )
-        return 2
+        span = None if exc.span is None else list(exc.span)
+        diag = {"error": type(exc).__name__, "message": exc.message, "span": span}
+        return 2, None, diag
     except JetvarError as exc:
-        _diagnose({"error": type(exc).__name__, "message": str(exc)})
-        return 2
+        return 2, None, {"error": type(exc).__name__, "message": str(exc)}
     except Exception as exc:  # exit 1 would read as a mathematical negative
-        _diagnose({"error": "InternalError", "message": f"{type(exc).__name__}: {exc}"})
-        return 3
-    print(text)
+        message = f"{type(exc).__name__}: {exc}"
+        return 3, None, {"error": "InternalError", "message": message}
+
+
+def main(argv=None) -> int:
+    flags = vars(build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("file")
+    # the warnings the filters let through join the JSON on stderr instead
+    # of printing as raw text
+    with warnings.catch_warnings(record=True) as caught:
+        code, text, diag = _run(command, path, flags)
+    messages = list(dict.fromkeys(str(w.message) for w in caught))
+    if messages:
+        diag = {**(diag or {}), "warnings": messages}
+    if diag is not None:
+        _diagnose(diag)
+    if text is not None:
+        print(text)
     return code
 
 

@@ -94,8 +94,12 @@ class JetCoord(Value):
 
 Coord = BaseCoord | JetCoord
 
-# "t" stays reserved: it names the scaling parameter of the Tonti integral
-_RESERVED_NAMES = frozenset({"t", "sin", "cos", "exp"})
+# the functions an expression may apply; their names are no coordinate names
+FUNCTIONS = ("sin", "cos", "exp")
+_RESERVED_NAMES = frozenset(FUNCTIONS)
+
+# the prolongation ceiling of a context that states none
+DEFAULT_CEILING = 12
 
 
 def coord_key(c: Coord) -> tuple:
@@ -119,7 +123,7 @@ class JetContext(Value):
         order: int,
         base_names: tuple = (),
         fiber_names: tuple = (),
-        ceiling: int = 12,
+        ceiling: int = DEFAULT_CEILING,
     ):
         if n < 1 or m < 1 or order < 0:
             raise ValueError("need n >= 1, m >= 1, order >= 0")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 
-from .coords import BaseCoord, JetContext, JetCoord
+from .coords import FUNCTIONS, BaseCoord, JetContext, JetCoord
 from .errors import DslSyntaxError, ExpansionBudget, OrderExceeded, UnknownIdentifier
 from .expr import (
     ONE,
@@ -51,8 +51,6 @@ from .forms import (
     scale,
     wedge,
 )
-
-FUNCTION_NAMES = ("sin", "cos", "exp")
 
 # Deeper nesting would exhaust the interpreter stack while parsing or
 # rendering; each level costs a few Python frames.
@@ -268,7 +266,7 @@ class _Parser:
         name = tok.text
         ctx = self.ctx
         span = (tok.start, tok.end)
-        if name in FUNCTION_NAMES:
+        if name in FUNCTIONS:
             self.expect_op("(")
             self.enter(tok)
             arg = self.expression(_ADD_PREC)
@@ -377,7 +375,14 @@ def _render_sum(e: Expr, ctx: JetContext, texts: dict) -> str:
     """`render_expr` with `texts`, the text of each sin/cos/exp argument
     already rendered in this call, so an argument is rendered once however
     often it occurs."""
-    parts = [_render_term(c, factors, ctx, texts) for c, factors in ordered_terms(e)]
+    return _join_signed(
+        [_render_term(c, factors, ctx, texts) for c, factors in ordered_terms(e)]
+    )
+
+
+def _join_signed(parts: list) -> str:
+    """Rendered terms joined into a sum, a term's leading '-' turned into
+    the operator before it; no terms render as 0."""
     if not parts:
         return "0"
     out = parts[0]
@@ -424,20 +429,15 @@ def _render_factor(atom, k: int, ctx: JetContext, texts: dict) -> str:
 
 def _render_generator(g, ctx: JetContext) -> str:
     if isinstance(g, DX):
-        return "d" + ctx.base_names[g.i - 1]
-    name = ctx.fiber_names[g.sigma - 1]
-    suffix = "" if not g.J else "_{" + ",".join(str(i) for i in g.J) + "}"
-    if isinstance(g, DY):
-        return "d" + name + suffix
-    return "w_" + name + suffix
+        return "d" + ctx.coord_name(BaseCoord(g.i))
+    prefix = "d" if isinstance(g, DY) else "w_"
+    return prefix + ctx.coord_name(JetCoord(g.sigma, g.J))
 
 
 def render_form(form: DiffForm, ctx: JetContext) -> str:
     """Render a form; raw-basis output re-parses to an equal form, while
     contact generators (from transient representations) render as w_u_{J}
     for display only."""
-    if form.is_zero():
-        return "0"
     texts: dict = {}
     parts = []
     for gens in sorted(form.terms, key=lambda gs: tuple(map(gen_key, gs))):
@@ -454,7 +454,4 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
             parts.append(f"({_render_sum(coeff, ctx, texts)})*{word}")
         else:
             parts.append(f"{_render_sum(coeff, ctx, texts)}*{word}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _join_signed(parts)

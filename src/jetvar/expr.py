@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coords import BaseCoord, Coord, JetCoord, coord_key, index_with
+from .coords import FUNCTIONS, BaseCoord, Coord, JetCoord, coord_key, index_with
 from .errors import (
     DivisionByZero,
     NonPolynomialDivision,
@@ -57,7 +57,6 @@ from .errors import (
     UnboundCoordinate,
 )
 
-FUNCTIONS = ("sin", "cos", "exp")
 _FUNC_INDEX = {name: k for k, name in enumerate(FUNCTIONS)}
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 

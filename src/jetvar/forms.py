@@ -169,8 +169,8 @@ def zero_form(ctx: JetContext, degree: int, order: int = 0) -> DiffForm:
 
 
 def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm:
-    """Build a form from (generators, coefficient) pairs; generator words
-    may arrive unsorted, and parallel terms are merged."""
+    """Build a form from (generators, coefficient) pairs: generator words
+    may arrive unsorted, parallel terms merge and zero coefficients drop."""
     acc: dict[tuple, Expr] = {}
     for gens, coeff in items:
         if len(gens) != degree:
@@ -192,10 +192,7 @@ def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm
 
 def function_form(ctx: JetContext, e, order: int = 0) -> DiffForm:
     """A 0-form wrapping a bare expression."""
-    e = as_expr(e)
-    if is_zero(e):
-        return zero_form(ctx, 0, order)
-    return DiffForm(ctx, order, 0, {(): e})
+    return form_from_terms(ctx, order, 0, [((), e)])
 
 
 def _require_compatible(a: DiffForm, b: DiffForm) -> None:
@@ -207,37 +204,24 @@ def form_add(a: DiffForm, b: DiffForm) -> DiffForm:
     _require_compatible(a, b)
     if a.degree != b.degree:
         raise DegreeMismatch(f"cannot add degree {a.degree} to degree {b.degree}")
-    terms = dict(a.terms)
-    for gens, coeff in b.terms.items():
-        merged = add(terms.get(gens, ZERO), coeff)
-        if is_zero(merged):
-            terms.pop(gens, None)
-        else:
-            terms[gens] = merged
-    return DiffForm(a.ctx, max(a.order, b.order), a.degree, terms)
+    pairs = itertools.chain(a.terms.items(), b.terms.items())
+    return form_from_terms(a.ctx, max(a.order, b.order), a.degree, pairs)
 
 
 def scale(a: DiffForm, factor) -> DiffForm:
     factor = as_expr(factor)
-    if is_zero(factor):
-        return zero_form(a.ctx, a.degree, a.order)
-    out = {}
-    for gens, coeff in a.terms.items():
-        c = mul(factor, coeff)
-        if not is_zero(c):
-            out[gens] = c
-    return DiffForm(a.ctx, a.order, a.degree, out)
+    pairs = ((gens, mul(factor, coeff)) for gens, coeff in a.terms.items())
+    return form_from_terms(a.ctx, a.order, a.degree, pairs)
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     _require_compatible(a, b)
-    pairs = []
-    for ga, ca in a.terms.items():
-        for gb, cb in b.terms.items():
-            pairs.append((ga + gb, mul(ca, cb)))
-    return form_from_terms(
-        a.ctx, max(a.order, b.order), a.degree + b.degree, pairs
+    pairs = (
+        (ga + gb, mul(ca, cb))
+        for ga, ca in a.terms.items()
+        for gb, cb in b.terms.items()
     )
+    return form_from_terms(a.ctx, max(a.order, b.order), a.degree + b.degree, pairs)
 
 
 def omega_0(ctx: JetContext) -> DiffForm:
@@ -528,21 +512,19 @@ def _determinant(rows) -> Expr:
 
 
 def _invert_matrix(rows):
-    """Exact inverse by Gauss-Jordan elimination; raises SingularBaseMap."""
+    """Exact inverse of a matrix of rationals, the transposed cofactors over
+    the determinant, each taken with _determinant; raises SingularBaseMap."""
+    entries = [[num(v) for v in row] for row in rows]
+    det = _determinant(entries)
+    if is_zero(det):
+        raise SingularBaseMap("base map Jacobian is singular")
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(entries) if k != i]
+        return (-1) ** (i + j) * _determinant(minor).value
+
     n = len(rows)
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularBaseMap("base map Jacobian is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[cofactor(j, i) / det.value for j in range(n)] for i in range(n)]
 
 
 def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> dict:

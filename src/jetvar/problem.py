@@ -29,8 +29,9 @@ newlines: LF, CR LF or CR ends a line, and nothing else does):
 A duplicate section, a duplicate key within a section, a key before the
 first section, and a line with no delimiter or an empty key are
 ProblemFileErrors that name the line.  Values are read literally, with
-no `%` interpolation.  Sections that no command reads are ignored.  The
-prolongation ceiling honors the JETVAR_ORDER_CEILING environment
+no `%` interpolation.  Sections that no command reads are ignored; in a
+section that one reads, a key it does not take is a ProblemFileError.
+The prolongation ceiling honors the JETVAR_ORDER_CEILING environment
 variable.
 """
 
@@ -40,7 +41,7 @@ import math
 import os
 from fractions import Fraction
 
-from .coords import BaseCoord, JetContext
+from .coords import DEFAULT_CEILING, BaseCoord, JetContext
 from .dsl import parse_expr, parse_form
 from .errors import ProblemFileError
 from .expr import add, mul, num, sym
@@ -48,8 +49,6 @@ from .forms import FiberedIso
 from .jets import SectionSpec
 from .numeric import QuadratureSpec
 from .variational import Lagrangian, SourceForm
-
-DEFAULT_CEILING = 12
 
 DEFAULT_OPTIONS = {
     "tolerance": 1e-6,
@@ -149,10 +148,17 @@ def _read_sections(handle) -> dict:
     return sections
 
 
+def _refuse_unknown_keys(section: dict, name: str, keys) -> None:
+    for key in section:
+        if key not in keys:
+            raise ProblemFileError(f"unknown key {key!r} in [{name}]")
+
+
 def _context(sections: dict) -> JetContext:
     if "context" not in sections:
         raise ProblemFileError("missing [context] section")
     section = sections["context"]
+    _refuse_unknown_keys(section, "context", ("n", "m", "order", "base", "fiber"))
     n = _get_int(section, "n", "[context]")
     m = _get_int(section, "m", "[context]")
     order = _get_int(section, "order", "[context]")
@@ -171,14 +177,17 @@ def _context(sections: dict) -> JetContext:
         raise ProblemFileError(str(exc)) from None
 
 
-def _components(section, prefix: str, count: int, ctx: JetContext, where: str):
-    out = []
-    for k in range(1, count + 1):
-        key = f"{prefix}{k}"
+def _components(
+    section, prefix: str, count: int, ctx: JetContext, where: str, others=()
+):
+    """The parsed values of prefix1..prefix<count>; with `others`, these
+    are all the keys the section may hold."""
+    keys = [f"{prefix}{k}" for k in range(1, count + 1)]
+    _refuse_unknown_keys(section, where, keys + list(others))
+    for key in keys:
         if key not in section:
             raise ProblemFileError(f"missing {key!r} in [{where}]")
-        out.append(parse_expr(section[key], ctx).expr)
-    return tuple(out)
+    return tuple(parse_expr(section[key], ctx).expr for key in keys)
 
 
 def _fractions(raw: str, what: str):
@@ -189,6 +198,7 @@ def _fractions(raw: str, what: str):
 
 
 def _iso(section: dict, ctx: JetContext) -> FiberedIso:
+    fiber_map = _components(section, "fiber", ctx.m, ctx, "iso", ("a", "b"))
     if "a" not in section:
         raise ProblemFileError("missing 'a' (base matrix) in [iso]")
     rows = [_fractions(row, "[iso] a") for row in section["a"].split(";")]
@@ -208,7 +218,6 @@ def _iso(section: dict, ctx: JetContext) -> FiberedIso:
             if rows[i][k] != 0:
                 pieces.append(mul(num(rows[i][k]), sym(BaseCoord(k + 1))))
         base_map.append(add(*pieces))
-    fiber_map = _components(section, "fiber", ctx.m, ctx, "iso")
     return FiberedIso(tuple(base_map), fiber_map)
 
 
@@ -296,6 +305,7 @@ def load_problem(path: str) -> ProblemFile:
 
     if "lagrangian" in sections:
         section = sections["lagrangian"]
+        _refuse_unknown_keys(section, "lagrangian", ("expr",))
         if "expr" not in section:
             raise ProblemFileError("missing 'expr' in [lagrangian]")
         problem.lagrangian = Lagrangian(
@@ -309,6 +319,7 @@ def load_problem(path: str) -> ProblemFile:
         )
     if "eta" in sections:
         section = sections["eta"]
+        _refuse_unknown_keys(section, "eta", ("form",))
         if "form" not in section:
             raise ProblemFileError("missing 'form' in [eta]")
         problem.eta = parse_form(section["form"], ctx)
@@ -325,6 +336,7 @@ def load_problem(path: str) -> ProblemFile:
         )
     if "points" in sections:
         section = sections["points"]
+        _refuse_unknown_keys(section, "points", ("values",))
         if "values" not in section:
             raise ProblemFileError("missing 'values' in [points]")
         problem.points = _points(section["values"], ctx)

@@ -1,10 +1,13 @@
 """Command-line frontend: problem files, subcommands, exit codes, JSON."""
 
+import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,9 @@ OBSTRUCTED_SOURCE = """
     [source]
     eps1 = u_{1}
 """
+
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def problem(tmp_path, text, name="problem.ini"):
@@ -602,15 +608,21 @@ def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_console_script_entry_point(tmp_path):
-    if shutil.which("jetvar") is None:
-        pytest.skip("console script not installed")
+def test_console_script_entry_point(tmp_path, capsys):
+    # the [project.scripts] target runs in-process wherever the package is
+    # importable; the installed script, where there is one, runs as well
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(PYPROJECT, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["jetvar"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
     path = problem(tmp_path, FREE_PARTICLE)
-    proc = subprocess.run(
-        ["jetvar", "el", path], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["components"] == ["-u_{1,1}"]
+    assert entry(["el", path]) == 0
+    assert json.loads(capsys.readouterr().out)["components"] == ["-u_{1,1}"]
+    if shutil.which("jetvar") is not None:
+        proc = subprocess.run(["jetvar", "el", path], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["components"] == ["-u_{1,1}"]
 
 
 def test_singular_fiber_map_exits_2(tmp_path, capsys):
@@ -669,3 +681,63 @@ def test_help_stays_plain_text(capsys):
         main(["el", "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: jetvar el")
+
+
+UNSORTED_INDEX = """
+    [context]
+    n = 2
+    m = 1
+    order = 2
+    base = x, y
+    fiber = u
+
+    [lagrangian]
+    expr = u_{2,1}
+"""
+
+
+def test_warnings_join_the_diagnostic_of_an_error(tmp_path, capsys):
+    text = UNSORTED_INDEX.replace("u_{2,1}", "u_{2,1} + (")
+    code, payload, diagnostic = run(capsys, ["el", problem(tmp_path, text)])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "DslSyntaxError"
+    assert diagnostic["warnings"] == ["jet index (2, 1) normalized to (1, 2)"]
+
+
+def test_warnings_of_a_success_are_one_json_object(tmp_path, capsys):
+    code, payload, diagnostic = run(capsys, ["el", problem(tmp_path, UNSORTED_INDEX)])
+    assert code == 0
+    assert payload["components"] == ["0"]
+    assert diagnostic == {"warnings": ["jet index (2, 1) normalized to (1, 2)"]}
+    order_zero = FREE_PARTICLE.replace("order = 1", "order = 0").replace(
+        "1/2*u_{1}^2", "u^2"
+    )
+    code, payload, diagnostic = run(capsys, ["cartan", problem(tmp_path, order_zero)])
+    assert code == 0
+    assert payload["contact"] == "u^2*dx"
+    assert diagnostic == {
+        "warnings": ["order-0 Lagrangian: the Cartan form is the Lagrangian itself"]
+    }
+
+
+def test_stderr_of_a_process_with_warnings_is_one_json_document(tmp_path):
+    text = UNSORTED_INDEX.replace("u_{2,1}", "u_{2,1} + (")
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetvar.cli", "el", problem(tmp_path, text)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(jetvar.cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    diagnostic = json.loads(proc.stderr)
+    assert diagnostic["error"] == "DslSyntaxError"
+    assert len(diagnostic["warnings"]) == 1
+
+
+def test_a_base_named_t_parses_and_renders(tmp_path, capsys):
+    text = FREE_PARTICLE.replace("base = x", "base = t").replace(
+        "1/2*u_{1}^2", "1/2*u_{1}^2 + t*u"
+    )
+    code, payload, diagnostic = run(capsys, ["el", problem(tmp_path, text)])
+    assert code == 0 and diagnostic is None
+    assert payload == {"order": 2, "components": ["t - u_{1,1}"]}

@@ -24,7 +24,7 @@ from jetvar import (
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.dsl import MAX_NESTING
 from jetvar.expr import add, mul, neg, num, ordered_terms, partial, pow_, sin, sym
-from jetvar.forms import DX, DY, form_from_terms
+from jetvar.forms import DX, DY, form_add, form_from_terms, scale
 
 from corpus import random_mixed, random_polynomial
 
@@ -251,6 +251,14 @@ def test_render_form_sum_coefficients(ode1):
     form = form_from_terms(ode1, 1, 1, [((DX(1),), add(sym(U), num(1)))])
     text = render_form(form, ode1)
     assert parse_form(text, ode1).terms == form.terms
+
+
+def test_render_form_of_a_zero_form_is_zero(plane1):
+    dx = form_from_terms(plane1, 0, 1, [((DX(1),), sym(U))])
+    zeros = [form_from_terms(plane1, 1, degree, []) for degree in (0, 1, 2)]
+    for form in zeros + [form_add(dx, scale(dx, -1))]:
+        assert form.is_zero()
+        assert render_form(form, plane1) == "0"
 
 
 def test_parsed_expr_metadata(ode1):

@@ -34,6 +34,7 @@ from jetvar.forms import (
     DiffForm,
     W,
     _determinant,
+    _invert_matrix,
     _pullback_prolonged,
     contact_decompose,
     contact_form,
@@ -464,3 +465,51 @@ def test_form_arithmetic_guards(ode1, plane1):
         form_add(a, dx)
     assert form_add(dx, scale(dx, num(-1))).is_zero()
     assert scale(dx, num(-1)).terms == {(DX(1),): num(-1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_invert_matrix_is_an_exact_inverse(n):
+    rng = random.Random(700 + n)
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    inverted = 0
+    while inverted < 5:
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        try:
+            inverse = _invert_matrix(rows)
+        except SingularBaseMap:
+            continue
+        product = [
+            [sum(inverse[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == identity
+        assert all(isinstance(v, Fraction) for row in inverse for v in row)
+        inverted += 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0]],
+        [[1, 2], [0, 0]],
+        [[1, 2], [Fraction(1, 2), 1]],
+        [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+    ],
+    ids=["zero-1x1", "zero-row", "proportional-rows", "sum-of-rows"],
+)
+def test_invert_matrix_refuses_a_singular_matrix(rows):
+    with pytest.raises(SingularBaseMap, match="^base map Jacobian is singular$"):
+        _invert_matrix(rows)
+
+
+def test_zero_results_keep_degree_and_order(ode1, plane1):
+    a = form_from_terms(plane1, 2, 1, [((DX(1),), sym(U)), ((DY(1, (2,)),), sym(X))])
+    for zero in (scale(a, 0), scale(a, num(0)), form_add(a, scale(a, -1))):
+        assert zero.is_zero()
+        assert (zero.degree, zero.order) == (1, 2)
+    f = function_form(ode1, 0, 3)
+    assert f.is_zero()
+    assert (f.degree, f.order) == (0, 3)

@@ -60,7 +60,7 @@ def test_context_validation():
     with pytest.raises(ValueError):
         JetContext(n=1, m=1, order=1, base_names=("u",), fiber_names=("u",))
     with pytest.raises(ValueError):
-        JetContext(n=1, m=1, order=1, base_names=("t",))
+        JetContext(n=1, m=1, order=1, base_names=("sin",))
     with pytest.raises(ValueError):
         JetContext(n=1, m=1, order=3, ceiling=2)
     with pytest.raises(ValueError):

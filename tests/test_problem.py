@@ -122,6 +122,62 @@ def test_section_names_are_case_sensitive(tmp_path, capsys):
     assert diagnostic["message"] == "missing [context] section"
 
 
+SOURCE = CONTEXT + "\n[source]\neps1 = u_{1}\n"
+
+
+@pytest.mark.parametrize(
+    "text, key, section",
+    [
+        (CONTEXT + "dim = 1\n" + FREE_PARTICLE[len(CONTEXT):], "dim", "context"),
+        (FREE_PARTICLE + "expresion = u\n", "expresion", "lagrangian"),
+        (FREE_PARTICLE + "[points] values = 0.5\n", "[points] values", "lagrangian"),
+        (SOURCE + "eps2 = u\n", "eps2", "source"),
+        (CONTEXT + "\n[eta]\nform = u*dx\nfrom = u\n", "from", "eta"),
+        (FREE_PARTICLE + "\n[iso]\na = 1\nfiber1 = u\nc = 0\n", "c", "iso"),
+        (FREE_PARTICLE + "\n[section]\ncomp1 = x\ncomp2 = x\n", "comp2", "section"),
+        (FREE_PARTICLE + "\n[variation]\ncomp0 = x\n", "comp0", "variation"),
+        (FREE_PARTICLE + "\n[points]\nvalues = 0.5\nvalue = 1\n", "value", "points"),
+    ],
+    ids=[
+        "context",
+        "lagrangian",
+        "text_after_header",
+        "source",
+        "eta",
+        "iso",
+        "section",
+        "variation",
+        "points",
+    ],
+)
+def test_unknown_key_exits_2(tmp_path, capsys, text, key, section):
+    code, payload, diagnostic = run_el(capsys, write(tmp_path, text))
+    assert code == 2 and payload is None
+    assert diagnostic == {
+        "error": "ProblemFileError",
+        "message": f"unknown key {key!r} in [{section}]",
+    }
+
+
+def test_every_key_a_section_takes_is_accepted(tmp_path, capsys, free_particle_output):
+    text = FREE_PARTICLE + (
+        "\n[iso]\na = 2\nb = 1\nfiber1 = u\n"
+        "\n[section]\ncomp1 = x\n"
+        "\n[variation]\ncomp1 = x^2\n"
+        "\n[points]\nvalues = 0.5\n"
+    )
+    code, payload, _ = run_el(capsys, write(tmp_path, text))
+    assert code == 0
+    assert payload == free_particle_output
+
+
+def test_unknown_option_keeps_its_message(tmp_path, capsys):
+    text = FREE_PARTICLE + "\n[options]\ncolour = red\n"
+    code, _, diagnostic = run_el(capsys, write(tmp_path, text))
+    assert code == 2
+    assert diagnostic["message"] == "unknown option 'colour'"
+
+
 def test_cli_import_leaves_configparser_out():
     code = "import sys, jetvar.cli; print('configparser' in sys.modules)"
     src = os.path.dirname(os.path.dirname(jetvar.__file__))
