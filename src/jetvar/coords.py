@@ -98,7 +98,7 @@ Coord = BaseCoord | JetCoord
 FUNCTIONS = ("sin", "cos", "exp")
 _RESERVED_NAMES = frozenset(FUNCTIONS)
 
-# the prolongation ceiling of a context that states none
+# the least prolongation ceiling of any context
 DEFAULT_CEILING = 12
 
 
@@ -112,7 +112,13 @@ def coord_key(c: Coord) -> tuple:
 
 class JetContext(Value):
     """Ambient chart data: n base variables, m fiber variables, a maximum
-    declared jet order, display names, and a hard prolongation ceiling."""
+    declared jet order, display names, and a hard prolongation ceiling.
+
+    The ceiling is max(DEFAULT_CEILING, 2 * order), derived from the order
+    and never set: every operator stays within twice the order it is
+    declared on (Euler-Lagrange reaches 2r, the Cartan form 2r - 1, the
+    Helmholtz residuals 2s), so each runs at any declared order, while
+    iterated total derivatives past the bound raise OrderOverflow."""
 
     __slots__ = ("n", "m", "order", "base_names", "fiber_names", "ceiling")
 
@@ -123,7 +129,6 @@ class JetContext(Value):
         order: int,
         base_names: tuple = (),
         fiber_names: tuple = (),
-        ceiling: int = DEFAULT_CEILING,
     ):
         if n < 1 or m < 1 or order < 0:
             raise ValueError("need n >= 1, m >= 1, order >= 0")
@@ -131,7 +136,8 @@ class JetContext(Value):
             base_names = tuple(f"x{i}" for i in range(1, n + 1))
         if not fiber_names:
             fiber_names = ("u",) if m == 1 else tuple(f"u{s}" for s in range(1, m + 1))
-        self.n, self.m, self.order, self.ceiling = n, m, order, ceiling
+        self.n, self.m, self.order = n, m, order
+        self.ceiling = max(DEFAULT_CEILING, 2 * order)
         self.base_names, self.fiber_names = base_names, fiber_names
         if len(base_names) != n or len(fiber_names) != m:
             raise ValueError("name counts must match n and m")
@@ -143,13 +149,10 @@ class JetContext(Value):
                 raise ValueError(f"{name!r} is reserved")
             if not name.isidentifier():
                 raise ValueError(f"{name!r} is not a valid identifier")
-        if ceiling < order:
-            raise ValueError("ceiling must be at least the declared order")
 
     def with_order(self, order: int) -> "JetContext":
         """Copy of this context carrying a different declared order."""
-        names = (self.base_names, self.fiber_names)
-        return JetContext(self.n, self.m, order, *names, max(self.ceiling, order))
+        return JetContext(self.n, self.m, order, self.base_names, self.fiber_names)
 
     def declares(self, c: Coord) -> bool:
         if isinstance(c, BaseCoord):
@@ -166,7 +169,7 @@ class JetContext(Value):
             raise UnknownCoordinate(f"{self.coord_name(c)} is not declared")
 
     def compatible(self, other: "JetContext") -> bool:
-        """Same chart up to bookkeeping (order, ceiling)."""
+        """Same chart up to the declared order, and so the ceiling."""
         return (
             self.n == other.n
             and self.m == other.m

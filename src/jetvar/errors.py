@@ -14,7 +14,8 @@ class UnboundCoordinate(JetvarError):
 
 
 class OrderOverflow(JetvarError):
-    """An operation would generate a jet coordinate beyond the hard ceiling."""
+    """An operation would generate a jet coordinate beyond the context's
+    ceiling, twice its declared order and at least 12."""
 
 
 class NonPolynomialParameter(JetvarError):

@@ -12,7 +12,8 @@ def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
     lifts every jet coordinate one level (y^s_J to y^s_{Ji}).
 
     Raises OrderOverflow when a lifted coordinate would exceed the context
-    ceiling; the ceiling guards against runaway iterated derivatives.
+    ceiling, max(12, 2 * ctx.order): no operator needs more, so the ceiling
+    only stops runaway iterated derivatives.
     """
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")

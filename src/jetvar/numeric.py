@@ -19,6 +19,8 @@ from .variational import euler_lagrange
 
 BOUNDARY_TOL = 1e-12
 RICHARDSON_DISAGREE = 1e-9
+# the most quadrature nodes a spec takes: building the rule costs O(nodes^2)
+MAX_NODES = 1000
 
 
 class QuadratureSpec:
@@ -28,8 +30,8 @@ class QuadratureSpec:
     __slots__ = ("nodes", "step")
 
     def __init__(self, nodes: int = 32, step: float = 1e-4):
-        if nodes < 2:
-            raise ValueError("need at least 2 quadrature nodes")
+        if not 2 <= nodes <= MAX_NODES:
+            raise ValueError(f"need 2 to {MAX_NODES} quadrature nodes, got {nodes}")
         if not (math.isfinite(step) and step > 0):
             raise ValueError("finite-difference step must be positive and finite")
         self.nodes, self.step = nodes, step

@@ -31,17 +31,15 @@ first section, and a line with no delimiter or an empty key are
 ProblemFileErrors that name the line.  Values are read literally, with
 no `%` interpolation.  Sections that no command reads are ignored; in a
 section that one reads, a key it does not take is a ProblemFileError.
-The prolongation ceiling honors the JETVAR_ORDER_CEILING environment
-variable.
+The prolongation ceiling follows from the declared order (see JetContext).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
-from .coords import DEFAULT_CEILING, BaseCoord, JetContext
+from .coords import BaseCoord, JetContext
 from .dsl import parse_expr, parse_form
 from .errors import ProblemFileError
 from .expr import add, mul, num, sym
@@ -58,6 +56,10 @@ DEFAULT_OPTIONS = {
     "nodes": 32,
     "step": 1e-4,
 }
+# the spellings of a boolean option, read case-insensitively
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
 
 
 class ProblemFile:
@@ -93,18 +95,6 @@ def _get_int(section, key: str, what: str) -> int:
         raise ProblemFileError(f"missing {key!r} in {what}") from None
     except ValueError:
         raise ProblemFileError(f"{key!r} in {what} must be an integer") from None
-
-
-def _ceiling(order: int) -> int:
-    raw = os.environ.get("JETVAR_ORDER_CEILING")
-    if raw is None:
-        return max(DEFAULT_CEILING, order)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ProblemFileError(
-            f"JETVAR_ORDER_CEILING must be an integer, got {raw!r}"
-        ) from None
 
 
 def _malformed(lineno: int, what: str) -> ProblemFileError:
@@ -165,14 +155,7 @@ def _context(sections: dict) -> JetContext:
     base = _names(section.get("base", ""))
     fiber = _names(section.get("fiber", ""))
     try:
-        return JetContext(
-            n=n,
-            m=m,
-            order=order,
-            base_names=base,
-            fiber_names=fiber,
-            ceiling=_ceiling(order),
-        )
+        return JetContext(n, m, order, base, fiber)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
 
@@ -269,12 +252,12 @@ def _options(section: dict) -> dict:
         raw = section[key]
         try:
             if isinstance(default, bool):
-                out[key] = raw.strip().lower() in ("1", "true", "yes", "on")
+                out[key] = _BOOLEANS[raw.lower()]
             elif isinstance(default, int):
                 out[key] = int(raw)
             else:
                 out[key] = float(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ProblemFileError(f"bad value for option {key!r}: {raw!r}") from None
     check_tolerance(out["tolerance"])
     try:

@@ -505,13 +505,42 @@ FIRST_VARIATION = """
 
 @pytest.mark.parametrize(
     "option",
-    ["nodes = 1", "step = -1", "step = inf", "tolerance = nan", "tolerance = -1"],
+    [
+        "nodes = 1",
+        "nodes = 1001",
+        "step = -1",
+        "step = inf",
+        "tolerance = nan",
+        "tolerance = -1",
+    ],
 )
 def test_bad_numeric_option_exits_2(tmp_path, capsys, option):
     path = problem(tmp_path, FIRST_VARIATION + f"\n    [options]\n    {option}\n")
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "ProblemFileError"
+
+
+@pytest.mark.parametrize(
+    "option", ["verbose = maybe", "skip-variational-check = ture", "verbose ="]
+)
+def test_misspelt_boolean_option_exits_2(tmp_path, capsys, option):
+    # a misspelt boolean was read as false: tonti ran its gate and exited 1
+    text = OBSTRUCTED_SOURCE + f"\n    [options]\n    {option}\n"
+    code, payload, diagnostic = run(capsys, ["tonti", problem(tmp_path, text)])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+    key = option.split("=")[0].strip()
+    assert diagnostic["message"].startswith(f"bad value for option {key!r}")
+
+
+def test_boolean_option_spellings(tmp_path, capsys):
+    # with the gate skipped, tonti reports its Lagrangian; with it, it stops
+    for word, skipped in (("1", True), ("True", True), ("YES", True), ("on", True),
+                          ("0", False), ("FALSE", False), ("no", False), ("Off", False)):
+        text = OBSTRUCTED_SOURCE + f"\n    [options]\n    skip-variational-check = {word}\n"
+        code, payload, _ = run(capsys, ["tonti", problem(tmp_path, text)])
+        assert code == 1 and ("lagrangian" in payload) is skipped
 
 
 def test_evaluation_overflow_exits_2(tmp_path, capsys):
@@ -593,19 +622,32 @@ def test_nesting_past_limit_exits_2(tmp_path, capsys, opening, atom, closing):
     assert diagnostic["span"][0] == start
 
 
-def test_order_ceiling_environment_variable(tmp_path, capsys, monkeypatch):
-    path = problem(tmp_path, FREE_PARTICLE)
-    monkeypatch.setenv("JETVAR_ORDER_CEILING", "1")
-    code, _, diagnostic = run(capsys, ["el", path])
-    assert code == 2
-    assert diagnostic["error"] == "OrderOverflow"
-    monkeypatch.setenv("JETVAR_ORDER_CEILING", "not-a-number")
-    code, _, diagnostic = run(capsys, ["el", path])
-    assert code == 2
-    assert diagnostic["error"] == "ProblemFileError"
-    monkeypatch.delenv("JETVAR_ORDER_CEILING")
-    code, _, _ = run(capsys, ["el", path])
+def test_order_seven_operators_run_under_the_derived_ceiling(tmp_path, capsys):
+    # the ceiling of an order-7 file is 14, which EL (order 14), Cartan
+    # (order 13) and the Helmholtz residuals (order 14) each stay within;
+    # a fixed ceiling of 12 stopped all three with OrderOverflow
+    def jet(k):
+        return "u_{" + ",".join("1" * k) + "}"
+
+    lagrangian = FREE_PARTICLE.replace("1/2*u_{1}^2", jet(7) + "^2")
+    path = problem(tmp_path, lagrangian.replace("order = 1", "order = 7"))
+    code, payload, _ = run(capsys, ["el", path])
     assert code == 0
+    assert payload == {"order": 14, "components": ["-2*" + jet(14)]}
+    code, payload, _ = run(capsys, ["cartan", path])
+    assert code == 0 and payload["order"] == 13
+    source = OBSTRUCTED_SOURCE.replace("u_{1}", jet(7) + "^2")
+    path = problem(tmp_path, source.replace("order = 1", "order = 7"), "source.ini")
+    code, payload, _ = run(capsys, ["helmholtz", path])
+    assert code == 1 and payload["verdict"] == "not_variational"
+    assert payload["residuals"][0]["residual"] == "2*" + jet(14)
+
+
+def test_no_module_reads_the_process_environment():
+    # a run depends on the problem file and the flags only
+    for path in Path(jetvar.cli.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, path.name
 
 
 def test_console_script_entry_point(tmp_path, capsys):

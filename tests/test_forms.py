@@ -201,10 +201,10 @@ def test_contact_decompose_reassembles():
 
 
 def test_lifting_a_differential_of_ceiling_order_overflows():
-    # with ceiling 2, dy_{1,1} and w_{1,1} are declared, but their horizontal
-    # parts would need u_{1,1,1}; one order lower is fine
-    ctx = JetContext(n=1, m=1, order=1, ceiling=2)
-    top, below = (1, 1), (1,)
+    # order 6 gives ceiling 12: dy and w with twelve 1s are declared, but
+    # their horizontal parts would need thirteen; one order lower is fine
+    ctx = JetContext(n=1, m=1, order=6)
+    top, below = (1,) * 12, (1,) * 11
     with pytest.raises(OrderOverflow):
         contact_form(1, top, ctx)
     with pytest.raises(OrderOverflow):
@@ -212,7 +212,7 @@ def test_lifting_a_differential_of_ceiling_order_overflows():
     for g in (DY(1, top), W(1, top)):
         with pytest.raises(OrderOverflow):
             contact_decompose(DiffForm(ctx, 2, 1, {(g,): num(1)}))
-    assert contact_form(1, below, ctx).order == 2
+    assert contact_form(1, below, ctx).order == 12
     assert horizontalize(DiffForm(ctx, 1, 1, {(DY(1, below),): num(1)})).terms == {
         (DX(1),): sym(JetCoord(1, top))
     }

@@ -62,7 +62,12 @@ def test_context_validation():
     with pytest.raises(ValueError):
         JetContext(n=1, m=1, order=1, base_names=("sin",))
     with pytest.raises(ValueError):
+        JetContext(n=1, m=1, order=-1)
+    # the ceiling follows from the order and is no argument
+    with pytest.raises(TypeError):
         JetContext(n=1, m=1, order=3, ceiling=2)
+    ceilings = [JetContext(n=1, m=1, order=k).ceiling for k in (0, 3, 6, 7, 20)]
+    assert ceilings == [12, 12, 12, 14, 40]
     with pytest.raises(ValueError):
         JetContext(n=2, m=1, order=1, base_names=("x",))
 
@@ -149,12 +154,15 @@ def test_iterated_total_derivative_is_composition():
 
 
 def test_order_ceiling_guard():
-    ctx = JetContext(n=1, m=1, order=2, ceiling=2)
-    top = sym(JetCoord(1, (1, 1)))
+    # order 6 gives ceiling 12: u_{1,...} with twelve 1s does not lift;
+    # at order 7 (ceiling 14) it does
+    ctx = JetContext(n=1, m=1, order=6)
+    top = sym(JetCoord(1, (1,) * 12))
     with pytest.raises(OrderOverflow):
         total_derivative(top, 1, ctx)
     with pytest.raises(UnknownCoordinate):
         total_derivative(top, 2, ctx)
+    assert total_derivative(top, 1, ctx.with_order(7)) == sym(JetCoord(1, (1,) * 13))
 
 
 def test_prolong_section_jets():

@@ -88,11 +88,12 @@ def test_integral_coefficients_stay_int(seed):
 def test_lift_table_follows_each_ceiling(high_first):
     # a fiber index no other test lifts, so this call order is the first
     sigma = 3 if high_first else 4
-    high = JetContext(n=1, m=4, order=3, ceiling=12)
-    low = JetContext(n=1, m=4, order=3, ceiling=3)
-    top = sym(JetCoord(sigma, (1, 1, 1)))
+    # order 7 gives ceiling 14, order 6 gives ceiling 12
+    high = JetContext(n=1, m=4, order=7)
+    low = JetContext(n=1, m=4, order=6)
+    top = sym(JetCoord(sigma, (1,) * 12))
     e = mul(top, sin(top))
-    lifted = sym(JetCoord(sigma, (1, 1, 1, 1)))
+    lifted = sym(JetCoord(sigma, (1,) * 13))
     want = add(mul(lifted, sin(top)), mul(top, cos(top), lifted))
     for ctx in (high, low) if high_first else (low, high):
         if ctx is high:
@@ -103,5 +104,5 @@ def test_lift_table_follows_each_ceiling(high_first):
             with pytest.raises(OrderOverflow):
                 total_derivative(sin(top), 1, ctx)
     # the coordinates below the ceiling still lift under the low one
-    below = sym(JetCoord(sigma, (1, 1)))
+    below = sym(JetCoord(sigma, (1,) * 11))
     assert total_derivative(below, 1, low) == top

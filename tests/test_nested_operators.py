@@ -130,17 +130,17 @@ def test_nested_helmholtz_matches_flat_formula(n, m, r):
 
 
 def test_helmholtz_builds_one_plan_per_shape():
-    # two source forms with n = 2 and s = 2 that differ in m, in their
-    # fiber names and in the ceiling share one completion plan; the second
-    # is perturbed off the Euler-Lagrange image, so nonzero residuals
-    # compare too
+    # two source forms with n = 2 and s = 2 that differ in m and in their
+    # fiber names share one completion plan; the second is read over an
+    # order-7 context (ceiling 14) and perturbed off the Euler-Lagrange
+    # image, so nonzero residuals compare too
     rng = random.Random(4212)
     a = euler_lagrange(random_lagrangian(rng, 2, 1, 1))
-    named = JetContext(2, 2, 2, ("a", "b"), ("p", "q"), ceiling=5)
+    named = JetContext(2, 2, 7, ("a", "b"), ("p", "q"))
     bump = random_polynomial(rng, named, order=2, degree=2)
     b = SourceForm((bump, ZERO), named, 2)
     assert (a.ctx.n, a.s) == (b.ctx.n, b.s)
-    assert (a.ctx.m, a.ctx.ceiling) != (b.ctx.m, b.ctx.ceiling)
+    assert (a.ctx.m, a.ctx.fiber_names) != (b.ctx.m, b.ctx.fiber_names)
 
     _completion_plan.cache_clear()
     shared = records(helmholtz_residuals(a)), records(helmholtz_residuals(b))

@@ -55,12 +55,13 @@ def test_diff_form_equality_ignores_the_context_and_forms_are_unhashable():
 
 
 def test_with_order_keeps_the_names_and_raises_the_ceiling():
-    ctx = JetContext(n=2, m=1, order=1, base_names=("s", "q"), fiber_names=("w",), ceiling=3)
-    raised = ctx.with_order(5)
-    assert (raised.order, raised.ceiling) == (5, 5)
+    ctx = JetContext(n=2, m=1, order=1, base_names=("s", "q"), fiber_names=("w",))
+    raised = ctx.with_order(7)
+    assert (raised.order, raised.ceiling) == (7, 14)
     assert raised.base_names == ("s", "q") and raised.fiber_names == ("w",)
-    lowered = ctx.with_order(0)
-    assert (lowered.order, lowered.ceiling) == (0, 3)
+    lowered = raised.with_order(0)
+    assert (lowered.order, lowered.ceiling) == (0, 12)
+    assert raised.with_order(1) == ctx
     assert ctx.with_order(1) == ctx and hash(ctx.with_order(1)) == hash(ctx)
     assert ctx.with_order(2) != ctx
 
