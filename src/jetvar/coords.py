@@ -36,12 +36,6 @@ def multi_indices(n: int, length: int):
     return itertools.combinations_with_replacement(range(1, n + 1), length)
 
 
-def multi_indices_up_to(n: int, order: int):
-    """All sorted multi-indices of length 0..order, shortest first."""
-    for k in range(order + 1):
-        yield from multi_indices(n, k)
-
-
 class Value:
     """Base of the records compared by value.  A record equals a record of
     the same class whose fields (its __slots__) are equal, and hashes as the

@@ -30,7 +30,6 @@ from .coords import (
     coord_key,
     index_with,
     multi_indices,
-    multi_indices_up_to,
     multiplicity,
 )
 from .errors import (
@@ -61,7 +60,7 @@ from .expr import (
     substitute,
     sym,
 )
-from .jets import total_derivative
+from .jets import jet_partials, total_derivative
 
 
 # --- basis one-form generators ----------------------------------------------
@@ -162,10 +161,6 @@ class DiffForm(Value):
     def at_order(self, order: int) -> "DiffForm":
         """The same form regarded on a jet space of another order."""
         return DiffForm(self.ctx, order, self.degree, self.terms)
-
-
-def zero_form(ctx: JetContext, degree: int, order: int = 0) -> DiffForm:
-    return DiffForm(ctx, order, degree, {})
 
 
 def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm:
@@ -379,37 +374,29 @@ def horizontalize(form: DiffForm) -> DiffForm:
 def cartan_form_contact(lam) -> DiffForm:
     """Like cartan_form, but keeps the contact generators w^s_J unexpanded
     so the result displays in the L omega_0 + sum f w^s_J ^ omega_i shape."""
-    ctx = lam.ctx
-    r = lam.r
+    ctx, r = lam.ctx, lam.r
     if r == 0:
         warnings.warn(
             "order-0 Lagrangian: the Cartan form is the Lagrangian itself",
             OrderZeroWarning,
         )
         return lam.as_form()
-    grad = gradient(lam.L)
-    f: dict[tuple, Expr] = {}
-    for k in range(r, 0, -1):
-        for sigma in range(1, ctx.m + 1):
-            for K in multi_indices(ctx.n, k):
-                value = mul(
-                    num(Fraction(1, multiplicity(K))),
-                    grad.get(JetCoord(sigma, K), ZERO),
-                )
-                if k < r:
-                    for i in range(1, ctx.n + 1):
-                        upper = f[(sigma, index_with(K, i))]
-                        if not is_zero(upper):
-                            value = add(value, neg(total_derivative(upper, i, ctx)))
-                f[(sigma, K)] = value
+    f = jet_partials(lam.L)
+    for level in f.values():
+        for (sigma, K), d in level.items():
+            level[sigma, K] = mul(num(Fraction(1, multiplicity(K))), d)
     pairs = [(gens, lam.L) for gens in omega_0(ctx).terms]
-    for sigma in range(1, ctx.m + 1):
-        for J in multi_indices_up_to(ctx.n, r - 1):
-            weight = num(multiplicity(J))
-            for i in range(1, ctx.n + 1):
-                coeff = f[(sigma, index_with(J, i))]
-                for gens, sign in omega_i(i, ctx).terms.items():
-                    pairs.append(((W(sigma, J),) + gens, mul(sign, weight, coeff)))
+    for k in range(max(f, default=0), 0, -1):
+        for (sigma, K), value in sorted(f[k].items()):
+            if not is_zero(value):
+                for i in dict.fromkeys(K):
+                    J = K[: K.index(i)] + K[K.index(i) + 1 :]
+                    weight = num(multiplicity(J))
+                    for gens, sign in omega_i(i, ctx).terms.items():
+                        pairs.append(((W(sigma, J),) + gens, mul(sign, weight, value)))
+                    if k > 1:
+                        d = total_derivative(value, i, ctx)
+                        f[k - 1][sigma, J] = add(f[k - 1].get((sigma, J), ZERO), neg(d))
     return form_from_terms(ctx, 2 * r - 1, ctx.n, pairs)
 
 
@@ -427,6 +414,10 @@ def cartan_form(lam) -> DiffForm:
 
         Theta = L omega_0
               + sum_s sum_{|J| <= r-1} mult(J) f[s][J + i] w^s_J ^ omega_i
+
+    Both run over the nonzero f[s][K] only, longest first, each feeding
+    J = K minus one i for each distinct i in K, so the cost follows the
+    jets that occur in L, not the declared order.
     """
     return expand_contact(cartan_form_contact(lam))
 

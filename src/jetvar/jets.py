@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, Value, multi_indices
 from .errors import DimensionMismatch, UnknownCoordinate
-from .expr import ZERO, Expr, coords_in, derive, is_zero, lift, partial
+from .expr import ZERO, Expr, coords_in, derive, gradient, is_zero, lift, partial
 
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
@@ -19,6 +21,16 @@ def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     ceiling = ctx.ceiling
     return derive(e, lambda a: lift(a, i, ceiling)).get(None, ZERO)
+
+
+def jet_partials(e: Expr) -> defaultdict:
+    """The nonzero partials of e by jet coordinate, from one gradient walk
+    and grouped by order: levels[k][sigma, K] = partial(e, y^sigma_K)."""
+    levels = defaultdict(dict)
+    for c, d in gradient(e).items():
+        if c.__class__ is JetCoord:
+            levels[len(c.J)][c.sigma, c.J] = d
+    return levels
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:

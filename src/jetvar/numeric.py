@@ -21,6 +21,8 @@ BOUNDARY_TOL = 1e-12
 RICHARDSON_DISAGREE = 1e-9
 # the most quadrature nodes a spec takes: building the rule costs O(nodes^2)
 MAX_NODES = 1000
+# the least finite-difference step: below it rounding swamps the difference
+MIN_STEP = 1e-8
 
 
 class QuadratureSpec:
@@ -32,8 +34,8 @@ class QuadratureSpec:
     def __init__(self, nodes: int = 32, step: float = 1e-4):
         if not 2 <= nodes <= MAX_NODES:
             raise ValueError(f"need 2 to {MAX_NODES} quadrature nodes, got {nodes}")
-        if not (math.isfinite(step) and step > 0):
-            raise ValueError("finite-difference step must be positive and finite")
+        if not (math.isfinite(step) and step >= MIN_STEP):
+            raise ValueError(f"need a finite step of at least {MIN_STEP}, got {step}")
         self.nodes, self.step = nodes, step
 
     def points_weights(self):

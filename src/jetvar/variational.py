@@ -38,7 +38,6 @@ from .expr import (
     as_expr,
     coords_in,
     evaluate,
-    gradient,
     has_functions,
     integrate_param,
     is_zero,
@@ -62,7 +61,7 @@ from .forms import (
     pullback,
     _pullback_prolonged,
 )
-from .jets import total_derivative
+from .jets import jet_partials, total_derivative
 
 PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
@@ -139,13 +138,6 @@ class HelmholtzReport:
         self.verdict = verdict  # variational | not_variational | undecided
         self.ctx = ctx
 
-    @property
-    def is_variational(self) -> bool:
-        return self.verdict == "variational"
-
-    def nonzero_records(self):
-        return [rec for rec in self.records if not is_zero(rec.residual)]
-
 
 # --- Euler-Lagrange operator --------------------------------------------------
 
@@ -157,30 +149,25 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
 
     summed over sorted multi-indices J; the multiplicity of J cancels
     against the tuple-derivative normalization.  The sum is evaluated in
-    nested form, from the longest multi-indices down:
+    nested form, from the longest multi-indices that occur in L down:
 
         F(J) = partial(L, y^sigma_J) - sum_{i >= last(J)} d_i F(J+i)
 
-    and eps_sigma = F(()); every sorted J is reached along exactly one
-    chain of appended indices, so it enters once with sign (-1)^|J|.  The
-    result is declared on the jet space of order 2r."""
+    and eps_sigma = F(()); a sorted K has the one parent K minus its last
+    index, so every sorted J is reached along exactly one chain of
+    appended indices and enters once with sign (-1)^|J|.  Only the nonzero
+    F are walked, so the cost follows the jets that occur in L, not the
+    declared order.  The result is declared on the jet space of order 2r."""
     ctx = lam.ctx
-    grad = gradient(lam.L)
-    eps = []
-    for sigma in range(1, ctx.m + 1):
-        upper: dict = {}  # F at the level above, by multi-index
-        for k in range(lam.r, -1, -1):
-            level = {}
-            for J in multi_indices(ctx.n, k):
-                value = grad.get(JetCoord(sigma, J), ZERO)
-                for i in range(J[-1] if J else 1, ctx.n + 1):
-                    above = upper.get(J + (i,), ZERO)
-                    if not is_zero(above):
-                        value = add(value, neg(total_derivative(above, i, ctx)))
-                level[J] = value
-            upper = level
-        eps.append(upper[()])
-    return SourceForm(tuple(eps), ctx.with_order(2 * lam.r), 2 * lam.r)
+    F = jet_partials(lam.L)
+    for k in range(max(F, default=0), 0, -1):
+        below = F[k - 1]
+        for (sigma, K), value in sorted(F[k].items()):
+            if not is_zero(value):
+                d = total_derivative(value, K[-1], ctx)
+                below[sigma, K[:-1]] = add(below.get((sigma, K[:-1]), ZERO), neg(d))
+    eps = tuple(F[0].get((sigma, ()), ZERO) for sigma in range(1, ctx.m + 1))
+    return SourceForm(eps, ctx.with_order(2 * lam.r), 2 * lam.r)
 
 
 def is_null_lagrangian(lam: Lagrangian) -> bool:
@@ -236,21 +223,21 @@ def _verdict(records, seed: int) -> str:
     return "undecided" if undecided else "variational"
 
 
-@functools.lru_cache(maxsize=8)
-def _completion_plan(n: int, s: int) -> tuple:
-    """The completions of the Helmholtz sums for base dimension n and
-    source order s, shared by every source form of that shape.  One entry
-    (l, I, 1/mult(I), levels) per level l and sorted I of length l, in
-    record order; levels run longest completions first, and each holds
-    rows (M, I+M, w_|M|/mult(I+M), ((i, M+i) for i = 1..n)) with w_j as in
-    helmholtz_residuals.  The rationals are constant values and nothing
-    refers to a context, so the ceiling check stays with each
+@functools.lru_cache(maxsize=32)  # verdict_mix alone uses 10 (n, t) shapes
+def _completion_plan(n: int, t: int) -> tuple:
+    """The completions of the Helmholtz sums for base dimension n and jets
+    of order at most t, shared by every source form whose partials reach
+    order t.  One entry (l, I, 1/mult(I), levels) per level l and sorted I
+    of length l, in record order; levels run longest completions first,
+    and each holds rows (M, I+M, w_|M|/mult(I+M), ((i, M+i) for i = 1..n))
+    with w_j as in helmholtz_residuals.  The rationals are constant values
+    and nothing refers to a context, so the ceiling check stays with each
     total_derivative call."""
     plan = []
-    for l in range(s + 1):
+    for l in range(t + 1):
         for I in multi_indices(n, l):
             levels = []
-            for j in range(s - l, -1, -1):
+            for j in range(t - l, -1, -1):
                 weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
                 levels.append(
                     tuple(
@@ -288,19 +275,21 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     so that R = partial(eps_sigma, y^nu_I) / mult(I) + G(()).  G is kept
     per sorted M; summing d_i over every i reaches M along mult(M)
     ordered chains, which supplies the weight mult(M).  The completions,
-    weights and up-links depend on n and s alone; `_completion_plan`
-    builds them once per shape and process.  The verdict is
+    weights and up-links depend on n and on the highest order t of a jet
+    in the partials of eps alone; `_completion_plan` builds them once per
+    (n, t) and process.  Every residual of a level above t is zero, since
+    no partial reaches its jets, so the cost follows the jets that occur
+    and only the list of zero records grows with s.  The verdict is
     variational iff every residual normalizes to zero; a nonzero residual
     containing opaque atoms downgrades the verdict to undecided unless
     probing bounds it away from zero."""
     ctx = sf.ctx
     # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
-    q = [
-        {(c.sigma, c.J): d for c, d in gradient(e).items() if c.__class__ is JetCoord}
-        for e in sf.eps
-    ]
+    partials = [jet_partials(e) for e in sf.eps]
+    top = max(max(p, default=0) for p in partials)
+    q = [{key: d for level in p.values() for key, d in level.items()} for p in partials]
     records = []
-    for l, I, mu_I, levels in _completion_plan(ctx.n, sf.s):
+    for l, I, mu_I, levels in _completion_plan(ctx.n, top):
         for sigma in range(1, ctx.m + 1):
             for nu in range(1, ctx.m + 1):
                 q_nu = q[nu - 1]
@@ -321,6 +310,14 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
                 first = ZERO if head is None else mul(mu_I, head)
                 residual = add(first, upper.get((), ZERO))
                 records.append(HelmholtzRecord(l, I, sigma, nu, residual))
+    # no partial of eps reaches a jet above top, so those residuals vanish
+    records.extend(
+        HelmholtzRecord(l, I, sigma, nu, ZERO)
+        for l in range(top + 1, sf.s + 1)
+        for I in multi_indices(ctx.n, l)
+        for sigma in range(1, ctx.m + 1)
+        for nu in range(1, ctx.m + 1)
+    )
     return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
 
 

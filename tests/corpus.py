@@ -3,15 +3,15 @@
 import random
 from fractions import Fraction
 
-from jetvar.coords import BaseCoord, JetCoord, multi_indices_up_to
+from jetvar.coords import BaseCoord, JetCoord, multi_indices
 from jetvar.expr import add, cos, exp, mul, num, pow_, sin, sym
 
 
 def coordinate_atoms(ctx, order):
     out = [BaseCoord(i) for i in range(1, ctx.n + 1)]
     for sigma in range(1, ctx.m + 1):
-        for J in multi_indices_up_to(ctx.n, order):
-            out.append(JetCoord(sigma, J))
+        for k in range(order + 1):
+            out.extend(JetCoord(sigma, J) for J in multi_indices(ctx.n, k))
     return out
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -510,6 +511,7 @@ FIRST_VARIATION = """
         "nodes = 1001",
         "step = -1",
         "step = inf",
+        "step = 1e-9",
         "tolerance = nan",
         "tolerance = -1",
     ],
@@ -519,6 +521,14 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, option):
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "ProblemFileError"
+
+
+def test_least_step_passes(tmp_path, capsys):
+    # at numeric.MIN_STEP the central difference still matches the source
+    # form (rel_diff about 6e-9); at 1e-10 it read 1.3e-6 and exited 1
+    path = problem(tmp_path, FIRST_VARIATION + "\n    [options]\n    step = 1e-8\n")
+    code, payload, _ = run(capsys, ["numcheck", path])
+    assert code == 0 and payload["pass"] is True
 
 
 @pytest.mark.parametrize(
@@ -641,6 +651,60 @@ def test_order_seven_operators_run_under_the_derived_ceiling(tmp_path, capsys):
     code, payload, _ = run(capsys, ["helmholtz", path])
     assert code == 1 and payload["verdict"] == "not_variational"
     assert payload["residuals"][0]["residual"] == "2*" + jet(14)
+
+
+PLANE_LAGRANGIAN = """
+    [context]
+    n = 2
+    m = 1
+    order = {order}
+    base = x1, x2
+    fiber = u
+
+    [lagrangian]
+    expr = u_{{1}}^2 + u_{{2}}^2
+"""
+
+PLANE_SOURCE = """
+    [context]
+    n = 2
+    m = 1
+    order = {order}
+    base = x1, x2
+    fiber = u
+
+    [source]
+    eps1 = u_{{1,1}} + u_{{2,2}}
+"""
+
+
+def timed(capsys, argv):
+    start = time.perf_counter()
+    code, payload, _ = run(capsys, argv)
+    return code, payload, time.perf_counter() - start
+
+
+def test_operators_walk_the_jets_that_occur_not_the_declared_order(tmp_path, capsys):
+    # Euler-Lagrange and Cartan descend from the partials of L, so an
+    # order-500 declaration costs what an order-1 one does, well under the
+    # seconds a walk over every multi-index up to order 500 takes; only
+    # the declared output order moves
+    low = problem(tmp_path, PLANE_LAGRANGIAN.format(order=1), "low.ini")
+    high = problem(tmp_path, PLANE_LAGRANGIAN.format(order=500), "high.ini")
+    cases = (("el", (2, 1000)), ("cartan", (1, 999)), ("null-check", None))
+    for command, orders in cases:
+        code, expected, _ = timed(capsys, [command, low])
+        high_code, payload, seconds = timed(capsys, [command, high])
+        assert seconds <= 1.0, command
+        if orders:
+            assert (expected.pop("order"), payload.pop("order")) == orders
+        assert (high_code, payload) == (code, expected)
+    # the Helmholtz residuals above the occurring order are zero records
+    for command in ("helmholtz", "tonti"):
+        path = problem(tmp_path, PLANE_SOURCE.format(order=40), "source.ini")
+        code, payload, seconds = timed(capsys, [command, path])
+        assert seconds <= 1.0, command
+        assert code == 0 and payload["verdict"] == "variational"
 
 
 def test_no_module_reads_the_process_environment():

@@ -50,7 +50,6 @@ from jetvar.forms import (
     prolong_isomorphism,
     scale,
     wedge,
-    zero_form,
 )
 
 from corpus import random_polynomial
@@ -107,7 +106,7 @@ def test_contraction_basis_is_signed():
             dxj = DiffForm(ctx, 0, 1, {(DX(j),): num(1)})
             for i in range(1, n + 1):
                 product = wedge(dxj, omega_i(i, ctx))
-                assert product == (vol if i == j else zero_form(ctx, n))
+                assert product == (vol if i == j else DiffForm(ctx, 0, n, {}))
 
 
 def test_omega_i_n1_is_the_unit(ode1):
@@ -193,7 +192,7 @@ def test_contact_decompose_reassembles():
     for form in forms + contact:
         pieces = contact_decompose(form)
         assert [l for l, _ in pieces] == list(range(form.degree + 1))
-        total = zero_form(form.ctx, form.degree, form.order + 1)
+        total = DiffForm(form.ctx, form.order + 1, form.degree, {})
         for _, comp in pieces:
             assert comp.order == form.order + 1
             total = form_add(total, comp)
@@ -274,7 +273,11 @@ def test_cartan_form_splits_lagrangian_and_source():
     cases = []
     for n, m, r in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)):
         ctx = JetContext(n=n, m=m, order=r)
-        cases.append(Lagrangian(random_polynomial(rng, ctx, order=r), ctx, r))
+        lam = Lagrangian(random_polynomial(rng, ctx, order=r), ctx, r)
+        # declared above the occurring order: the same terms, one order up
+        lifted = Lagrangian(lam.L, ctx, r + 2)
+        assert cartan_form(lifted) == cartan_form(lam).at_order(2 * r + 3)
+        cases += [lam, lifted]
     for lam in cases:
         theta = cartan_form(lam)
         # horizontal part recovers the Lagrangian

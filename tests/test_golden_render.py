@@ -37,7 +37,7 @@ from jetvar import (
     tonti_lagrangian,
 )
 from jetvar.coords import BaseCoord
-from jetvar.expr import mul, sym
+from jetvar.expr import is_zero, mul, sym
 
 GOLDEN = Path(__file__).parent / "golden" / "dense_render.json"
 
@@ -90,7 +90,8 @@ def dense_payload(name: str) -> dict:
     report = helmholtz_residuals(rescaled)
     residuals = [
         [rec.level, list(rec.I), rec.sigma, rec.nu, render_expr(rec.residual, ctx)]
-        for rec in report.nonzero_records()
+        for rec in report.records
+        if not is_zero(rec.residual)
     ]
     return {
         "el": [render_expr(e, ctx) for e in sf.eps],

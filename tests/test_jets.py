@@ -19,7 +19,6 @@ from jetvar.coords import (
     JetCoord,
     index_with,
     multi_indices,
-    multi_indices_up_to,
     multiplicity,
 )
 from jetvar.expr import add, coords_in, mul, num, partial, pow_, substitute, sym
@@ -46,7 +45,6 @@ def test_multi_indices_are_sorted_and_complete():
             assert len(set(idx)) == len(idx)
             for J in idx:
                 assert J == tuple(sorted(J))
-    assert len(list(multi_indices_up_to(2, 2))) == 1 + 2 + 3
 
 
 def test_index_helpers():

@@ -105,7 +105,11 @@ def test_nested_euler_lagrange_matches_flat_formula(n, m, r):
     rng = random.Random(1000 * n + 100 * m + r)
     for _ in range(PER_CASE):
         lam = random_lagrangian(rng, n, m, r)
-        assert euler_lagrange(lam).eps == flat_euler_lagrange(lam)
+        eps = euler_lagrange(lam).eps
+        assert eps == flat_euler_lagrange(lam)
+        # declared above the occurring order: the same source form
+        lifted = Lagrangian(lam.L, lam.ctx, r + 2)
+        assert euler_lagrange(lifted).eps == flat_euler_lagrange(lifted) == eps
 
 
 @pytest.mark.parametrize("n,m,r", CASES)
@@ -126,6 +130,13 @@ def test_nested_helmholtz_matches_flat_formula(n, m, r):
         expected = flat_helmholtz(perturbed)
         assert records(helmholtz_residuals(perturbed)) == expected
         nonzero += sum(not is_zero(rec[-1]) for rec in expected)
+        # declared above the occurring order: the records of the levels
+        # above s are zero, the others are unchanged
+        lifted = SourceForm(perturbed.eps, ctx, sf.s + 2)
+        got = records(helmholtz_residuals(lifted))
+        assert got == flat_helmholtz(lifted)
+        assert got[: len(expected)] == expected
+        assert all(is_zero(rec[-1]) for rec in got[len(expected) :])
     assert nonzero > 0
 
 
