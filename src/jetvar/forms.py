@@ -29,7 +29,6 @@ from .coords import (
     Value,
     coord_key,
     index_with,
-    multi_indices,
     multiplicity,
 )
 from .errors import (
@@ -60,7 +59,7 @@ from .expr import (
     substitute,
     sym,
 )
-from .jets import jet_partials, total_derivative
+from .jets import Prolongation, jet_partials, total_derivative
 
 
 # --- basis one-form generators ----------------------------------------------
@@ -518,62 +517,37 @@ def _invert_matrix(rows):
     return [[cofactor(j, i) / det.value for j in range(n)] for i in range(n)]
 
 
-def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> dict:
+def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> Prolongation:
     """Components of the automorphism prolonged to the given order, on the
     chart of ctx: each transformed coordinate as an expression in the source
-    coordinates.  The context is raised to the order where it declares less.
-
-    New jet coordinates come from the chain rule against the constant base
-    Jacobian A:
-
-        ybar^s_{Jl} = sum_k inv(A)[k][l] d_k(ybar^s_J)
-    """
+    coordinates.  Each jet is built on its first request by the chain rule
+    against the constant base Jacobian A, ybar^s_{Jl} = sum_k inv(A)[k][l]
+    d_k(ybar^s_J), on the context raised to the order if it declares less."""
     if iso.n != ctx.n or iso.m != ctx.m:
         raise DimensionMismatch(
             f"isomorphism is {iso.n}x{iso.m}, context is {ctx.n}x{ctx.m}"
         )
-    ctx = ctx.with_order(max(ctx.order, order))
     a_inv = _invert_matrix(iso.jacobian())
-    out: dict = {}
-    for i in range(1, ctx.n + 1):
-        out[BaseCoord(i)] = iso.base_map[i - 1]
-    for sigma in range(1, ctx.m + 1):
-        out[JetCoord(sigma)] = iso.fiber_map[sigma - 1]
-    for k in range(1, order + 1):
-        for sigma in range(1, ctx.m + 1):
-            for J in multi_indices(ctx.n, k):
-                parent = out[JetCoord(sigma, J[:-1])]
-                l = J[-1]
-                pieces = []
-                for kk in range(1, ctx.n + 1):
-                    if a_inv[kk - 1][l - 1] == 0:
-                        continue
-                    dk = total_derivative(parent, kk, ctx)
-                    pieces.append(mul(num(a_inv[kk - 1][l - 1]), dk))
-                out[JetCoord(sigma, J)] = add(*pieces) if pieces else ZERO
-    return out
+    seeds = {BaseCoord(i): e for i, e in enumerate(iso.base_map, start=1)}
+    seeds.update((JetCoord(s), e) for s, e in enumerate(iso.fiber_map, start=1))
+    return Prolongation(seeds, order, a_inv, ctx)
 
 
 def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
-    """Pullback along the prolonged automorphism: coefficients have the
-    prolonged bindings substituted, and each basis one-form becomes the
-    differential of the matching binding.  The prolongation order r
-    defaults to the form's declared order."""
-    if r is None:
-        r = form.order
-    if max_form_order(form) > r:
-        raise OrderOverflow(
-            f"form uses jet order {max_form_order(form)}, above the requested {r}"
-        )
-    return _pullback_prolonged(form, prolong_isomorphism(iso, r, form.ctx), r)
+    """Pullback along the automorphism prolonged to order r, by default the
+    form's order: coefficients have the prolonged bindings substituted and
+    each basis one-form becomes the differential of its binding.  Only the
+    jets that occur are prolonged; one above r raises OrderOverflow."""
+    form = form if r is None else form.at_order(r)
+    return _pullback_prolonged(form, prolong_isomorphism(iso, form.order, form.ctx))
 
 
-def _pullback_prolonged(form: DiffForm, pro: dict, r: int) -> DiffForm:
-    """Pullback of a form of order at most r along prolonged bindings: each
-    coefficient has the bindings substituted and each basis one-form
+def _pullback_prolonged(form: DiffForm, pro: dict) -> DiffForm:
+    """Pullback of a form along bindings prolonged at least to its order:
+    each coefficient has the bindings substituted and each basis one-form
     becomes the differential of its binding.  The result keeps the form's
-    degree, also when every term vanishes."""
-    ctx = form.ctx
+    degree and order, also when every term vanishes."""
+    ctx, r = form.ctx, form.order
 
     def image(g):
         comp = pro[BaseCoord(g.i) if isinstance(g, DX) else JetCoord(g.sigma, g.J)]

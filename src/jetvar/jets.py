@@ -1,12 +1,12 @@
-"""Total derivatives on jet coordinates and prolongation of sections."""
+"""Total derivatives on jet coordinates and prolongation on demand."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, Value, multi_indices
-from .errors import DimensionMismatch, UnknownCoordinate
-from .expr import ZERO, Expr, coords_in, derive, gradient, is_zero, lift, partial
+from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, Value
+from .errors import DimensionMismatch, OrderOverflow, UnknownCoordinate
+from .expr import ZERO, Expr, add, coords_in, derive, gradient, is_zero, lift, mul, num
 
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
@@ -66,17 +66,49 @@ class SectionSpec(Value):
                     )
 
 
-def prolong_section(spec: SectionSpec, order: int, ctx: JetContext) -> dict:
-    """Jet coordinates of the prolonged section as expressions in the base
-    coordinates: y^s_J evaluates to the J-th partial of component s."""
+class Prolongation(dict):
+    """The jets of a prolonged map, seeded with the order-0 values.  Any
+    other y^s_J with |J| <= order is built on its first request, also
+    through `get` (which `substitute` calls), from its parent y^s_{J[:-1]}
+    by the chain rule y^s_{Jl} = sum_k b[k][l] d_k(y^s_J), b the inverse
+    base Jacobian, and then kept; one above the order raises OrderOverflow.
+    Iterating yields only the jets built so far."""
+
+    def __init__(self, seeds: dict, order: int, b: list, ctx: JetContext):
+        if order < 0:
+            raise ValueError("prolongation order must be nonnegative")
+        super().__init__(seeds)
+        self.order, self.b, self.ctx = order, b, ctx.with_order(max(ctx.order, order))
+
+    def __missing__(self, c):
+        if c.__class__ is not JetCoord:
+            raise KeyError(c)
+        if len(c.J) > self.order:
+            raise OrderOverflow(f"{self.ctx.coord_name(c)} is above order {self.order}")
+        self.ctx.check_coord(c)
+        chain = []  # parents first and without recursion: chains grow long
+        while c not in self:
+            chain.append(c)
+            c = JetCoord(c.sigma, c.J[:-1])
+        value = self[c]
+        for c in reversed(chain):
+            l = c.J[-1]
+            value = self[c] = add(*(
+                mul(num(row[l - 1]), total_derivative(value, k, self.ctx))
+                for k, row in enumerate(self.b, start=1)
+                if row[l - 1]
+            ))
+        return value
+
+    def get(self, c, default=None):
+        return self[c] if c in self or c.__class__ is JetCoord else default
+
+
+def prolong_section(spec: SectionSpec, order: int, ctx: JetContext) -> Prolongation:
+    """The jets of the prolonged section up to the given order, built on
+    request as expressions in the base coordinates: y^s_J is the J-th
+    partial of component s, the chain rule with b the identity."""
     spec.validate(ctx)
-    if order < 0:
-        raise ValueError("prolongation order must be nonnegative")
-    out: dict[JetCoord, Expr] = {}
-    for sigma, comp in enumerate(spec.components, start=1):
-        out[JetCoord(sigma)] = comp
-        for k in range(1, order + 1):
-            for J in multi_indices(ctx.n, k):
-                parent = out[JetCoord(sigma, J[:-1])]
-                out[JetCoord(sigma, J)] = partial(parent, BaseCoord(J[-1]))
-    return out
+    seeds = {JetCoord(s): e for s, e in enumerate(spec.components, start=1)}
+    identity = [[int(k == l) for l in range(ctx.n)] for k in range(ctx.n)]
+    return Prolongation(seeds, order, identity, ctx)

@@ -11,9 +11,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .coords import BaseCoord, JetContext
+from .coords import BaseCoord, JetContext, JetCoord, coord_key
 from .errors import NotODEContext, ProbeBoundaryError
-from .expr import add, atom_id, evaluate, mul, num
+from .expr import add, atom_id, coords_in, evaluate, mul, num
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
 
@@ -85,16 +85,16 @@ class VariationProbe:
         self.gamma, self.phi = gamma, phi
 
 
-def _check_vanishing(jets: dict, order: int, ctx: JetContext) -> None:
-    """Raise ProbeBoundaryError unless each jet with |J| <= order of a
-    prolonged variation vanishes at both endpoints."""
+def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
+    """Raise ProbeBoundaryError unless each jet y^s_{1^k}, k < r, of a
+    prolonged variation vanishes at both endpoints: the boundary terms of a
+    Lagrangian of order r involve those only, so order 0 has none."""
+    coords = [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(r)]
     for endpoint in (0.0, 1.0):
         env = {BaseCoord(1): endpoint}
         values: dict = {}
-        for coord, e in jets.items():
-            if len(coord.J) > order:
-                continue
-            value = evaluate(e, env, values)
+        for coord in coords:
+            value = evaluate(jets[coord], env, values)
             if abs(value) > BOUNDARY_TOL:
                 raise ProbeBoundaryError(
                     f"variation direction has {ctx.coord_name(coord)} = "
@@ -109,9 +109,11 @@ class FirstVariationResult:
         self.lhs, self.rhs, self.abs_diff = lhs, rhs, abs_diff
 
 
-def _jets_by_atom(jets: dict) -> tuple:
-    """The jets of a prolonged section as (atom id, Expr) pairs."""
-    return tuple((atom_id(c), e) for c, e in jets.items())
+def _jets_by_atom(jets: dict, *exprs) -> tuple:
+    """The jets of a prolonged section that occur in exprs, as (atom id,
+    Expr) pairs in coordinate order."""
+    coords = {c for e in exprs for c in coords_in(e) if c.__class__ is JetCoord}
+    return tuple((atom_id(c), jets[c]) for c in sorted(coords, key=coord_key))
 
 
 def _point_values(jets: tuple, base_env: dict) -> dict:
@@ -130,7 +132,8 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the action oracle needs one base variable, got {ctx.n}")
-    return _integrate(lam.L, _jets_by_atom(prolong_section(gamma, lam.r, ctx)), quad)
+    jets = _jets_by_atom(prolong_section(gamma, lam.r, ctx), lam.L)
+    return _integrate(lam.L, jets, quad)
 
 
 def _integrate(density, jets: tuple, quad: QuadratureSpec) -> float:
@@ -155,18 +158,14 @@ def first_variation_check(
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the variation oracle needs one base variable, got {ctx.n}")
-    probe.gamma.validate(ctx)
-    probe.phi.validate(ctx)
     # d/dx is Q-linear and the kernel canonical, so the jets of gamma + s phi
     # are exactly those of gamma plus s times those of phi: each section is
-    # prolonged once, gamma at once to 2r, the order of the source form
-    phi_jets = prolong_section(probe.phi, lam.r, ctx)
-    # boundary terms involve the variation's jets up to order r - 1 only, so
-    # an order-0 Lagrangian has none
-    if lam.r >= 1:
-        _check_vanishing(phi_jets, lam.r - 1, ctx)
+    # prolonged once, gamma first, to 2r, the order of the source form
     gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
-    pairs = [(atom_id(c), gamma_jets[c], p) for c, p in phi_jets.items()]
+    phi_jets = prolong_section(probe.phi, lam.r, ctx)
+    _check_vanishing(phi_jets, lam.r, ctx)
+    pairs = zip(_jets_by_atom(gamma_jets, lam.L), _jets_by_atom(phi_jets, lam.L))
+    pairs = [(a, g, p) for (a, g), (_, p) in pairs]
 
     def shifted_action(s: float) -> float:
         factor = num(Fraction(s))
@@ -185,7 +184,7 @@ def first_variation_check(
 
     sf = euler_lagrange(lam)
     phi = probe.phi.components
-    jets = _jets_by_atom(gamma_jets)
+    jets = _jets_by_atom(gamma_jets, *sf.eps)
     points, weights = quad.points_weights()
     rhs = 0.0
     for x, w in zip(points, weights):
@@ -204,7 +203,7 @@ def residual_on_section(sf, gamma: SectionSpec, points) -> list:
     """Source form components evaluated along the prolonged section at the
     given base points (numbers for n = 1, index-ordered tuples otherwise)."""
     ctx = sf.ctx
-    jets = _jets_by_atom(prolong_section(gamma, sf.s, ctx))
+    jets = _jets_by_atom(prolong_section(gamma, sf.s, ctx), *sf.eps)
     out = []
     for p in points:
         if ctx.n == 1 and not isinstance(p, (tuple, list)):

@@ -416,17 +416,12 @@ def _density(pulled: DiffForm, lam: Lagrangian) -> Lagrangian:
 
 def naturality_report(lam: Lagrangian, iso: FiberedIso) -> dict:
     """Whether the Cartan form and the Euler-Lagrange form commute with
-    pullback along the prolonged isomorphism, as two booleans.  The
-    isomorphism is prolonged once, to the order 2r of the source form."""
+    pullback along the prolonged isomorphism, as two booleans.  The three
+    pullbacks share one prolongation up to the order 2r of the source form,
+    which builds only the jets that occur in them."""
     pro = prolong_isomorphism(iso, 2 * lam.r, lam.ctx)
-    pulled_lam = _density(_pullback_prolonged(lam.as_form(), pro, lam.r), lam)
-    theta = cartan_form(lam)
-    theta_natural = _pullback_prolonged(theta, pro, theta.order) == cartan_form(
-        pulled_lam
-    )
+    pulled = _density(_pullback_prolonged(lam.as_form(), pro), lam)
+    theta_natural = _pullback_prolonged(cartan_form(lam), pro) == cartan_form(pulled)
     source = euler_lagrange(lam).as_form()
-    el_natural = (
-        _pullback_prolonged(source, pro, source.order)
-        == euler_lagrange(pulled_lam).as_form()
-    )
+    el_natural = _pullback_prolonged(source, pro) == euler_lagrange(pulled).as_form()
     return {"theorem3": theta_natural, "theorem4": el_natural}

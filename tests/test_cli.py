@@ -677,6 +677,20 @@ PLANE_SOURCE = """
     eps1 = u_{{1,1}} + u_{{2,2}}
 """
 
+PLANE_ISO = """
+    [iso]
+    a = 2, 0; 0, 1
+    fiber1 = u + u^2
+"""
+
+PLANE_SECTION = """
+    [section]
+    comp1 = x1^3*x2 + x2^2
+
+    [points]
+    values = 0.1, 0.2; 0.5, 0.5; 0.9, 0.3
+"""
+
 
 def timed(capsys, argv):
     start = time.perf_counter()
@@ -705,6 +719,17 @@ def test_operators_walk_the_jets_that_occur_not_the_declared_order(tmp_path, cap
         code, payload, seconds = timed(capsys, [command, path])
         assert seconds <= 1.0, command
         assert code == 0 and payload["verdict"] == "variational"
+    # pullback and the numeric layer prolong only the jets that occur
+    for template, command, orders in (
+        (PLANE_LAGRANGIAN + PLANE_ISO, "naturality", (1, 40)),
+        (PLANE_SOURCE + PLANE_SECTION, "numcheck", (2, 120)),
+    ):
+        low = problem(tmp_path, template.format(order=orders[0]), "low.ini")
+        high = problem(tmp_path, template.format(order=orders[1]), "high.ini")
+        code, expected, _ = timed(capsys, [command, low])
+        high_code, payload, seconds = timed(capsys, [command, high])
+        assert seconds <= 1.0, command
+        assert code == 0 and (high_code, payload) == (code, expected)
 
 
 def test_no_module_reads_the_process_environment():

@@ -13,6 +13,7 @@ from jetvar import (
     DimensionMismatch,
     FiberedIso,
     JetContext,
+    JetvarError,
     Lagrangian,
     OrderOverflow,
     OrderZeroWarning,
@@ -322,6 +323,27 @@ def test_prolong_isomorphism_chain_rule():
     assert pro[U11] == mul(num(Fraction(1, 4)), sym(U11))
 
 
+def test_pullback_above_the_prolonged_order_raises_order_overflow(ode1):
+    # the prolongation bounds the order: a coefficient reaches it through
+    # substitute's bindings.get, a generator through pro[...]; each ends as
+    # a JetvarError (exit 2), never as a KeyError (exit 3)
+    assert issubclass(OrderOverflow, JetvarError)
+    iso = FiberedIso((mul(num(2), sym(X)),), (add(sym(U), pow_(sym(U), 2)),))
+    coefficient = form_from_terms(ode1, 1, 1, [((DX(1),), sym(U11))])
+    generator = form_from_terms(ode1, 1, 1, [((DY(1, (1, 1)),), sym(U))])
+    for form in (coefficient, generator):
+        with pytest.raises(OrderOverflow, match="is above order 1"):
+            pullback(form, iso)
+        with pytest.raises(OrderOverflow):
+            pullback(form.at_order(0), iso, r=1)
+        assert pullback(form, iso, r=2).order == 2
+    # only the requested jets and their parents are built
+    pro = prolong_isomorphism(iso, 3, ode1)
+    pro[U11]
+    assert set(pro) == {X, U, U1, U11}
+    assert pro.get(BaseCoord(2)) is None
+
+
 def test_prolonged_pullback_preserves_contact_forms():
     # pullback of a contact form along a prolonged automorphism stays
     # contact: its horizontal part must vanish
@@ -379,10 +401,10 @@ def test_pullback_drops_a_term_that_vanishes_partway():
     x1, x2 = sym(BaseCoord(1)), sym(BaseCoord(2))
     pro = {BaseCoord(1): x1, BaseCoord(2): x2, U: x1}
     lam = Lagrangian(add(sym(U), neg(x1)), ctx, 0)
-    pulled = _pullback_prolonged(lam.as_form(), pro, 0)
+    pulled = _pullback_prolonged(lam.as_form(), pro)
     assert pulled.is_zero() and pulled.degree == 2
     volume = form_from_terms(ctx, 0, 3, [((DY(1), DX(1), DX(2)), sym(U))])
-    pulled = _pullback_prolonged(volume, pro, 0)
+    pulled = _pullback_prolonged(volume, pro)
     assert pulled.is_zero() and pulled.degree == 3
     with pytest.raises(SingularFiberMap):
         pullback_lagrangian(lam, FiberedIso((x1, x2), (x1,)))

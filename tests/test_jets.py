@@ -21,7 +21,7 @@ from jetvar.coords import (
     multi_indices,
     multiplicity,
 )
-from jetvar.expr import add, coords_in, mul, num, partial, pow_, substitute, sym
+from jetvar.expr import add, coords_in, exp, mul, num, partial, pow_, substitute, sym
 from jetvar.jets import iterated_total_derivative, prolong_section
 
 from corpus import random_base_polynomial, random_polynomial
@@ -181,6 +181,43 @@ def test_prolong_section_mixed_partials():
     jets = prolong_section(gamma, 2, ctx)
     assert jets[JetCoord(1, (1, 2))] == mul(num(2), x1)
     assert jets[JetCoord(1, (2, 2))] == num(0)
+
+
+def test_prolong_section_builds_long_chains_without_recursion():
+    # a 3000-long chain of parents runs past the default recursion limit
+    # if it is built recursively
+    ctx = JetContext(n=1, m=1, order=1)
+    e = exp(sym(X1))
+    jets = prolong_section(SectionSpec((e,)), 3000, ctx)
+    assert jets[JetCoord(1, (1,) * 3000)] == e
+    assert len(jets) == 3001
+    with pytest.raises(OrderOverflow):
+        jets[JetCoord(1, (1,) * 3001)]
+
+
+def test_prolong_section_on_demand_matches_the_eager_formula():
+    ctx = JetContext(n=2, m=2, order=3)
+    rng = random.Random(11)
+    gamma = SectionSpec(
+        tuple(random_base_polynomial(rng, ctx, degree=4, terms=4) for _ in range(2))
+    )
+    eager = {JetCoord(s): comp for s, comp in enumerate(gamma.components, start=1)}
+    for k in range(1, 4):
+        for s in (1, 2):
+            for J in multi_indices(2, k):
+                parent = eager[JetCoord(s, J[:-1])]
+                eager[JetCoord(s, J)] = partial(parent, BaseCoord(J[-1]))
+    jets = prolong_section(gamma, 3, ctx)
+    # a deep request builds its chain of parents and nothing else
+    deep = JetCoord(2, (1, 2, 2))
+    assert jets[deep] == eager[deep]
+    chain = {JetCoord(2), JetCoord(2, (1,)), JetCoord(2, (1, 2)), deep}
+    assert set(jets) == {JetCoord(1)} | chain
+    # then every jet, deepest first, read through [] and get alike
+    for c in sorted(eager, key=lambda c: -len(c.J)):
+        assert jets[c] == jets.get(c) == eager[c]
+    assert len(jets) == len(eager)
+    assert jets.get(X1, "none") == "none"
 
 
 def test_section_validation():

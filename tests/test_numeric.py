@@ -12,6 +12,7 @@ import pytest
 
 import jetvar
 from jetvar import (
+    DimensionMismatch,
     DivisionByZero,
     JetContext,
     Lagrangian,
@@ -21,6 +22,7 @@ from jetvar import (
     QuadratureSpec,
     SectionSpec,
     SourceForm,
+    UnknownCoordinate,
     VariationProbe,
     euler_lagrange,
     first_variation_check,
@@ -111,6 +113,13 @@ def test_variation_probe_boundary_guard(ode1, ode2):
         first_variation_check(lam2, VariationProbe(gamma, tent))
     # first order only needs the values to vanish
     first_variation_check(lam, VariationProbe(gamma, tent))
+    # each section is validated once, when it is prolonged, the base
+    # section first: when both are malformed the base section is reported
+    both_bad = VariationProbe(SectionSpec((sym(U),)), SectionSpec((sym(X), sym(X))))
+    with pytest.raises(UnknownCoordinate):
+        first_variation_check(lam, both_bad)
+    with pytest.raises(DimensionMismatch):
+        first_variation_check(lam, VariationProbe(gamma, both_bad.phi))
 
 
 @pytest.mark.parametrize(
@@ -261,6 +270,12 @@ def test_evaluate_matches_term_by_term_reference(seed):
     assert same_float(evaluate(single, {U: 0.0}), reference_evaluate(single, {U: 0.0}))
 
 
+def section_jets(ctx, order):
+    """Every jet coordinate y^sigma_{1^k}, k <= order, of an ODE context:
+    the reference evaluates them all, whichever the density uses."""
+    return [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(order + 1)]
+
+
 def reference_action(lam, components, quad):
     jets = prolong_section(SectionSpec(components), lam.r, lam.ctx)
     points, weights = quad.points_weights()
@@ -268,8 +283,8 @@ def reference_action(lam, components, quad):
     for x, w in zip(points, weights):
         base = {X: x}
         env = dict(base)
-        for coord, e in jets.items():
-            env[coord] = reference_evaluate(e, base)
+        for coord in section_jets(lam.ctx, lam.r):
+            env[coord] = reference_evaluate(jets[coord], base)
         total += w * reference_evaluate(lam.L, env)
     return total
 
@@ -302,8 +317,8 @@ def reference_first_variation(lam, probe, quad):
     for x, w in zip(points, weights):
         base = {X: x}
         env = dict(base)
-        for coord, e in jets.items():
-            env[coord] = reference_evaluate(e, base)
+        for coord in section_jets(lam.ctx, sf.s):
+            env[coord] = reference_evaluate(jets[coord], base)
         value = 0.0
         for eps, phi in zip(sf.eps, probe.phi.components):
             value += reference_evaluate(eps, env) * reference_evaluate(phi, base)
