@@ -17,6 +17,7 @@ import json
 import sys
 import warnings
 
+from .coords import multi_indices
 from .dsl import render_expr, render_form
 from .errors import DslError, JetvarError, ProblemFileError
 from .expr import is_zero
@@ -41,20 +42,28 @@ def _need(value, command: str, section: str):
 
 
 def _report_payload(report, ctx, verbose: bool) -> dict:
-    records = []
-    for rec in report.records:
-        if not verbose and is_zero(rec.residual):
-            continue
-        records.append(
-            {
-                "level": rec.level,
-                "multi_index": list(rec.I),
-                "sigma": rec.sigma,
-                "nu": rec.nu,
-                "residual": render_expr(rec.residual, ctx),
-            }
-        )
-    return {"verdict": report.verdict, "residuals": records}
+    """The kept (nonzero) residuals in record order; verbose lists every
+    (level, I, sigma, nu) up to the report's order s, the others as "0"."""
+    text = {
+        (rec.level, rec.I, rec.sigma, rec.nu): render_expr(rec.residual, ctx)
+        for rec in report.records
+    }
+    keys = list(text)
+    if verbose:
+        m = range(1, ctx.m + 1)
+        keys = [
+            (l, I, sigma, nu)
+            for l in range(report.s + 1)
+            for I in multi_indices(ctx.n, l)
+            for sigma in m
+            for nu in m
+        ]
+    fields = ("level", "multi_index", "sigma", "nu", "residual")
+    residuals = [
+        dict(zip(fields, (l, list(I), sigma, nu, text.get((l, I, sigma, nu), "0"))))
+        for l, I, sigma, nu in keys
+    ]
+    return {"verdict": report.verdict, "residuals": residuals}
 
 
 def _cmd_el(problem: ProblemFile, opts: dict):
@@ -215,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("file", help="problem file (INI format)")
     # a flag's dest is the option key it overrides; an absent flag sets none
-    common.add_argument("--verbose", action="store_true", help="include zero residuals")
+    common.add_argument(
+        "--verbose",
+        action="store_true",
+        help="list every Helmholtz residual up to the declared order, zero ones too",
+    )
     common.add_argument(
         "--skip-variational-check",
         action="store_true",

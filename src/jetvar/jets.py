@@ -78,7 +78,8 @@ class Prolongation(dict):
         if order < 0:
             raise ValueError("prolongation order must be nonnegative")
         super().__init__(seeds)
-        self.order, self.b, self.ctx = order, b, ctx.with_order(max(ctx.order, order))
+        self.order, self.b = order, b
+        self.ctx = ctx if ctx.order >= order else ctx.with_order(order)
 
     def __missing__(self, c):
         if c.__class__ is not JetCoord:
@@ -93,11 +94,12 @@ class Prolongation(dict):
         value = self[c]
         for c in reversed(chain):
             l = c.J[-1]
-            value = self[c] = add(*(
-                mul(num(row[l - 1]), total_derivative(value, k, self.ctx))
-                for k, row in enumerate(self.b, start=1)
-                if row[l - 1]
-            ))
+            parts = []  # a unit entry, as in every section, needs no product
+            for k, row in enumerate(self.b, start=1):
+                if row[l - 1]:
+                    d = total_derivative(value, k, self.ctx)
+                    parts.append(d if row[l - 1] == 1 else mul(num(row[l - 1]), d))
+            value = self[c] = parts[0] if len(parts) == 1 else add(*parts)
         return value
 
     def get(self, c, default=None):

@@ -131,12 +131,15 @@ class HelmholtzRecord:
 
 
 class HelmholtzReport:
-    __slots__ = ("records", "verdict", "ctx")
+    """The nonzero residuals in (level, I, sigma, nu) order; every other
+    residual of a level up to s is zero."""
 
-    def __init__(self, records: tuple, verdict: str, ctx: JetContext):
+    __slots__ = ("records", "verdict", "ctx", "s")
+
+    def __init__(self, records: tuple, verdict: str, ctx: JetContext, s: int):
         self.records = records
         self.verdict = verdict  # variational | not_variational | undecided
-        self.ctx = ctx
+        self.ctx, self.s = ctx, s
 
 
 # --- Euler-Lagrange operator --------------------------------------------------
@@ -213,8 +216,6 @@ def _probe_nonzero(e: Expr, seed: int) -> bool:
 def _verdict(records, seed: int) -> str:
     undecided = False
     for rec in records:
-        if is_zero(rec.residual):
-            continue
         if not has_functions(rec.residual):
             return "not_variational"
         if _probe_nonzero(rec.residual, seed):
@@ -278,11 +279,11 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     weights and up-links depend on n and on the highest order t of a jet
     in the partials of eps alone; `_completion_plan` builds them once per
     (n, t) and process.  Every residual of a level above t is zero, since
-    no partial reaches its jets, so the cost follows the jets that occur
-    and only the list of zero records grows with s.  The verdict is
-    variational iff every residual normalizes to zero; a nonzero residual
-    containing opaque atoms downgrades the verdict to undecided unless
-    probing bounds it away from zero."""
+    no partial reaches its jets, and the report keeps the nonzero residuals
+    alone, so neither time nor memory grows with s.  The verdict is
+    variational iff no residual is kept; a kept residual containing opaque
+    atoms downgrades the verdict to undecided unless probing bounds it
+    away from zero."""
     ctx = sf.ctx
     # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
     partials = [jet_partials(e) for e in sf.eps]
@@ -309,16 +310,9 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
                 head = q[sigma - 1].get((nu, I))
                 first = ZERO if head is None else mul(mu_I, head)
                 residual = add(first, upper.get((), ZERO))
-                records.append(HelmholtzRecord(l, I, sigma, nu, residual))
-    # no partial of eps reaches a jet above top, so those residuals vanish
-    records.extend(
-        HelmholtzRecord(l, I, sigma, nu, ZERO)
-        for l in range(top + 1, sf.s + 1)
-        for I in multi_indices(ctx.n, l)
-        for sigma in range(1, ctx.m + 1)
-        for nu in range(1, ctx.m + 1)
-    )
-    return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
+                if residual.terms:
+                    records.append(HelmholtzRecord(l, I, sigma, nu, residual))
+    return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx, sf.s)
 
 
 def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
@@ -337,48 +331,24 @@ def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzRep
     if sf.s > 2:
         raise NotODEContext(f"classical conditions cover order <= 2, got {sf.s}")
     half = num(Fraction(1, 2))
+    dx = lambda e: total_derivative(e, 1, ctx)
     records = []
-    y = lambda nu, J=(): JetCoord(nu, J)
     for sigma in range(1, ctx.m + 1):
         for nu in range(1, ctx.m + 1):
-            es, en = sf.eps[sigma - 1], sf.eps[nu - 1]
-            c3 = add(partial(es, y(nu, (1, 1))), neg(partial(en, y(sigma, (1, 1)))))
-            c2 = add(
-                partial(es, y(nu, (1,))),
-                partial(en, y(sigma, (1,))),
-                neg(
-                    total_derivative(
-                        add(
-                            partial(es, y(nu, (1, 1))),
-                            partial(en, y(sigma, (1, 1))),
-                        ),
-                        1,
-                        ctx,
-                    )
-                ),
+            # each partial taken once: p[k] = partial(eps_s, y^n_{1^k}) and
+            # q[k] = partial(eps_n, y^s_{1^k})
+            p = [partial(sf.eps[sigma - 1], JetCoord(nu, (1,) * k)) for k in range(3)]
+            q = [partial(sf.eps[nu - 1], JetCoord(sigma, (1,) * k)) for k in range(3)]
+            residuals = (
+                add(p[0], neg(q[0]), neg(mul(half, dx(add(p[1], neg(q[1])))))),
+                add(p[1], q[1], neg(dx(add(p[2], q[2])))),
+                add(p[2], neg(q[2])),
             )
-            c1 = add(
-                partial(es, y(nu)),
-                neg(partial(en, y(sigma))),
-                neg(
-                    mul(
-                        half,
-                        total_derivative(
-                            add(
-                                partial(es, y(nu, (1,))),
-                                neg(partial(en, y(sigma, (1,)))),
-                            ),
-                            1,
-                            ctx,
-                        ),
-                    )
-                ),
-            )
-            records.append(HelmholtzRecord(0, (), sigma, nu, c1))
-            records.append(HelmholtzRecord(1, (1,), sigma, nu, c2))
-            records.append(HelmholtzRecord(2, (1, 1), sigma, nu, c3))
+            for l, c in enumerate(residuals):
+                if c.terms:
+                    records.append(HelmholtzRecord(l, (1,) * l, sigma, nu, c))
     records.sort(key=lambda rec: (rec.level, rec.I, rec.sigma, rec.nu))
-    return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx)
+    return HelmholtzReport(tuple(records), _verdict(records, probe_seed), ctx, 2)
 
 
 # --- Tonti reconstruction ------------------------------------------------------

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import jetvar
+from jetvar.coords import JetCoord
+from jetvar.expr import sym
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,3 +61,15 @@ def test_import_jetvar_loads_every_traced_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_helmholtz_report_exposes_the_record_fields_the_bench_reads():
+    # bench/checks.py renders level, I, sigma, nu and residual of each of
+    # report.records, and bench/spans.py counts the residuals' terms
+    ctx = jetvar.JetContext(n=1, m=1, order=1)
+    eps = (sym(JetCoord(1, (1,))),)
+    report = jetvar.helmholtz_residuals(jetvar.SourceForm(eps, ctx))
+    assert report.records
+    for rec in report.records:
+        for field in ("level", "I", "sigma", "nu", "residual"):
+            assert hasattr(rec, field), field

@@ -16,6 +16,8 @@ import jetvar.cli
 from jetvar.cli import main
 from jetvar.dsl import MAX_NESTING
 from jetvar.errors import DslError
+from jetvar.problem import load_problem
+from jetvar.variational import helmholtz_residuals
 
 FREE_PARTICLE = """
     [context]
@@ -106,6 +108,13 @@ def test_helmholtz_verbose_includes_zero_residuals(tmp_path, capsys):
     # order 2, one base direction: levels 0..2 over one component pair
     assert len(loud["residuals"]) == 3
     assert all(rec["residual"] == "0" for rec in loud["residuals"])
+    # order 1: the general residuals stop at level 1, the classical ones
+    # always run to level 2; the zero ones sit between the nonzero ones
+    path = problem(tmp_path, OBSTRUCTED_SOURCE, "obstructed.ini")
+    _, loud, _ = run(capsys, ["helmholtz", path, "--verbose"])
+    levels = lambda report: [(r["level"], r["residual"]) for r in report["residuals"]]
+    assert levels(loud) == [(0, "0"), (1, "2")]
+    assert levels(loud["classical"]) == [(0, "0"), (1, "2"), (2, "0")]
 
 
 def test_helmholtz_output_is_deterministic(tmp_path, capsys):
@@ -713,12 +722,19 @@ def test_operators_walk_the_jets_that_occur_not_the_declared_order(tmp_path, cap
         if orders:
             assert (expected.pop("order"), payload.pop("order")) == orders
         assert (high_code, payload) == (code, expected)
-    # the Helmholtz residuals above the occurring order are zero records
+    # the Helmholtz residuals above the occurring order are zero, and a
+    # report keeps none of them
+    low = problem(tmp_path, PLANE_SOURCE.format(order=2), "low.ini")
+    high = problem(tmp_path, PLANE_SOURCE.format(order=300), "high.ini")
     for command in ("helmholtz", "tonti"):
-        path = problem(tmp_path, PLANE_SOURCE.format(order=40), "source.ini")
-        code, payload, seconds = timed(capsys, [command, path])
+        code, expected, _ = timed(capsys, [command, low])
+        high_code, payload, seconds = timed(capsys, [command, high])
         assert seconds <= 1.0, command
+        if command == "tonti":
+            assert (expected.pop("order"), payload.pop("order")) == (2, 300)
         assert code == 0 and payload["verdict"] == "variational"
+        assert (high_code, payload) == (code, expected)
+    assert helmholtz_residuals(load_problem(high).source).records == ()
     # pullback and the numeric layer prolong only the jets that occur
     for template, command, orders in (
         (PLANE_LAGRANGIAN + PLANE_ISO, "naturality", (1, 40)),

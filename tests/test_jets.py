@@ -183,6 +183,15 @@ def test_prolong_section_mixed_partials():
     assert jets[JetCoord(1, (2, 2))] == num(0)
 
 
+def test_prolong_section_keeps_a_context_that_declares_the_order():
+    ctx = JetContext(n=2, m=1, order=3)
+    gamma = SectionSpec((mul(sym(X1), sym(X2)),))
+    for k in range(4):
+        assert prolong_section(gamma, k, ctx).ctx is ctx
+    raised = prolong_section(gamma, 5, ctx)
+    assert raised.ctx.order == 5 and raised[JetCoord(1, (1, 2))] == num(1)
+
+
 def test_prolong_section_builds_long_chains_without_recursion():
     # a 3000-long chain of parents runs past the default recursion limit
     # if it is built recursively

@@ -87,6 +87,13 @@ def records(report):
     ]
 
 
+def nonzero(flat):
+    """The flat residuals a report keeps: the nonzero ones, in record order.
+    The flat formula computes every residual, so a zero residual kept or a
+    nonzero one dropped still fails the comparison."""
+    return [rec for rec in flat if not is_zero(rec[-1])]
+
+
 def random_lagrangian(rng, n, m, r):
     """A random polynomial plus a cubic term with two top-order factors, so
     that mixed multi-indices of length r occur often when n > 1."""
@@ -115,10 +122,10 @@ def test_nested_euler_lagrange_matches_flat_formula(n, m, r):
 @pytest.mark.parametrize("n,m,r", CASES)
 def test_nested_helmholtz_matches_flat_formula(n, m, r):
     rng = random.Random(2000 * n + 100 * m + r)
-    nonzero = 0
+    kept = 0
     for _ in range(PER_CASE):
         sf = euler_lagrange(random_lagrangian(rng, n, m, r))
-        assert records(helmholtz_residuals(sf)) == flat_helmholtz(sf)
+        assert records(helmholtz_residuals(sf)) == nonzero(flat_helmholtz(sf)) == []
         # a non-variational perturbation, so that nonzero residuals compare too
         ctx = sf.ctx
         bumped = list(sf.eps)
@@ -127,17 +134,16 @@ def test_nested_helmholtz_matches_flat_formula(n, m, r):
             bumped[sigma], random_polynomial(rng, ctx, order=sf.s, degree=2)
         )
         perturbed = SourceForm(tuple(bumped), ctx, sf.s)
-        expected = flat_helmholtz(perturbed)
+        expected = nonzero(flat_helmholtz(perturbed))
         assert records(helmholtz_residuals(perturbed)) == expected
-        nonzero += sum(not is_zero(rec[-1]) for rec in expected)
-        # declared above the occurring order: the records of the levels
-        # above s are zero, the others are unchanged
+        kept += len(expected)
+        # declared above the occurring order: the residuals of the levels
+        # above s are zero, so the report keeps the same records
         lifted = SourceForm(perturbed.eps, ctx, sf.s + 2)
-        got = records(helmholtz_residuals(lifted))
-        assert got == flat_helmholtz(lifted)
-        assert got[: len(expected)] == expected
-        assert all(is_zero(rec[-1]) for rec in got[len(expected) :])
-    assert nonzero > 0
+        report = helmholtz_residuals(lifted)
+        assert records(report) == nonzero(flat_helmholtz(lifted)) == expected
+        assert report.s == sf.s + 2
+    assert kept > 0
 
 
 def test_helmholtz_builds_one_plan_per_shape():
@@ -160,8 +166,8 @@ def test_helmholtz_builds_one_plan_per_shape():
     for sf, expected in zip((b, a), reversed(shared)):
         _completion_plan.cache_clear()
         assert records(helmholtz_residuals(sf)) == expected
-    assert shared[1] == flat_helmholtz(b)
-    assert any(not is_zero(rec[-1]) for rec in shared[1])
+    assert shared[1] == nonzero(flat_helmholtz(b))
+    assert shared[1]
 
 
 # --- sympy's euler_equations as an independent oracle --------------------------

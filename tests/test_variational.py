@@ -26,7 +26,7 @@ from jetvar import (
     total_derivative,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, cos, is_zero, mul, neg, num, pow_, sin, sym
+from jetvar.expr import ZERO, add, cos, is_zero, mul, neg, num, pow_, sin, sym
 from jetvar.forms import function_form
 
 from corpus import random_polynomial
@@ -131,17 +131,30 @@ def test_helmholtz_first_order_obstruction(ode1):
     sf = SourceForm((sym(U1),), ode1, 1)
     report = helmholtz_residuals(sf)
     assert report.verdict == "not_variational"
+    assert (report.s, len(report.records)) == (1, 1)
     by_key = {(rec.level, rec.I): rec.residual for rec in report.records}
     assert by_key[(1, (1,))] == num(2)
-    assert is_zero(by_key[(0, ())])
+    assert is_zero(by_key.get((0, ()), ZERO))
 
 
-def test_helmholtz_record_ordering(ode2):
-    sf = SourceForm((sym(U11),), ode2, 2)
-    report = helmholtz_residuals(sf)
+def test_helmholtz_record_ordering():
+    # eps = (x1*u_{1,2} + v_{2,2}, u*v_{1,1} + x2*u_{1}) on n = m = 2 has
+    # nonzero residuals on every level, at several I and component pairs
+    ctx = JetContext(n=2, m=2, order=2)
+    y = lambda sigma, *J: sym(JetCoord(sigma, J))
+    eps = (
+        add(mul(sym(BaseCoord(1)), y(1, 1, 2)), y(2, 2, 2)),
+        add(mul(y(1), y(2, 1, 1)), mul(sym(BaseCoord(2)), y(1, 1))),
+    )
+    report = helmholtz_residuals(SourceForm(eps, ctx, 2))
     keys = [(rec.level, rec.I, rec.sigma, rec.nu) for rec in report.records]
     assert keys == sorted(keys)
-    assert report.verdict == "variational"
+    assert keys == [
+        (0, (), 1, 2), (0, (), 2, 1), (0, (), 2, 2),
+        (1, (1,), 1, 2), (1, (1,), 2, 1), (1, (1,), 2, 2), (1, (2,), 1, 1),
+        (2, (2, 2), 1, 2), (2, (2, 2), 2, 1),
+    ]
+    assert report.verdict == "not_variational" and report.s == 2
 
 
 def test_helmholtz_probe_rejects_opaque_nonzero(ode1):
