@@ -13,6 +13,7 @@ error (a bug, never an answer).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
@@ -184,27 +185,31 @@ def _cmd_numcheck(problem: ProblemFile, opts: dict):
     raise ProblemFileError("'numcheck' needs a [lagrangian] or [source] payload")
 
 
-_HANDLERS = {
-    "el": _cmd_el,
-    "helmholtz": _cmd_helmholtz,
-    "tonti": _cmd_tonti,
-    "cartan": _cmd_cartan,
-    "null-check": _cmd_null_check,
-    "null-from-eta": _cmd_null_from_eta,
-    "naturality": _cmd_naturality,
-    "numcheck": _cmd_numcheck,
+_COMMANDS = {
+    "el": (_cmd_el, "Euler-Lagrange source form of a Lagrangian"),
+    "helmholtz": (_cmd_helmholtz, "variationality test for a source form"),
+    "tonti": (_cmd_tonti, "reconstruct a Lagrangian from a variational source form"),
+    "cartan": (_cmd_cartan, "Poincare-Cartan equivalent of a Lagrangian"),
+    "null-check": (
+        _cmd_null_check,
+        "test whether a Lagrangian has identically zero source form",
+    ),
+    "null-from-eta": (_cmd_null_from_eta, "build a null Lagrangian from an (n-1)-form"),
+    "naturality": (
+        _cmd_naturality,
+        "check Cartan form and source form naturality under a change of variables",
+    ),
+    "numcheck": (_cmd_numcheck, "numeric first-variation or on-section residual check"),
 }
 
-_HELP = {
-    "el": "Euler-Lagrange source form of a Lagrangian",
-    "helmholtz": "variationality test for a source form",
-    "tonti": "reconstruct a Lagrangian from a variational source form",
-    "cartan": "Poincare-Cartan equivalent of a Lagrangian",
-    "null-check": "test whether a Lagrangian has identically zero source form",
-    "null-from-eta": "build a null Lagrangian from an (n-1)-form",
-    "naturality": "check Cartan form and source form naturality under a change of variables",
-    "numcheck": "numeric first-variation or on-section residual check",
-}
+
+def _emit(document, stream) -> None:
+    """Write one JSON document and a newline as it is encoded, in batches of
+    chunks: not the whole text at once, nor a system call per chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
+    while batch := "".join(itertools.islice(chunks, 1 << 16)):
+        stream.write(batch)
+    stream.write("\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,7 +217,7 @@ class _Parser(argparse.ArgumentParser):
     exit 2; its subcommand parsers are of the same class."""
 
     def error(self, message):
-        _diagnose({"error": "UsageError", "message": message})
+        _emit({"error": "UsageError", "message": message}, sys.stderr)
         self.exit(2)
 
 
@@ -238,49 +243,42 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, metavar="T")
     common.add_argument("--seed", type=int, metavar="S")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
-def _diagnose(diag: dict) -> None:
-    print(json.dumps(diag, indent=2, sort_keys=True), file=sys.stderr)
-
-
 def _run(command: str, path: str, flags: dict):
-    """(exit code, stdout text, None) for a command that answered, or
-    (exit code, None, diagnostic) for one that failed."""
-    try:
-        problem = load_problem(path)
-        opts = {**problem.options, **flags}
-        check_tolerance(opts["tolerance"])
-        code, payload = _HANDLERS[command](problem, opts)
-        return code, json.dumps(payload, indent=2, sort_keys=True), None
-    except DslError as exc:
-        span = None if exc.span is None else list(exc.span)
-        diag = {"error": type(exc).__name__, "message": exc.message, "span": span}
-        return 2, None, diag
-    except JetvarError as exc:
-        return 2, None, {"error": type(exc).__name__, "message": str(exc)}
-    except Exception as exc:  # exit 1 would read as a mathematical negative
-        message = f"{type(exc).__name__}: {exc}"
-        return 3, None, {"error": "InternalError", "message": message}
+    """The exit code and stdout payload of a command."""
+    problem = load_problem(path)
+    opts = {**problem.options, **flags}
+    check_tolerance(opts["tolerance"])
+    return _COMMANDS[command][0](problem, opts)
 
 
 def main(argv=None) -> int:
     flags = vars(build_parser().parse_args(argv))
     command, path = flags.pop("command"), flags.pop("file")
+    diag = {}
     # the warnings the filters let through join the JSON on stderr instead
     # of printing as raw text
     with warnings.catch_warnings(record=True) as caught:
-        code, text, diag = _run(command, path, flags)
+        try:
+            code, payload = _run(command, path, flags)
+            _emit(payload, sys.stdout)
+        except DslError as exc:
+            code, diag = 2, {"error": type(exc).__name__, "message": exc.message}
+            diag["span"] = None if exc.span is None else list(exc.span)
+        except JetvarError as exc:
+            code, diag = 2, {"error": type(exc).__name__, "message": str(exc)}
+        except Exception as exc:  # exit 1 would read as a mathematical negative
+            message = f"{type(exc).__name__}: {exc}"
+            code, diag = 3, {"error": "InternalError", "message": message}
     messages = list(dict.fromkeys(str(w.message) for w in caught))
     if messages:
-        diag = {**(diag or {}), "warnings": messages}
-    if diag is not None:
-        _diagnose(diag)
-    if text is not None:
-        print(text)
+        diag["warnings"] = messages
+    if diag:
+        _emit(diag, sys.stderr)
     return code
 
 

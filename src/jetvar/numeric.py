@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .coords import BaseCoord, JetContext, JetCoord, coord_key
 from .errors import NotODEContext, ProbeBoundaryError
-from .expr import add, atom_id, coords_in, evaluate, mul, num
+from .expr import add, atom_id, coords_in, evaluate, max_jet_order, mul, num
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
 
@@ -76,8 +76,8 @@ def _legendre(n: int, z: float) -> tuple:
 
 class VariationProbe:
     """A base section and a variation direction; the direction and its
-    derivatives below the Lagrangian's order must vanish at both endpoints
-    of [0, 1] so the boundary terms of integration by parts drop."""
+    derivatives below the highest jet order of the Lagrangian must vanish
+    at both ends of [0, 1] so the boundary terms of integration by parts drop."""
 
     __slots__ = ("gamma", "phi")
 
@@ -88,7 +88,7 @@ class VariationProbe:
 def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
     """Raise ProbeBoundaryError unless each jet y^s_{1^k}, k < r, of a
     prolonged variation vanishes at both endpoints: the boundary terms of a
-    Lagrangian of order r involve those only, so order 0 has none."""
+    Lagrangian with jets up to order r involve those only, so r = 0 has none."""
     coords = [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(r)]
     for endpoint in (0.0, 1.0):
         env = {BaseCoord(1): endpoint}
@@ -163,7 +163,7 @@ def first_variation_check(
     # prolonged once, gamma first, to 2r, the order of the source form
     gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
     phi_jets = prolong_section(probe.phi, lam.r, ctx)
-    _check_vanishing(phi_jets, lam.r, ctx)
+    _check_vanishing(phi_jets, max_jet_order(lam.L), ctx)
     pairs = zip(_jets_by_atom(gamma_jets, lam.L), _jets_by_atom(phi_jets, lam.L))
     pairs = [(a, g, p) for (a, g), (_, p) in pairs]
 

@@ -88,13 +88,11 @@ def _names(raw: str) -> tuple:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _get_int(section, key: str, what: str) -> int:
+def _get_int(section, key: str) -> int:
     try:
         return int(section[key])
-    except KeyError:
-        raise ProblemFileError(f"missing {key!r} in {what}") from None
     except ValueError:
-        raise ProblemFileError(f"{key!r} in {what} must be an integer") from None
+        raise ProblemFileError(f"{key!r} in [context] must be an integer") from None
 
 
 def _malformed(lineno: int, what: str) -> ProblemFileError:
@@ -138,20 +136,25 @@ def _read_sections(handle) -> dict:
     return sections
 
 
-def _refuse_unknown_keys(section: dict, name: str, keys) -> None:
+def _section(sections: dict, name: str, required, optional=()) -> dict:
+    """The section [name], refusing a key outside required and optional,
+    then the first missing required key."""
+    section = sections[name]
     for key in section:
-        if key not in keys:
+        if key not in required and key not in optional:
             raise ProblemFileError(f"unknown key {key!r} in [{name}]")
+    for key in required:
+        if key not in section:
+            raise ProblemFileError(f"missing {key!r} in [{name}]")
+    return section
 
 
 def _context(sections: dict) -> JetContext:
     if "context" not in sections:
         raise ProblemFileError("missing [context] section")
-    section = sections["context"]
-    _refuse_unknown_keys(section, "context", ("n", "m", "order", "base", "fiber"))
-    n = _get_int(section, "n", "[context]")
-    m = _get_int(section, "m", "[context]")
-    order = _get_int(section, "order", "[context]")
+    keys = ("n", "m", "order")
+    section = _section(sections, "context", keys, ("base", "fiber"))
+    n, m, order = (_get_int(section, key) for key in keys)
     base = _names(section.get("base", ""))
     fiber = _names(section.get("fiber", ""))
     try:
@@ -160,16 +163,11 @@ def _context(sections: dict) -> JetContext:
         raise ProblemFileError(str(exc)) from None
 
 
-def _components(
-    section, prefix: str, count: int, ctx: JetContext, where: str, others=()
-):
-    """The parsed values of prefix1..prefix<count>; with `others`, these
-    are all the keys the section may hold."""
-    keys = [f"{prefix}{k}" for k in range(1, count + 1)]
-    _refuse_unknown_keys(section, where, keys + list(others))
-    for key in keys:
-        if key not in section:
-            raise ProblemFileError(f"missing {key!r} in [{where}]")
+def _numbered(prefix: str, ctx: JetContext) -> list:
+    return [f"{prefix}{k}" for k in range(1, ctx.m + 1)]
+
+
+def _parsed(section: dict, keys, ctx: JetContext) -> tuple:
     return tuple(parse_expr(section[key], ctx).expr for key in keys)
 
 
@@ -180,10 +178,10 @@ def _fractions(raw: str, what: str):
         raise ProblemFileError(f"bad rational entry in {what}: {raw!r}") from None
 
 
-def _iso(section: dict, ctx: JetContext) -> FiberedIso:
-    fiber_map = _components(section, "fiber", ctx.m, ctx, "iso", ("a", "b"))
-    if "a" not in section:
-        raise ProblemFileError("missing 'a' (base matrix) in [iso]")
+def _iso(sections: dict, ctx: JetContext) -> FiberedIso:
+    fibers = _numbered("fiber", ctx)
+    section = _section(sections, "iso", fibers + ["a"], ("b",))
+    fiber_map = _parsed(section, fibers, ctx)
     rows = [_fractions(row, "[iso] a") for row in section["a"].split(";")]
     if len(rows) != ctx.n or any(len(r) != ctx.n for r in rows):
         raise ProblemFileError(f"[iso] a must be a {ctx.n}x{ctx.n} matrix")
@@ -287,40 +285,23 @@ def load_problem(path: str) -> ProblemFile:
         )
 
     if "lagrangian" in sections:
-        section = sections["lagrangian"]
-        _refuse_unknown_keys(section, "lagrangian", ("expr",))
-        if "expr" not in section:
-            raise ProblemFileError("missing 'expr' in [lagrangian]")
-        problem.lagrangian = Lagrangian(
-            parse_expr(section["expr"], ctx).expr, ctx, ctx.order
-        )
+        expr = _section(sections, "lagrangian", ("expr",))["expr"]
+        problem.lagrangian = Lagrangian(parse_expr(expr, ctx).expr, ctx, ctx.order)
     if "source" in sections:
-        problem.source = SourceForm(
-            _components(sections["source"], "eps", ctx.m, ctx, "source"),
-            ctx,
-            ctx.order,
-        )
+        keys = _numbered("eps", ctx)
+        eps = _parsed(_section(sections, "source", keys), keys, ctx)
+        problem.source = SourceForm(eps, ctx, ctx.order)
     if "eta" in sections:
-        section = sections["eta"]
-        _refuse_unknown_keys(section, "eta", ("form",))
-        if "form" not in section:
-            raise ProblemFileError("missing 'form' in [eta]")
-        problem.eta = parse_form(section["form"], ctx)
+        problem.eta = parse_form(_section(sections, "eta", ("form",))["form"], ctx)
 
     if "iso" in sections:
-        problem.iso = _iso(sections["iso"], ctx)
-    if "section" in sections:
-        problem.section = SectionSpec(
-            _components(sections["section"], "comp", ctx.m, ctx, "section")
-        )
-    if "variation" in sections:
-        problem.variation = SectionSpec(
-            _components(sections["variation"], "comp", ctx.m, ctx, "variation")
-        )
+        problem.iso = _iso(sections, ctx)
+    keys = _numbered("comp", ctx)
+    for name in ("section", "variation"):
+        if name in sections:
+            comps = _parsed(_section(sections, name, keys), keys, ctx)
+            setattr(problem, name, SectionSpec(comps))
     if "points" in sections:
-        section = sections["points"]
-        _refuse_unknown_keys(section, "points", ("values",))
-        if "values" not in section:
-            raise ProblemFileError("missing 'values' in [points]")
-        problem.points = _points(section["values"], ctx)
+        values = _section(sections, "points", ("values",))["values"]
+        problem.points = _points(values, ctx)
     return problem

@@ -69,8 +69,8 @@ PROBE_THRESHOLD = 1e-8
 
 def _declared(exprs, ctx: JetContext, order) -> tuple:
     """Check the coordinates of exprs against ctx and the declared order
-    against the occurring one, which it defaults to; returns the context
-    at the declared order and the order."""
+    against the occurring one, which it defaults to; returns ctx, copied
+    when it declares another order, and the order."""
     actual = 0
     for e in exprs:
         for c in coords_in(e):
@@ -81,7 +81,7 @@ def _declared(exprs, ctx: JetContext, order) -> tuple:
         order = actual
     if order < actual:
         raise ValueError(f"declared order {order} below occurring order {actual}")
-    return ctx.with_order(order), order
+    return (ctx if ctx.order == order else ctx.with_order(order)), order
 
 
 class Lagrangian(Value):
@@ -170,7 +170,7 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
                 d = total_derivative(value, K[-1], ctx)
                 below[sigma, K[:-1]] = add(below.get((sigma, K[:-1]), ZERO), neg(d))
     eps = tuple(F[0].get((sigma, ()), ZERO) for sigma in range(1, ctx.m + 1))
-    return SourceForm(eps, ctx.with_order(2 * lam.r), 2 * lam.r)
+    return SourceForm(eps, ctx, 2 * lam.r)
 
 
 def is_null_lagrangian(lam: Lagrangian) -> bool:
@@ -191,8 +191,7 @@ def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
     lifted = horizontalize(exterior_derivative(eta))
     vol = tuple(DX(i) for i in range(1, ctx.n + 1))
     density = lifted.terms.get(vol, ZERO)
-    order = eta.order + 1
-    return Lagrangian(density, ctx.with_order(order), order)
+    return Lagrangian(density, ctx, eta.order + 1)
 
 
 # --- Helmholtz conditions ------------------------------------------------------
@@ -367,7 +366,7 @@ def tonti_lagrangian(sf: SourceForm) -> Lagrangian:
     total = ZERO
     for sigma, e in enumerate(sf.eps, start=1):
         total = add(total, mul(sym(JetCoord(sigma)), integrate_param(e, 0, 1)))
-    return Lagrangian(total, sf.ctx.with_order(sf.s), sf.s)
+    return Lagrangian(total, sf.ctx, sf.s)
 
 
 # --- naturality under fibered isomorphisms -------------------------------------

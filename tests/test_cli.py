@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -441,10 +442,36 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def broken(problem, opts):
         raise RuntimeError("a bug")
 
-    monkeypatch.setitem(jetvar.cli._HANDLERS, "el", broken)
+    monkeypatch.setitem(jetvar.cli._COMMANDS, "el", (broken, "a broken command"))
     code, payload, diagnostic = run(capsys, ["el", problem(tmp_path, FREE_PARTICLE)])
     assert code == 3 and payload is None
     assert diagnostic == {"error": "InternalError", "message": "RuntimeError: a bug"}
+
+
+def test_unencodable_payload_exits_3(tmp_path, capsys, monkeypatch):
+    # the payload is written as it is encoded, so the failure comes from
+    # the writer, here before its first batch of chunks reaches stdout
+    def unencodable(problem, opts):
+        return 0, {"value": Fraction(1, 2)}
+
+    monkeypatch.setitem(jetvar.cli._COMMANDS, "el", (unencodable, "unencodable"))
+    assert main(["el", problem(tmp_path, FREE_PARTICLE)]) == 3
+    diagnostic = {
+        "error": "InternalError",
+        "message": "TypeError: Object of type Fraction is not JSON serializable",
+    }
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(diagnostic, indent=2, sort_keys=True) + "\n"
+
+
+def test_stdout_is_one_indented_sorted_document(tmp_path, capsys):
+    path = problem(tmp_path, OBSTRUCTED_SOURCE)
+    assert main(["helmholtz", path, "--verbose"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert captured.err == "" and len(payload["classical"]["residuals"]) == 3
 
 
 def test_span_less_dsl_error_reports_null_span(tmp_path, capsys, monkeypatch):
@@ -692,6 +719,24 @@ PLANE_ISO = """
     fiber1 = u + u^2
 """
 
+LINE_VARIATION = """
+    [context]
+    n = 1
+    m = 1
+    order = {order}
+    base = x
+    fiber = u
+
+    [lagrangian]
+    expr = 1/2*u_{{1}}^2
+
+    [section]
+    comp1 = x^2
+
+    [variation]
+    comp1 = x^2*(1-x)^2
+"""
+
 PLANE_SECTION = """
     [section]
     comp1 = x1^3*x2 + x2^2
@@ -735,10 +780,13 @@ def test_operators_walk_the_jets_that_occur_not_the_declared_order(tmp_path, cap
         assert code == 0 and payload["verdict"] == "variational"
         assert (high_code, payload) == (code, expected)
     assert helmholtz_residuals(load_problem(high).source).records == ()
-    # pullback and the numeric layer prolong only the jets that occur
+    # pullback and the numeric layer prolong only the jets that occur, and
+    # the boundary guard of the first variation asks only the jets below
+    # the order of the highest jet of L to vanish
     for template, command, orders in (
         (PLANE_LAGRANGIAN + PLANE_ISO, "naturality", (1, 40)),
         (PLANE_SOURCE + PLANE_SECTION, "numcheck", (2, 120)),
+        (LINE_VARIATION, "numcheck", (1, 40)),
     ):
         low = problem(tmp_path, template.format(order=orders[0]), "low.ini")
         high = problem(tmp_path, template.format(order=orders[1]), "high.ini")

@@ -171,6 +171,73 @@ def test_every_key_a_section_takes_is_accepted(tmp_path, capsys, free_particle_o
     assert payload == free_particle_output
 
 
+PLANE = CONTEXT.replace("n = 1", "n = 2").replace("base = x", "base = x, y")
+PLANE_PARTICLE = PLANE + "\n[lagrangian]\nexpr = u\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (FREE_PARTICLE.replace("n = 1\n", "", 1), "missing 'n' in [context]"),
+        (CONTEXT + "\n[lagrangian]\n", "missing 'expr' in [lagrangian]"),
+        (CONTEXT + "\n[eta]\n", "missing 'form' in [eta]"),
+        (FREE_PARTICLE + "\n[points]\n", "missing 'values' in [points]"),
+        (
+            CONTEXT.replace("m = 1", "m = 2").replace("fiber = u", "fiber = u, v")
+            + "\n[source]\neps1 = u\n",
+            "missing 'eps2' in [source]",
+        ),
+        (FREE_PARTICLE + "\n[section]\n", "missing 'comp1' in [section]"),
+        (FREE_PARTICLE + "\n[iso]\na = 1\n", "missing 'fiber1' in [iso]"),
+        (FREE_PARTICLE + "\n[iso]\nfiber1 = u\n", "missing 'a' in [iso]"),
+        (FREE_PARTICLE.replace("n = 1", "n = one"), "'n' in [context] must be an integer"),
+        (FREE_PARTICLE.replace("base = x", "base = sin"), "'sin' is reserved"),
+        (
+            FREE_PARTICLE.replace("base = x", "base = u"),
+            "coordinate names must be pairwise distinct",
+        ),
+        (
+            FREE_PARTICLE + "\n[iso]\na = one\nfiber1 = u\n",
+            "bad rational entry in [iso] a: 'one'",
+        ),
+        (FREE_PARTICLE + "\n[iso]\na = 1, 2\nfiber1 = u\n", "[iso] a must be a 1x1 matrix"),
+        (
+            FREE_PARTICLE + "\n[iso]\na = 1\nb = 1, 2\nfiber1 = u\n",
+            "[iso] b must have 1 entries",
+        ),
+        (FREE_PARTICLE + "\n[points]\nvalues = half\n", "bad point 'half' in [points]"),
+        (
+            PLANE_PARTICLE + "\n[points]\nvalues = 0.5\n",
+            "point '0.5' has 1 entries, need 2",
+        ),
+        (FREE_PARTICLE + "\n[points]\nvalues = ;\n", "[points] lists no points"),
+    ],
+    ids=[
+        "missing_n",
+        "missing_expr",
+        "missing_form",
+        "missing_values",
+        "missing_eps2",
+        "missing_comp1",
+        "missing_fiber1",
+        "missing_a",
+        "non_integer_n",
+        "reserved_name",
+        "duplicate_name",
+        "bad_rational",
+        "a_not_square",
+        "b_wrong_length",
+        "bad_point",
+        "point_arity",
+        "no_points",
+    ],
+)
+def test_reader_refusals_exit_2_with_their_message(tmp_path, capsys, text, message):
+    code, payload, diagnostic = run_el(capsys, write(tmp_path, text))
+    assert code == 2 and payload is None
+    assert diagnostic == {"error": "ProblemFileError", "message": message}
+
+
 def test_unknown_option_keeps_its_message(tmp_path, capsys):
     text = FREE_PARTICLE + "\n[options]\ncolour = red\n"
     code, _, diagnostic = run_el(capsys, write(tmp_path, text))

@@ -265,6 +265,16 @@ def test_tonti_rejects_transcendental_fiber_dependence(ode1):
         tonti_lagrangian(sf)
 
 
+def test_a_record_at_the_declared_order_keeps_its_context(ode1, ode2):
+    # one context per declared order: a record copies the context only
+    # when it declares another order
+    lam = Lagrangian(half(pow_(sym(U1), 2)), ode1, ode1.order)
+    assert lam.ctx is ode1
+    assert euler_lagrange(lam).ctx == ode2
+    assert tonti_lagrangian(euler_lagrange(lam)).ctx == ode2
+    assert Lagrangian(lam.L, ode1, 2).ctx == ode2
+
+
 def test_source_form_validation(ode1):
     with pytest.raises(DimensionMismatch):
         SourceForm((sym(U), sym(U)), ode1, 1)
