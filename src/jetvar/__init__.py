@@ -51,9 +51,9 @@ from .variational import (
     Lagrangian,
     SourceForm,
     classical_helmholtz_ode,
+    decide_zero,
     euler_lagrange,
     helmholtz_residuals,
-    is_null_lagrangian,
     naturality_report,
     null_lagrangian_from_eta,
     pullback_lagrangian,

@@ -6,8 +6,8 @@ Usage: jetvar <subcommand> <problem-file> [--verbose]
 Results are printed to stdout as JSON; diagnostics and warnings go to
 stderr as one JSON document.
 Exit code 0 means the check passed, 1 means it ran but answered in the
-negative, 2 means the input could not be processed, 3 means an internal
-error (a bug, never an answer).
+negative or could not decide, 2 means the input could not be processed, 3
+means an internal error (a bug, never an answer).
 """
 
 from __future__ import annotations
@@ -21,19 +21,23 @@ import warnings
 from .coords import multi_indices
 from .dsl import render_expr, render_form
 from .errors import DslError, JetvarError, ProblemFileError
-from .expr import is_zero
+from .expr import add, neg
 from .forms import cartan_form_contact, expand_contact
 from .numeric import QuadratureSpec, VariationProbe, first_variation_check, residual_on_section
 from .problem import ProblemFile, check_tolerance, load_problem
 from .variational import (
     classical_helmholtz_ode,
+    decide_zero,
     euler_lagrange,
     helmholtz_residuals,
-    is_null_lagrangian,
     naturality_report,
     null_lagrangian_from_eta,
     tonti_lagrangian,
 )
+
+
+def _shown(answer, yes=True, no=False):
+    return "undecided" if answer is None else yes if answer else no
 
 
 def _need(value, command: str, section: str):
@@ -74,7 +78,7 @@ def _cmd_el(problem: ProblemFile, opts: dict):
         "order": sf.s,
         "components": [render_expr(e, problem.ctx) for e in sf.eps],
     }
-    return 0, payload
+    return True, payload
 
 
 def _cmd_helmholtz(problem: ProblemFile, opts: dict):
@@ -85,7 +89,7 @@ def _cmd_helmholtz(problem: ProblemFile, opts: dict):
         classical = classical_helmholtz_ode(sf, probe_seed=opts["seed"])
         payload["classical"] = _report_payload(classical, problem.ctx, opts["verbose"])
         payload["verdicts_agree"] = classical.verdict == report.verdict
-    return (0 if report.verdict == "variational" else 1), payload
+    return report.answer, payload
 
 
 def _cmd_tonti(problem: ProblemFile, opts: dict):
@@ -94,18 +98,19 @@ def _cmd_tonti(problem: ProblemFile, opts: dict):
     if not opts["skip-variational-check"]:
         report = helmholtz_residuals(sf, probe_seed=opts["seed"])
         payload.update(_report_payload(report, problem.ctx, opts["verbose"]))
-        if report.verdict != "variational":
-            return 1, payload
+        if report.answer is not True:
+            return report.answer, payload
     lag = tonti_lagrangian(sf)
-    verified = euler_lagrange(lag).eps == sf.eps
+    gaps = map(add, euler_lagrange(lag).eps, map(neg, sf.eps))
+    verified = decide_zero(gaps, opts["seed"])
     payload.update(
         {
             "lagrangian": render_expr(lag.L, problem.ctx),
             "order": lag.r,
-            "verified": verified,
+            "verified": _shown(verified),
         }
     )
-    return (0 if verified else 1), payload
+    return verified, payload
 
 
 def _cmd_cartan(problem: ProblemFile, opts: dict):
@@ -117,38 +122,38 @@ def _cmd_cartan(problem: ProblemFile, opts: dict):
         "raw": render_form(raw, problem.ctx),
         "contact": render_form(contact, problem.ctx),
     }
-    return 0, payload
+    return True, payload
 
 
 def _cmd_null_check(problem: ProblemFile, opts: dict):
     lag = _need(problem.lagrangian, "null-check", "lagrangian")
     sf = euler_lagrange(lag)
-    null = all(is_zero(e) for e in sf.eps)
+    null = decide_zero(sf.eps, opts["seed"])
     payload = {
-        "null": null,
+        "null": _shown(null),
         "components": [render_expr(e, problem.ctx) for e in sf.eps],
     }
-    return (0 if null else 1), payload
+    return null, payload
 
 
 def _cmd_null_from_eta(problem: ProblemFile, opts: dict):
     eta = _need(problem.eta, "null-from-eta", "eta")
     lag = null_lagrangian_from_eta(eta)
-    verified = is_null_lagrangian(lag)
+    verified = decide_zero(euler_lagrange(lag).eps, opts["seed"])
     payload = {
         "lagrangian": render_expr(lag.L, problem.ctx),
         "order": lag.r,
-        "verified": verified,
+        "verified": _shown(verified),
     }
-    return (0 if verified else 1), payload
+    return verified, payload
 
 
 def _cmd_naturality(problem: ProblemFile, opts: dict):
     lag = _need(problem.lagrangian, "naturality", "lagrangian")
     iso = _need(problem.iso, "naturality", "iso")
-    report = naturality_report(lag, iso)
-    payload = {key: ("pass" if flag else "fail") for key, flag in report.items()}
-    return (0 if all(report.values()) else 1), payload
+    report = naturality_report(lag, iso, probe_seed=opts["seed"])
+    payload = {key: _shown(answer, "pass", "fail") for key, answer in report.items()}
+    return min(report.values(), key=[False, None, True].index), payload
 
 
 def _cmd_numcheck(problem: ProblemFile, opts: dict):
@@ -172,7 +177,7 @@ def _cmd_numcheck(problem: ProblemFile, opts: dict):
             "tolerance": tol,
             "pass": ok,
         }
-        return (0 if ok else 1), payload
+        return ok, payload
     if problem.source is not None:
         gamma = _need(problem.section, "numcheck", "section")
         points = _need(problem.points, "numcheck", "points")
@@ -181,7 +186,7 @@ def _cmd_numcheck(problem: ProblemFile, opts: dict):
             "points": points,
             "values": [list(row) for row in values],
         }
-        return 0, payload
+        return True, payload
     raise ProblemFileError("'numcheck' needs a [lagrangian] or [source] payload")
 
 
@@ -249,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(command: str, path: str, flags: dict):
-    """The exit code and stdout payload of a command."""
+    """The exit code and stdout payload of a command: 1 unless it answers yes."""
     problem = load_problem(path)
     opts = {**problem.options, **flags}
     check_tolerance(opts["tolerance"])
-    return _COMMANDS[command][0](problem, opts)
+    answer, payload = _COMMANDS[command][0](problem, opts)
+    return (0 if answer is True else 1), payload
 
 
 def main(argv=None) -> int:

@@ -19,10 +19,10 @@ from jetvar import (
     VariationProbe,
     cartan_form,
     classical_helmholtz_ode,
+    decide_zero,
     euler_lagrange,
     first_variation_check,
     helmholtz_residuals,
-    is_null_lagrangian,
     naturality_report,
     null_lagrangian_from_eta,
     parse_expr,
@@ -95,7 +95,7 @@ def test_acceptance_2_tonti_round_trip():
             gap = Lagrangian(
                 add(rebuilt.L, neg(lam.L)), lam.ctx.with_order(order), order
             )
-            assert is_null_lagrangian(gap)
+            assert decide_zero(euler_lagrange(gap).eps) is True
     except BaseException:
         ok = False
         raise
@@ -130,7 +130,7 @@ def test_acceptance_3_boundary_forms_have_zero_source():
                 eta = form_from_terms(ctx, 1, 1, items)
             lam = null_lagrangian_from_eta(eta)
             assert all(is_zero(e) for e in euler_lagrange(lam).eps)
-            assert is_null_lagrangian(lam)
+            assert decide_zero(euler_lagrange(lam).eps) is True
     except BaseException:
         ok = False
         raise

@@ -11,14 +11,14 @@ from jetvar import (  # noqa: E402
     JetContext,
     Lagrangian,
     SourceForm,
+    decide_zero,
     euler_lagrange,
     helmholtz_residuals,
-    is_null_lagrangian,
     tonti_lagrangian,
     total_derivative,
 )
 from jetvar.coords import JetCoord  # noqa: E402
-from jetvar.expr import add, cos, exp, mul, num, sin, sym  # noqa: E402
+from jetvar.expr import add, cos, exp, mul, neg, num, sin, sym  # noqa: E402
 from jetvar.forms import DX, DY, exterior_derivative, form_from_terms  # noqa: E402
 
 from corpus import coordinate_atoms  # noqa: E402
@@ -62,6 +62,20 @@ def test_euler_lagrange_of_tonti_is_identity(drawn):
     ctx, L = drawn
     source = euler_lagrange(Lagrangian(L, ctx))
     assert euler_lagrange(tonti_lagrangian(source)).eps == source.eps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    with_context(
+        lambda ctx: st.lists(polynomials(ctx, ctx.order), min_size=1, max_size=2)
+    )
+)
+def test_decide_zero_is_exact_on_polynomials(drawn):
+    # a function-free value is decided without a probe: yes iff it has no
+    # terms; the gap of two drawn values is zero when they are equal
+    _, values = drawn
+    e = add(values[0], *map(neg, values[1:]))
+    assert decide_zero([e]) is (not e.terms)
 
 
 def source_forms(ctx):
@@ -111,7 +125,8 @@ def test_helmholtz_verdict_agrees_with_the_tonti_round_trip(drawn):
 )
 def test_euler_lagrange_kills_total_derivatives(drawn):
     ctx, (f, i) = drawn
-    assert is_null_lagrangian(Lagrangian(total_derivative(f, i, ctx), ctx))
+    lam = Lagrangian(total_derivative(f, i, ctx), ctx)
+    assert decide_zero(euler_lagrange(lam).eps) is True
 
 
 def generators(ctx):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import jetvar.variational
 from jetvar import (
     DegreeMismatch,
     DimensionMismatch,
@@ -16,9 +17,9 @@ from jetvar import (
     NotODEContext,
     SourceForm,
     classical_helmholtz_ode,
+    decide_zero,
     euler_lagrange,
     helmholtz_residuals,
-    is_null_lagrangian,
     naturality_report,
     null_lagrangian_from_eta,
     pullback_lagrangian,
@@ -84,7 +85,7 @@ def test_euler_lagrange_kills_total_divergences():
             )
             lam = Lagrangian(density, ctx, 2)
             assert all(is_zero(e) for e in euler_lagrange(lam).eps)
-            assert is_null_lagrangian(lam)
+            assert decide_zero(euler_lagrange(lam).eps) is True
 
 
 def test_euler_lagrange_is_linear():
@@ -113,7 +114,7 @@ def test_null_lagrangian_from_eta_ode(ode1):
     lam = null_lagrangian_from_eta(function_form(ode1, pow_(sym(U), 2), 1))
     assert lam.L == mul(num(2), sym(U), sym(U1))
     assert lam.r == 2
-    assert is_null_lagrangian(lam)
+    assert decide_zero(euler_lagrange(lam).eps) is True
 
 
 def test_helmholtz_on_euler_lagrange_images():
@@ -256,7 +257,7 @@ def test_tonti_round_trip_random():
             difference = Lagrangian(
                 add(rebuilt.L, neg(lam.L)), ctx.with_order(rebuilt.r), rebuilt.r
             )
-            assert is_null_lagrangian(difference)
+            assert decide_zero(euler_lagrange(difference).eps) is True
 
 
 def test_tonti_rejects_transcendental_fiber_dependence(ode1):
@@ -301,3 +302,43 @@ def test_naturality_under_fibered_automorphisms(ode1):
         report = naturality_report(lam, iso)
         assert set(report) == {"theorem3", "theorem4"}
         assert report["theorem3"] and report["theorem4"]
+
+
+def hidden_zero(e):
+    """e*(sin(e)^2 + cos(e)^2 - 1): identically zero, structurally not."""
+    return mul(e, add(pow_(sin(e), 2), pow_(cos(e), 2), num(-1)))
+
+
+def test_decide_zero_answers_yes_no_or_undecided():
+    u, u1 = sym(U), sym(U1)
+    assert decide_zero([]) is True
+    assert decide_zero([ZERO, ZERO]) is True
+    assert decide_zero([ZERO, u]) is False  # a nonzero polynomial
+    assert decide_zero([sin(u1)]) is False  # probed away from zero
+    assert decide_zero([hidden_zero(u1)]) is None
+    assert decide_zero([hidden_zero(u1), u]) is False  # a no outweighs undecided
+    assert not decide_zero([hidden_zero(u1)])  # undecided never reads as yes
+
+
+@pytest.mark.parametrize(
+    "extra, answers",
+    [
+        (lambda: sym(U), (False, False)),
+        # a null Lagrangian: the Cartan forms differ, the source forms do not
+        (lambda: mul(sym(U), sym(U1)), (False, True)),
+        (lambda: mul(sym(U), hidden_zero(sym(X))), (None, None)),
+    ],
+)
+def test_naturality_decides_the_gap_of_unequal_sides(ode1, monkeypatch, extra, answers):
+    # the pulled-back Lagrangian is skewed by extra, so each side built
+    # from it differs from the pullback of the same side of lam
+    density = jetvar.variational._density
+
+    def skewed(pulled, lam):
+        out = density(pulled, lam)
+        return Lagrangian(add(out.L, extra()), out.ctx, out.r)
+
+    monkeypatch.setattr(jetvar.variational, "_density", skewed)
+    lam = Lagrangian(half(pow_(sym(U1), 2)), ode1, 1)
+    report = naturality_report(lam, FiberedIso((mul(num(2), sym(X)),), (sym(U),)))
+    assert (report["theorem3"], report["theorem4"]) == answers
