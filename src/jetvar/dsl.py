@@ -26,8 +26,10 @@ import warnings
 from .coords import FUNCTIONS, BaseCoord, JetContext, JetCoord
 from .errors import DslSyntaxError, ExpansionBudget, OrderExceeded, UnknownIdentifier
 from .expr import (
+    _ATOMS,
     ONE,
     Expr,
+    _rows,
     add,
     div,
     func,
@@ -36,7 +38,6 @@ from .expr import (
     mul,
     neg,
     num,
-    ordered_terms,
     pow_,
     sym,
 )
@@ -367,17 +368,17 @@ def parse_form(source: str, ctx: JetContext) -> DiffForm:
 
 def render_expr(e: Expr, ctx: JetContext) -> str:
     """Render to the expression grammar in canonical order; re-parses to an
-    equal Expr."""
+    equal Expr.  Each distinct factor is rendered once per call."""
     return _render_sum(e, ctx, {})
 
 
 def _render_sum(e: Expr, ctx: JetContext, texts: dict) -> str:
-    """`render_expr` with `texts`, the text of each sin/cos/exp argument
-    already rendered in this call, so an argument is rendered once however
-    often it occurs."""
-    return _join_signed(
-        [_render_term(c, factors, ctx, texts) for c, factors in ordered_terms(e)]
-    )
+    """`render_expr` with `texts`, the table of text already rendered in
+    this call: each factor's text keyed by its (atom id, exponent) pair as
+    the kernel's canonical rows hold it, and each sin/cos/exp argument's
+    text keyed by the argument, so each is rendered once however often it
+    occurs."""
+    return _join_signed([_render_term(c, factors, ctx, texts) for c, factors in _rows(e)])
 
 
 def _join_signed(parts: list) -> str:
@@ -391,10 +392,10 @@ def _join_signed(parts: list) -> str:
     return out
 
 
-def _render_term(coeff, factors, ctx: JetContext, texts: dict) -> str:
+def _render_term(coeff, factors: tuple, ctx: JetContext, texts: dict) -> str:
     if not factors:
         return _coefficient_text(coeff)
-    rendered = "*".join(_render_factor(atom, k, ctx, texts) for atom, k in factors)
+    rendered = "*".join([texts.get(f) or _render_factor(f, ctx, texts) for f in factors])
     if coeff == 1:
         return rendered
     if coeff == -1:
@@ -411,20 +412,22 @@ def _coefficient_text(coeff) -> str:
         raise ExpansionBudget("a coefficient has too many digits to render") from None
 
 
-def _render_factor(atom, k: int, ctx: JetContext, texts: dict) -> str:
+def _render_factor(f: tuple, ctx: JetContext, texts: dict) -> str:
+    """The text of factor f, an (atom id, exponent) pair, entered in texts."""
+    a, k = f
+    atom = _ATOMS[a]
     if isinstance(atom, tuple):
         name, arg = atom
         inner = texts.get(arg)
         if inner is None:
             inner = texts[arg] = _render_sum(arg, ctx, texts)
-        base = f"{name}({inner})"
+        text = f"{name}({inner})"
     else:
-        base = ctx.coord_name(atom)
-    if k == 1:
-        return base
-    if k < 0:
-        return f"{base}^({k})"
-    return f"{base}^{k}"
+        text = ctx.coord_name(atom)
+    if k != 1:
+        text += f"^({k})" if k < 0 else f"^{k}"
+    texts[f] = text
+    return text
 
 
 def _render_generator(g, ctx: JetContext) -> str:

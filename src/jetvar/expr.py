@@ -30,7 +30,9 @@ ordered by them.  The canonical order (constants last, higher total degree
 first, factors by coordinate order, see `ordered_terms`) is computed once
 per value on demand and cached on it; rendering and floating-point
 evaluation both follow it, so neither text nor floats depend on the
-history of the process.
+history of the process.  Rendering reads the cached rows directly and keeps
+a table per call of the text of each (atom id, exponent) factor and of each
+sin/cos/exp argument, so each is rendered once per call.
 
 `evaluate` reads a float plan, built on a value's first evaluation and
 cached on it: the canonical rows with each coefficient converted once by

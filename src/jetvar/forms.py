@@ -234,13 +234,6 @@ def omega_i(i: int, ctx: JetContext) -> DiffForm:
     return DiffForm(ctx, 0, ctx.n - 1, {gens: coeff})
 
 
-def contact_form(sigma: int, J: tuple, ctx: JetContext) -> DiffForm:
-    """w^sigma_J in the raw basis: dy^sigma_J - sum_i y^sigma_{Ji} dx^i."""
-    J = tuple(sorted(J))
-    ctx.check_coord(JetCoord(sigma, J))
-    return expand_contact(DiffForm(ctx, len(J) + 1, 1, {(W(sigma, J),): ONE}))
-
-
 def max_form_order(form: DiffForm) -> int:
     """Highest jet order actually occurring in coefficients or generators."""
     order = 0

@@ -27,6 +27,7 @@ from jetvar.expr import add, mul, neg, num, ordered_terms, partial, pow_, sin, s
 from jetvar.forms import DX, DY, form_add, form_from_terms, scale
 
 from corpus import random_mixed, random_polynomial
+from test_golden_render import DENSE_CASES, dense_payload
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -268,8 +269,8 @@ def test_parsed_expr_metadata(ode1):
 
 
 def reference_render(e, ctx):
-    """`render_expr` without a text memo: each atom's argument is rendered
-    again wherever the atom occurs."""
+    """`render_expr` without a text table: each factor, and each atom's
+    argument, is rendered again wherever it occurs."""
 
     def factor(atom, k):
         if isinstance(atom, tuple):
@@ -310,10 +311,17 @@ def atom_arguments(e, into=None):
     return into
 
 
-def test_render_matches_unmemoized_reference(ode1):
+def test_render_matches_unmemoized_reference(ode1, monkeypatch):
     lam = nested_sin_lagrangian(10, ode1)
     for e in (lam.L,) + euler_lagrange(lam).eps:
         assert render_expr(e, ode1) == reference_render(e, ode1)
+
+    # every value the golden file renders, its Euler-Lagrange components,
+    # Helmholtz residuals, Cartan form coefficients and Tonti Lagrangian,
+    # rendered again with each expression going through the reference
+    got = [dense_payload(name) for name in DENSE_CASES]
+    monkeypatch.setattr(dsl, "_render_sum", lambda e, ctx, texts: reference_render(e, ctx))
+    assert [dense_payload(name) for name in DENSE_CASES] == got
 
 
 def test_render_takes_each_atom_argument_once(ode1, monkeypatch):
@@ -340,3 +348,48 @@ def test_render_takes_each_atom_argument_once(ode1, monkeypatch):
     for coeff in theta.terms.values():
         atom_arguments(coeff, arguments)
     assert arguments and all(counts[a] == 1 for a in arguments)
+
+
+def distinct_factors(values) -> set:
+    """The distinct (atom, exponent) factors of the values and of every
+    sin/cos/exp argument inside them."""
+    values = list(values)
+    arguments = set()
+    for e in values:
+        atom_arguments(e, arguments)
+    return {f for e in values + list(arguments) for _, fs in ordered_terms(e) for f in fs}
+
+
+def test_render_takes_each_factor_once(monkeypatch):
+    calls = Counter()
+    real = dsl._render_factor
+
+    def counting(f, ctx, texts):
+        calls[f] += 1
+        return real(f, ctx, texts)
+
+    monkeypatch.setattr(dsl, "_render_factor", counting)
+    # a dense Lagrangian, with a function atom under two exponents and a
+    # negative power
+    ctx = JetContext(n=2, m=1, order=2, base_names=("x", "y"), fiber_names=("u",))
+    source = (
+        "(u_{1,1}+u_{2,2})^2*(1+u_{1}^2+u_{2}^2)^2 + sin(x)*u^3"
+        " + cos(u*u_{1})^2*u_{2}^(-1) + cos(u*u_{1})"
+    )
+    lam = Lagrangian(expr(source, ctx), ctx, 2)
+    (el,) = euler_lagrange(lam).eps
+    for e in (lam.L, el):
+        calls.clear()
+        render_expr(e, ctx)
+        factors = distinct_factors([e])
+        occurrences = sum(len(fs) for _, fs in ordered_terms(e))
+        assert len(calls) == len(factors) < occurrences
+        assert set(calls.values()) == {1}
+
+    # one table serves every coefficient of a form
+    calls.clear()
+    theta = cartan_form(lam)
+    render_form(theta, ctx)
+    factors = distinct_factors(theta.terms.values())
+    assert len(calls) == len(factors)
+    assert set(calls.values()) == {1}

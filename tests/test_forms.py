@@ -38,7 +38,6 @@ from jetvar.forms import (
     _invert_matrix,
     _pullback_prolonged,
     contact_decompose,
-    contact_form,
     differential,
     expand_contact,
     exterior_derivative,
@@ -60,6 +59,11 @@ U = JetCoord(1)
 U1 = JetCoord(1, (1,))
 U11 = JetCoord(1, (1, 1))
 U111 = JetCoord(1, (1, 1, 1))
+
+
+def contact_form(sigma: int, J: tuple, ctx: JetContext) -> DiffForm:
+    """w^sigma_J in the raw basis: dy^sigma_J - sum_i y^sigma_{Ji} dx^i."""
+    return expand_contact(DiffForm(ctx, len(J) + 1, 1, {(W(sigma, J),): num(1)}))
 
 
 def _one_form(ctx, gens_and_coeffs, order):
@@ -156,8 +160,13 @@ def test_contact_form_expansion(plane1):
 
 
 def test_expand_contact_matches_contact_form(plane1):
-    transient = DiffForm(plane1, 1, 1, {(W(1, ()),): num(1)})
-    assert expand_contact(transient) == contact_form(1, (), plane1)
+    # w_{1} = du_{1} - u_{1,1} dx - u_{1,2} dy, one jet order up
+    transient = DiffForm(plane1, 2, 1, {(W(1, (1,)),): num(1)})
+    assert expand_contact(transient).terms == {
+        (DY(1, (1,)),): num(1),
+        (DX(1),): neg(sym(JetCoord(1, (1, 1)))),
+        (DX(2),): neg(sym(JetCoord(1, (1, 2)))),
+    }
 
 
 def test_contact_decompose_reassembles():

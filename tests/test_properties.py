@@ -1,6 +1,8 @@
 """Property tests of the variational identities, drawn by hypothesis over
 small polynomial Lagrangians, source forms and differential forms."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -14,14 +16,17 @@ from jetvar import (  # noqa: E402
     decide_zero,
     euler_lagrange,
     helmholtz_residuals,
+    parse_expr,
+    render_expr,
     tonti_lagrangian,
     total_derivative,
 )
 from jetvar.coords import JetCoord  # noqa: E402
-from jetvar.expr import add, cos, exp, mul, neg, num, sin, sym  # noqa: E402
+from jetvar.expr import add, cos, exp, mul, neg, num, pow_, sin, sym  # noqa: E402
 from jetvar.forms import DX, DY, exterior_derivative, form_from_terms  # noqa: E402
 
 from corpus import coordinate_atoms  # noqa: E402
+from test_dsl import reference_render  # noqa: E402
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 CONTEXTS = [
@@ -50,8 +55,8 @@ def polynomials(ctx, order, functions=False):
     return st.lists(term, min_size=1, max_size=3).map(lambda ts: add(*ts))
 
 
-def with_context(build):
-    return st.sampled_from(CONTEXTS).flatmap(
+def with_context(build, contexts=CONTEXTS):
+    return st.sampled_from(contexts).flatmap(
         lambda ctx: st.tuples(st.just(ctx), build(ctx))
     )
 
@@ -154,3 +159,44 @@ def forms(ctx):
 def test_exterior_derivative_squares_to_zero(drawn):
     _, form = drawn
     assert exterior_derivative(exterior_derivative(form)).is_zero()
+
+
+def laurent_values(ctx):
+    """Sums of up to three terms, each a coefficient p/q with p in -3..3
+    (never 0) and q in 1..3 times up to three powers, exponents -2..3, of
+    coordinates and of sin/cos/exp atoms whose arguments are such sums, so
+    atoms nest inside atoms."""
+    coords = st.sampled_from([sym(c) for c in coordinate_atoms(ctx, ctx.order)])
+    coefficient = st.builds(
+        lambda p, q: num(Fraction(p, q)),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.sampled_from([1, 2, 3]),
+    )
+
+    def sums(atoms):
+        power = st.builds(pow_, atoms, st.sampled_from([-2, -1, 1, 2, 3]))
+        term = st.builds(lambda c, ps: mul(c, *ps), coefficient, st.lists(power, max_size=3))
+        return st.lists(term, min_size=1, max_size=3).map(lambda ts: add(*ts))
+
+    atoms = st.recursive(
+        coords,
+        lambda inner: st.builds(lambda f, a: f(a), st.sampled_from([sin, cos, exp]), sums(inner)),
+        max_leaves=3,
+    )
+    return sums(atoms)
+
+
+RENDER_CONTEXTS = [
+    JetContext(n=n, m=m, order=1) for n, m in ((1, 1), (2, 1), (2, 2), (3, 2))
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(with_context(laurent_values, RENDER_CONTEXTS))
+def test_render_matches_reference_and_round_trips(drawn):
+    # the memoized renderer against one that renders every occurrence
+    # again, and the text re-parses to the value
+    ctx, e = drawn
+    text = render_expr(e, ctx)
+    assert text == reference_render(e, ctx)
+    assert parse_expr(text, ctx).expr == e
