@@ -143,6 +143,13 @@ class JetContext(Value):
                 raise ValueError(f"{name!r} is reserved")
             if not name.isidentifier():
                 raise ValueError(f"{name!r} is not a valid identifier")
+        # the expression language reads a name as a letter followed by
+        # letters or digits, and d before a declared name as its differential
+        for name in names:
+            if not (name[:1].isalpha() and name.isalnum()):
+                raise ValueError(f"{name!r} is not a letter followed by letters or digits")
+            if name[:1] == "d" and name[1:] in names:
+                raise ValueError(f"{name!r} reads as the differential of {name[1:]!r}")
 
     def with_order(self, order: int) -> "JetContext":
         """Copy of this context carrying a different declared order."""

@@ -1,26 +1,31 @@
 """Expression language: parsing and rendering.
 
-Grammar (scalar mode):
+Grammar (scalar mode); the parser has one method per production:
 
-    expr    := term (('+' | '-') term)*
-    term    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := primary ('^' primary)*          integer exponents only
-    primary := INTEGER | IDENT jet-index? | FUNC '(' expr ')' | '(' expr ')'
+    sum       := product (('+' | '-') product)*
+    product   := power (('*' | '/') power)*
+    power     := unary ('^' unary)*             left-associative; integer exponents
+    unary     := '-' power | primary
+    primary   := INTEGER | FUNC '(' sum ')' | '(' sum ')' | IDENT jet-index?
+    jet-index := '_' '{' INTEGER (',' INTEGER)* '}'
 
-Identifiers are the declared coordinate names; jet indices are written
-`u_{1,2}` after a fiber name and are normalized to sorted order (with a
-warning when given unsorted).  Parentheses, function calls and unary minus
-signs nest at most MAX_NESTING levels deep.  Rational literals are spelled as quotients,
-`1/2`.  In form mode the additional atoms `dx1`, `du`, `du_{1,2}` denote
-basis one-forms (`d` followed by a declared name), `^` between forms is the
-wedge product, and `*` scales a form by a scalar.
+So `^` binds tighter than unary minus and associates left: `-2^2` is -4,
+`u^2^3` is u^6 and `u^-2^3` is u^(-8).  An INTEGER is a run of ASCII
+digits; an IDENT is a letter followed by letters or digits, and must be a
+declared coordinate name or a FUNC (sin, cos, exp).  Jet indices are
+written `u_{1,2}` after a fiber name and are normalized to sorted order
+(with a warning when given unsorted).  Parentheses, function calls and unary
+minus signs nest at most MAX_NESTING levels deep.  Rational literals are
+spelled as quotients, `1/2`.  In form mode the additional atoms `dx1`, `du`,
+`du_{1,2}` denote basis one-forms (`d` followed by a declared name), `^`
+between forms is the wedge product, and `*` scales a form by a scalar.
 
 Rendering produces strings that re-parse to the same canonical value.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 
 from .coords import FUNCTIONS, BaseCoord, JetContext, JetCoord
@@ -31,7 +36,6 @@ from .expr import (
     Expr,
     _rows,
     add,
-    div,
     func,
     is_constant,
     max_jet_order,
@@ -54,7 +58,7 @@ from .forms import (
 )
 
 # Deeper nesting would exhaust the interpreter stack while parsing or
-# rendering; each level costs a few Python frames.
+# rendering; each level costs at most five Python frames.
 MAX_NESTING = 100
 
 
@@ -67,232 +71,198 @@ class ParsedExpr:
 
 # --- tokenizer ----------------------------------------------------------------
 
-
-class Token:
-    __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind: str, text: str, start: int, end: int):
-        self.kind = kind  # NUM | IDENT | OP | END
-        self.text, self.start, self.end = text, start, end
-
-
-_OPS = set("+-*/^(){},_")
-_DIGITS = set("0123456789")  # str.isdigit also takes digits int() rejects
+# after spaces: a number, a run of letters and digits, an operator, or any
+# other character; `[0-9]` because `\d` and str.isdigit also take digits
+# int() rejects, such as ²
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*/^(){},_])|(\S))")
+_KINDS = (None, "NUM", "IDENT", "OP", None)
 
 
 def tokenize(source: str) -> list:
+    """The tokens of source as (kind, text, start, end), kind NUM, IDENT or
+    OP, closed by an END token whose text is 'end of input'; a name starts
+    with a letter."""
     tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("NUM", source[i:j], i, j))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (source[j].isalnum()):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], i, j))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(Token("OP", ch, i, i + 1))
-            i += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", (i, i + 1))
-    tokens.append(Token("END", "", n, n))
+    for match in _TOKEN.finditer(source):
+        kind = match.lastindex
+        start, end = match.span(kind)
+        if kind == 4 or kind == 2 and not source[start].isalpha():
+            raise DslSyntaxError(f"unexpected character {source[start]!r}", (start, start + 1))
+        tokens.append((_KINDS[kind], match[kind], start, end))
+    tokens.append(("END", "end of input", len(source), len(source)))
     return tokens
 
 
-def _integer(tok: Token) -> int:
+def _integer(tok: tuple) -> int:
     """The value of a NUM token; a literal past the interpreter's limit on
     digits converted to int is a syntax error at the token."""
+    _, text, start, end = tok
     try:
-        return int(tok.text)
+        return int(text)
     except ValueError:
         raise DslSyntaxError(
-            f"integer literal of {len(tok.text)} digits is too long",
-            (tok.start, tok.end),
+            f"integer literal of {len(text)} digits is too long", (start, end)
         ) from None
 
 
 # --- parser -------------------------------------------------------------------
 
 
-_ADD_PREC = 10
-_MUL_PREC = 20
-_UNARY_PREC = 30
-_POW_PREC = 40
-_PREC = {
-    "+": _ADD_PREC,
-    "-": _ADD_PREC,
-    "*": _MUL_PREC,
-    "/": _MUL_PREC,
-    "^": _POW_PREC,
-}
+def _negate(value):
+    return scale(value, num(-1)) if isinstance(value, DiffForm) else neg(value)
+
+
+def _as_form(ctx: JetContext, value) -> DiffForm:
+    """value, a 0-form when it is a scalar."""
+    if isinstance(value, DiffForm):
+        return value
+    return function_form(ctx, value, max_jet_order(value))
 
 
 class _Parser:
-    def __init__(self, source: str, ctx: JetContext, allow_forms: bool):
-        self.source = source
+    def __init__(self, ctx: JetContext, source: str, allow_forms: bool):
         self.ctx = ctx
         self.allow_forms = allow_forms
         self.tokens = tokenize(source)
         self.pos = 0
         self.depth = 0
 
-    # token plumbing
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def accept(self, ops: str = ""):
+        """The next token, consumed, if it is one of the operator characters
+        ops, or whatever it is when ops is empty; None otherwise."""
         tok = self.tokens[self.pos]
+        if ops and tok[1] not in ops:
+            return None
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.text != text:
+    def expect(self, text: str) -> tuple:
+        tok = self.accept(text)
+        if tok is None:
+            _, found, start, end = self.tokens[self.pos]
             raise DslSyntaxError(
-                f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                (tok.start, tok.end),
+                f"expected {text!r}, found {found!r}", (start, end)
             )
-        return self.advance()
+        return tok
 
-    def enter(self, tok: Token) -> None:
+    def enter(self, tok: tuple) -> None:
         """One more level of nesting opens at tok."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise DslSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", (tok.start, tok.end)
-            )
-
-    # entry
+            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2:])
 
     def parse(self):
-        value = self.expression(_ADD_PREC)
-        tok = self.peek()
-        if tok.kind != "END":
-            raise DslSyntaxError(
-                f"unexpected trailing input {tok.text!r}", (tok.start, tok.end)
-            )
+        value = self.sum()
+        kind, text, start, end = self.tokens[self.pos]
+        if kind != "END":
+            raise DslSyntaxError(f"unexpected trailing input {text!r}", (start, end))
         return value
 
-    def expression(self, min_prec: int):
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind != "OP":
-                return left
-            prec = _PREC.get(tok.text)
-            if prec is None or prec < min_prec:
-                return left
-            self.advance()
-            right = self.expression(prec + 1)  # left associative throughout
-            left = self.combine(tok, left, right)
+    def sum(self):
+        """sum := product (('+' | '-') product)*.  Forms add pairwise, so a
+        degree mismatch is reported before anything later in the sum."""
+        first = self.product()
+        is_form = isinstance(first, DiffForm)
+        terms = [first]
+        while op := self.accept("+-"):
+            term = self.product()
+            if isinstance(term, DiffForm) != is_form:
+                raise DslSyntaxError("cannot add a scalar and a form", op[2:])
+            if op[1] == "-":
+                term = _negate(term)
+            if is_form:
+                terms[0] = form_add(terms[0], term)
+            else:
+                terms.append(term)
+        return add(*terms) if len(terms) > 1 else terms[0]
+
+    def product(self):
+        """product := power (('*' | '/') power)*.  At most one factor is a
+        form, scaled by the product of the others; a divisor is inverted at
+        its '/'."""
+        first = self.power()
+        form, factors = (first, []) if isinstance(first, DiffForm) else (None, [first])
+        while op := self.accept("*/"):
+            factor = self.power()
+            if not isinstance(factor, DiffForm):
+                factors.append(factor if op[1] == "*" else pow_(factor, -1))
+            elif op[1] == "/":
+                raise DslSyntaxError("cannot divide by a form", op[2:])
+            elif form is not None:
+                raise DslSyntaxError("use ^ to combine two forms", op[2:])
+            else:
+                form = factor
+        if not factors:
+            return form
+        scalar = mul(*factors) if len(factors) > 1 else factors[0]
+        return scalar if form is None else scale(form, scalar)
+
+    def power(self):
+        """power := unary ('^' unary)*, left-associative; the wedge product
+        when either side is a form."""
+        value = self.unary()
+        while op := self.accept("^"):
+            right = self.unary()
+            if isinstance(value, DiffForm) or isinstance(right, DiffForm):
+                value = wedge(_as_form(self.ctx, value), _as_form(self.ctx, right))
+            elif not is_constant(right) or right.value.denominator != 1:
+                raise DslSyntaxError("exponent must be an integer", op[2:])
+            else:
+                value = pow_(value, int(right.value))
+        return value
 
     def unary(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            self.enter(tok)
-            operand = self.expression(_UNARY_PREC)
-            self.depth -= 1
-            if isinstance(operand, DiffForm):
-                return scale(operand, num(-1))
-            return neg(operand)
-        return self.primary()
-
-    def combine(self, op: Token, left, right):
-        span = (op.start, op.end)
-        lf, rf = isinstance(left, DiffForm), isinstance(right, DiffForm)
-        if op.text in "+-":
-            if lf != rf:
-                raise DslSyntaxError("cannot add a scalar and a form", span)
-            if lf:
-                return form_add(left, right if op.text == "+" else scale(right, num(-1)))
-            return add(left, right if op.text == "+" else neg(right))
-        if op.text == "*":
-            if lf and rf:
-                raise DslSyntaxError("use ^ to combine two forms", span)
-            if lf:
-                return scale(left, right)
-            if rf:
-                return scale(right, left)
-            return mul(left, right)
-        if op.text == "/":
-            if rf:
-                raise DslSyntaxError("cannot divide by a form", span)
-            if lf:
-                return scale(left, div(ONE, right))
-            return div(left, right)
-        # '^': power on scalars, wedge when a form is involved
-        if lf or rf:
-            return wedge(self._as_form(left), self._as_form(right))
-        if not is_constant(right) or right.value.denominator != 1:
-            raise DslSyntaxError("exponent must be an integer", span)
-        return pow_(left, int(right.value))
-
-    def _as_form(self, value):
-        if isinstance(value, DiffForm):
-            return value
-        return function_form(self.ctx, value, max_jet_order(value))
+        """unary := '-' power | primary"""
+        tok = self.accept("-")
+        if tok is None:
+            return self.primary()
+        self.enter(tok)
+        value = self.power()
+        self.depth -= 1
+        return _negate(value)
 
     def primary(self):
-        tok = self.advance()
-        if tok.kind == "NUM":
+        """primary := INTEGER | FUNC '(' sum ')' | '(' sum ')' | identifier"""
+        tok = self.accept()
+        kind, text, start, end = tok
+        if kind == "NUM":
             return num(_integer(tok))
-        if tok.kind == "OP" and tok.text == "(":
+        if text == "(" or text in FUNCTIONS:
+            if text != "(":
+                self.expect("(")
             self.enter(tok)
-            inner = self.expression(_ADD_PREC)
-            self.expect_op(")")
+            inner = self.sum()
+            self.expect(")")
             self.depth -= 1
-            return inner
-        if tok.kind == "IDENT":
+            if text == "(":
+                return inner
+            if isinstance(inner, DiffForm):
+                raise DslSyntaxError(f"{text} takes a scalar argument", (start, end))
+            return func(text, inner)
+        if kind == "IDENT":
             return self.identifier(tok)
-        raise DslSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}", (tok.start, tok.end)
-        )
+        raise DslSyntaxError(f"unexpected {text!r}", (start, end))
 
-    def identifier(self, tok: Token):
-        name = tok.text
+    def identifier(self, tok: tuple):
+        """A declared name, or in form mode `d` before one: a basis one-form."""
+        _, name, start, end = tok
         ctx = self.ctx
-        span = (tok.start, tok.end)
-        if name in FUNCTIONS:
-            self.expect_op("(")
-            self.enter(tok)
-            arg = self.expression(_ADD_PREC)
-            self.expect_op(")")
-            self.depth -= 1
-            if isinstance(arg, DiffForm):
-                raise DslSyntaxError(f"{name} takes a scalar argument", span)
-            return func(name, arg)
+        span = (start, end)
         if name in ctx.base_names:
-            if self._index_follows():
-                raise DslSyntaxError(
-                    f"base variable {name!r} carries no jet index", span
-                )
+            if self.accept("_"):
+                raise DslSyntaxError(f"base variable {name!r} carries no jet index", span)
             return sym(BaseCoord(ctx.base_names.index(name) + 1))
         if name in ctx.fiber_names:
             sigma = ctx.fiber_names.index(name) + 1
             return sym(JetCoord(sigma, self._jet_index(span)))
-        if name.startswith("d") and len(name) > 1:
-            rest = name[1:]
+        rest = name[1:]
+        if name.startswith("d") and rest:
             if not self.allow_forms:
                 raise DslSyntaxError(
                     f"differential {name!r} is not a scalar expression", span
                 )
             if rest in ctx.base_names:
-                if self._index_follows():
+                if self.accept("_"):
                     raise DslSyntaxError(
                         f"base differential {name!r} carries no jet index", span
                     )
@@ -304,63 +274,52 @@ class _Parser:
                 return DiffForm(ctx, len(J), 1, {(DY(sigma, J),): ONE})
         raise UnknownIdentifier(f"unknown identifier {name!r}", span)
 
-    def _index_follows(self) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.text == "_"
-
     def _jet_index(self, name_span: tuple) -> tuple:
-        if not self._index_follows():
+        """jet-index, if one follows: its indices, sorted."""
+        if not self.accept("_"):
             return ()
-        self.advance()
-        self.expect_op("{")
+        self.expect("{")
         indices = []
         while True:
-            tok = self.advance()
-            if tok.kind != "NUM":
+            tok = self.accept()
+            kind, text, start, end = tok
+            if kind != "NUM":
                 raise DslSyntaxError(
-                    f"expected a base index, found {tok.text or 'end of input'!r}",
-                    (tok.start, tok.end),
+                    f"expected a base index, found {text!r}",
+                    (start, end),
                 )
             value = _integer(tok)
             if not 1 <= value <= self.ctx.n:
                 raise UnknownIdentifier(
-                    f"no base direction {value} (n = {self.ctx.n})",
-                    (tok.start, tok.end),
+                    f"no base direction {value} (n = {self.ctx.n})", (start, end)
                 )
             indices.append(value)
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == ",":
-                self.advance()
-                continue
-            break
-        close = self.expect_op("}")
+            if not self.accept(","):
+                break
+        close = self.expect("}")
         if len(indices) > self.ctx.order:
             raise OrderExceeded(
                 f"jet index of length {len(indices)} exceeds declared order "
                 f"{self.ctx.order}",
-                (name_span[0], close.end),
+                (name_span[0], close[3]),
             )
-        J = tuple(indices)
-        if J != tuple(sorted(J)):
-            warnings.warn(
-                f"jet index {J} normalized to {tuple(sorted(J))}", stacklevel=3
-            )
-        return tuple(sorted(J))
+        J = tuple(sorted(indices))
+        if J != tuple(indices):
+            warnings.warn(f"jet index {tuple(indices)} normalized to {J}", stacklevel=3)
+        return J
 
 
 def parse_expr(source: str, ctx: JetContext) -> ParsedExpr:
     """Parse a scalar expression in the declared context."""
-    value = _Parser(source, ctx, allow_forms=False).parse()
+    value = _Parser(ctx, source, allow_forms=False).parse()
     return ParsedExpr(value, source, (0, len(source)))
 
 
 def parse_form(source: str, ctx: JetContext) -> DiffForm:
     """Parse a differential-form literal; a scalar result is returned as a
     0-form.  The declared order is the highest jet order occurring."""
-    value = _Parser(source, ctx, allow_forms=True).parse()
-    if isinstance(value, DiffForm):
-        return value.at_order(max_form_order(value))
-    return function_form(ctx, value, max_jet_order(value))
+    form = _as_form(ctx, _Parser(ctx, source, allow_forms=True).parse())
+    return form.at_order(max_form_order(form))
 
 
 # --- rendering ----------------------------------------------------------------

@@ -327,10 +327,6 @@ def pow_(base: Expr, k: int) -> Expr:
     return result
 
 
-def div(a: Expr, b: Expr) -> Expr:
-    return mul(a, pow_(b, -1))
-
-
 # --- queries -------------------------------------------------------------------
 
 

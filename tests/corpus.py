@@ -82,3 +82,24 @@ def random_env(rng, coords):
         magnitude = Fraction(rng.randint(50, 250), 100)
         env[c] = magnitude if rng.random() < 0.5 else -magnitude
     return env
+
+
+# each kind of nesting the expression language counts against its limit:
+# the openers, taken in turn level by level, and the innermost atom
+NESTINGS = {
+    "parentheses": (("(",), "u"),
+    "sin": (("sin(",), "u_{1}"),
+    "minus": (("-",), "u"),
+    "mixed": (("sin(", "-", "("), "u_{1}"),
+}
+
+
+def nested(openers, atom, depth):
+    """atom under depth openers, each opening parenthesis closed."""
+    opened = [openers[k % len(openers)] for k in range(depth)]
+    return "".join(opened) + atom + ")" * sum(o.endswith("(") for o in opened)
+
+
+def opened_length(openers, depth):
+    """Where the opener of level depth + 1 starts in `nested`'s text."""
+    return sum(len(openers[k % len(openers)]) for k in range(depth))

@@ -20,6 +20,8 @@ from jetvar.errors import DslError
 from jetvar.problem import load_problem
 from jetvar.variational import helmholtz_residuals
 
+from corpus import NESTINGS, nested, opened_length
+
 FREE_PARTICLE = """
     [context]
     n = 1
@@ -652,20 +654,29 @@ def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
     assert "UTF-8" in diagnostic["message"]
 
 
-@pytest.mark.parametrize(
-    "opening, atom, closing",
-    [("(", "u", ")"), ("sin(", "u_{1}", ")"), ("-", "u", "")],
-    ids=["parentheses", "sin", "minus"],
-)
-def test_nesting_past_limit_exits_2(tmp_path, capsys, opening, atom, closing):
-    depth = MAX_NESTING + 1
-    expr = opening * depth + atom + closing * depth
+@pytest.mark.parametrize("openers, atom", list(NESTINGS.values()), ids=list(NESTINGS))
+def test_nesting_past_limit_exits_2(tmp_path, capsys, openers, atom):
+    expr = nested(openers, atom, MAX_NESTING + 1)
     path = problem(tmp_path, FREE_PARTICLE.replace("1/2*u_{1}^2", expr))
     code, payload, diagnostic = run(capsys, ["el", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "DslSyntaxError"
-    start = len(opening) * MAX_NESTING
-    assert diagnostic["span"][0] == start
+    assert diagnostic["span"][0] == opened_length(openers, MAX_NESTING)
+
+
+@pytest.mark.parametrize(
+    "names, refused",
+    [("fiber = u_a", "'u_a'"), ("fiber = u\u0301", "'u\u0301'"), ("fiber = dx", "'dx'")],
+    ids=["underscore", "combining-accent", "differential"],
+)
+def test_names_the_language_cannot_read_exit_2(tmp_path, capsys, names, refused):
+    # with them, an expression such as u_a_{1}^2 could not be written, and
+    # the rendering of dx, the 1-form, would parse back as the coordinate
+    path = problem(tmp_path, FREE_PARTICLE.replace("fiber = u", names).replace("u_{1}", "x"))
+    code, payload, diagnostic = run(capsys, ["el", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "ProblemFileError"
+    assert diagnostic["message"].startswith(refused)
 
 
 def test_order_seven_operators_run_under_the_derived_ceiling(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Expression language: parsing, precedence, diagnostics, rendering."""
 
+import inspect
 import random
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from jetvar import (
+    DegreeMismatch,
     DslSyntaxError,
     JetContext,
     Lagrangian,
@@ -26,7 +30,7 @@ from jetvar.dsl import MAX_NESTING
 from jetvar.expr import add, mul, neg, num, ordered_terms, partial, pow_, sin, sym
 from jetvar.forms import DX, DY, form_add, form_from_terms, scale
 
-from corpus import random_mixed, random_polynomial
+from corpus import NESTINGS, nested, opened_length, random_mixed, random_polynomial
 from test_golden_render import DENSE_CASES, dense_payload
 
 X = BaseCoord(1)
@@ -51,11 +55,15 @@ def test_operators_associate_left(ode1):
     assert expr("8/4/2", ode1) == num(1)
     # exponentiation too: (2^3)^2, not 2^(3^2)
     assert expr("2^3^2", ode1) == num(64)
+    # a minus after ^ takes the power that follows it: u^(-(2^3))
+    assert expr("u^-2^3", ode1) == pow_(sym(U), -8)
 
 
 def test_precedence(ode1):
     u, u1 = sym(U), sym(U1)
     assert expr("-u^2", ode1) == neg(pow_(u, 2))
+    assert expr("-2^2", ode1) == num(-4)
+    assert expr("2*-u", ode1) == mul(num(-2), u)
     assert expr("1/2*u_{1}^2", ode1) == mul(num(Fraction(1, 2)), pow_(u1, 2))
     assert expr("2*u + 3", ode1) == add(mul(num(2), u), num(3))
     assert expr("(u + 1)^2", ode1) == add(pow_(u, 2), mul(num(2), u), num(1))
@@ -183,6 +191,13 @@ def test_form_mode_errors(ode1):
         parse_form("u + du", ode1)
     with pytest.raises(DslSyntaxError):
         parse_form("dx1_{1}", ode1)
+    # forms add pairwise: the mismatch of the first + comes before the
+    # scalar of the second
+    with pytest.raises(DegreeMismatch):
+        parse_form("du + du^dx1 + x1", ode1)
+    with pytest.raises(DslSyntaxError, match="use \\^") as err:
+        parse_form("dx*du*x", JetContext(n=1, m=1, order=1, base_names=("x",)))
+    assert err.value.span == (2, 3)
 
 
 def test_declared_names_shadow_differential_prefix():
@@ -192,22 +207,46 @@ def test_declared_names_shadow_differential_prefix():
     assert parse_form("du_{1}", ctx).degree == 0
 
 
-@pytest.mark.parametrize(
-    "opening, atom, closing",
-    [("(", "u", ")"), ("sin(", "u_{1}", ")"), ("-", "u", "")],
-    ids=["parentheses", "sin", "minus"],
-)
-def test_nesting_up_to_limit(ode1, opening, atom, closing):
-    def nested(depth):
-        return opening * depth + atom + closing * depth
-
-    e = expr(nested(MAX_NESTING), ode1)
+@pytest.mark.parametrize("openers, atom", list(NESTINGS.values()), ids=list(NESTINGS))
+def test_nesting_up_to_limit(ode1, openers, atom):
+    e = expr(nested(openers, atom, MAX_NESTING), ode1)
     assert expr(render_expr(e, ode1), ode1) == e
     d = partial(e, U1)
     assert expr(render_expr(d, ode1), ode1) == d
     with pytest.raises(DslSyntaxError, match="nesting") as err:
-        expr(nested(MAX_NESTING + 1), ode1)
-    assert err.value.span[0] == len(opening) * MAX_NESTING
+        expr(nested(openers, atom, MAX_NESTING + 1), ode1)
+    assert err.value.span[0] == opened_length(openers, MAX_NESTING)
+
+
+def test_nesting_costs_at_most_five_frames_a_level(ode1):
+    # MAX_NESTING rests on the stack depth a level of nesting costs; a fresh
+    # thread parses each kind at the limit with five frames a level to spare
+    parsed = []
+
+    def parse_at_limit():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 5 * MAX_NESTING + 20)
+        try:
+            for openers, atom in NESTINGS.values():
+                parsed.append(expr(nested(openers, atom, MAX_NESTING), ode1))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    thread = threading.Thread(target=parse_at_limit)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(parsed) == len(NESTINGS)
+
+
+def test_readme_examples_parse(plane1):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Expression DSL", 1)[1]
+    block = section.split("```", 2)[1]
+    examples = [line for line in block.splitlines() if line.strip()]
+    assert examples
+    for line in examples:
+        parse_form(line, plane1)
 
 
 def test_render_expr_round_trip_corpus():

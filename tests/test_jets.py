@@ -70,6 +70,23 @@ def test_context_validation():
         JetContext(n=2, m=1, order=1, base_names=("x",))
 
 
+@pytest.mark.parametrize(
+    "base, fiber, message",
+    [
+        (("x",), ("u_a",), "letter followed by letters or digits"),
+        (("x",), ("u\u0301",), "letter followed by letters or digits"),
+        (("x",), ("dx",), "differential of 'x'"),
+        (("x", "y"), ("u", "du"), "differential of 'u'"),
+        # the earlier checks come first
+        (("x",), ("u_a", "sin"), "'sin' is reserved"),
+        (("x",), ("dx", "dx"), "pairwise distinct"),
+    ],
+)
+def test_context_refuses_names_the_language_cannot_read(base, fiber, message):
+    with pytest.raises(ValueError, match=message):
+        JetContext(n=len(base), m=len(fiber), order=1, base_names=base, fiber_names=fiber)
+
+
 def test_context_names_and_coords():
     ctx = JetContext(n=2, m=2, order=2)
     assert ctx.base_names == ("x1", "x2")

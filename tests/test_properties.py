@@ -1,6 +1,7 @@
 """Property tests of the variational identities, drawn by hypothesis over
 small polynomial Lagrangians, source forms and differential forms."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from jetvar import (  # noqa: E402
     euler_lagrange,
     helmholtz_residuals,
     parse_expr,
+    parse_form,
     render_expr,
     tonti_lagrangian,
     total_derivative,
 )
 from jetvar.coords import JetCoord  # noqa: E402
+from jetvar.errors import DslError, JetvarError  # noqa: E402
 from jetvar.expr import add, cos, exp, mul, neg, num, pow_, sin, sym  # noqa: E402
 from jetvar.forms import DX, DY, exterior_derivative, form_from_terms  # noqa: E402
 
@@ -200,3 +203,39 @@ def test_render_matches_reference_and_round_trips(drawn):
     text = render_expr(e, ctx)
     assert text == reference_render(e, ctx)
     assert parse_expr(text, ctx).expr == e
+
+
+# the language's alphabet in pieces: declared and undeclared names,
+# differentials, jet indices, digits, operators, brackets, stray characters
+# and spaces
+DSL_PIECES = [
+    "x", "x1", "x2", "u", "u1", "q", "sin", "exp(", "du", "dx1", "du1_{1}", "dq",
+    "_{1}", "_{2,1}", "_{", "_", "0", "1", "2", "+", "-", "*", "/", "^", "(", ")",
+    "{", "}", ",", "?", "²", "٣", " ",
+]  # fmt: skip
+DSL_CONTEXTS = [
+    JetContext(n=1, m=1, order=1),
+    JetContext(n=2, m=2, order=2),
+    JetContext(n=1, m=1, order=1, base_names=("x",), fiber_names=("du",)),
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(DSL_CONTEXTS),
+    st.lists(st.sampled_from(DSL_PIECES), max_size=16).map("".join),
+)
+def test_any_text_parses_or_raises_a_jetvar_error(ctx, source):
+    # bad input never ends in a traceback: each parse returns a value or
+    # raises a JetvarError, and an expression-language error points inside
+    # the text
+    for parse in (parse_expr, parse_form):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                parse(source, ctx)
+        except DslError as exc:
+            start, end = exc.span
+            assert 0 <= start <= end <= len(source)
+        except JetvarError:
+            pass
