@@ -75,7 +75,7 @@ class ParsedExpr:
 # other character; `[0-9]` because `\d` and str.isdigit also take digits
 # int() rejects, such as ²
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*/^(){},_])|(\S))")
-_KINDS = (None, "NUM", "IDENT", "OP", None)
+_KINDS = (None, "NUM", "IDENT", "OP")
 
 
 def tokenize(source: str) -> list:
@@ -120,7 +120,7 @@ def _as_form(ctx: JetContext, value) -> DiffForm:
 
 
 class _Parser:
-    def __init__(self, ctx: JetContext, source: str, allow_forms: bool):
+    def __init__(self, source: str, ctx: JetContext, allow_forms: bool):
         self.ctx = ctx
         self.allow_forms = allow_forms
         self.tokens = tokenize(source)
@@ -311,14 +311,14 @@ class _Parser:
 
 def parse_expr(source: str, ctx: JetContext) -> ParsedExpr:
     """Parse a scalar expression in the declared context."""
-    value = _Parser(ctx, source, allow_forms=False).parse()
+    value = _Parser(source, ctx, allow_forms=False).parse()
     return ParsedExpr(value, source, (0, len(source)))
 
 
 def parse_form(source: str, ctx: JetContext) -> DiffForm:
     """Parse a differential-form literal; a scalar result is returned as a
     0-form.  The declared order is the highest jet order occurring."""
-    form = _as_form(ctx, _Parser(ctx, source, allow_forms=True).parse())
+    form = _as_form(ctx, _Parser(source, ctx, allow_forms=True).parse())
     return form.at_order(max_form_order(form))
 
 
