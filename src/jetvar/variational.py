@@ -256,6 +256,28 @@ def _completion_plan(n: int, t: int) -> tuple:
     return tuple(plan)
 
 
+def _residual(q: list, ctx: JetContext, entry: tuple, sigma: int, nu: int) -> Expr:
+    """R(l, I, sigma, nu) for one plan entry (l, I, 1/mult(I), levels)."""
+    _, I, mu_I, levels = entry
+    q_nu = q[nu - 1]
+    upper: dict = {}  # nonzero G at the level above, by completion
+    for rows in levels:
+        level = {}
+        for M, full, coeff, ups in rows:
+            head = q_nu.get((sigma, full))
+            value = ZERO if head is None else mul(coeff, head)
+            for i, up in ups:
+                above = upper.get(up)
+                if above is not None:
+                    value = add(value, total_derivative(above, i, ctx))
+            if value.terms:
+                level[M] = value
+        upper = level
+    head = q[sigma - 1].get((nu, I))
+    first = ZERO if head is None else mul(mu_I, head)
+    return add(first, upper.get((), ZERO))
+
+
 def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     """Variationality residuals of a source form of declared order s.
 
@@ -281,38 +303,36 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
     in the partials of eps alone; `_completion_plan` builds them once per
     (n, t) and process.  Every residual of a level above t is zero, since
     no partial reaches its jets, and the report keeps the nonzero residuals
-    alone, so neither time nor memory grows with s.  The verdict is
-    variational iff no residual is kept; a kept residual containing opaque
-    atoms downgrades the verdict to undecided unless probing bounds it
-    away from zero."""
+    alone, so neither time nor memory grows with s.  The residuals are the
+    coefficients of the skew-adjoint D_eps - D_eps*, so
+
+        R(l, I, nu, sigma) = -sum_{k>=l} (-1)^k C(k, l) sum_{|M|=k-l} mult(M)
+                               d_M R(k, sorted(I+M), sigma, nu)
+
+    and the free ones (sigma < nu, odd levels of sigma = nu) vanish only if
+    all do: for even l, 2 R(l, I, sigma, sigma) is a sum of higher levels.
+    They come first, the rest only if one is nonzero; no chain lifts a jet
+    of order 2s, so none overflows.  The verdict is variational iff no
+    residual is kept; a kept residual containing opaque atoms downgrades
+    the verdict to undecided unless probing bounds it away from zero."""
     ctx = sf.ctx
     # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
     partials = [jet_partials(e) for e in sf.eps]
     top = max(max(p, default=0) for p in partials)
     q = [{key: d for level in p.values() for key, d in level.items()} for p in partials]
+    pairs = [(sigma, nu) for sigma in range(1, ctx.m + 1) for nu in range(1, ctx.m + 1)]
+    cells = [(entry, *pair) for entry in _completion_plan(ctx.n, top) for pair in pairs]
+    free = {
+        k: _residual(q, ctx, entry, sigma, nu)
+        for k, (entry, sigma, nu) in enumerate(cells)
+        if sigma < nu or (sigma == nu and entry[0] % 2)
+    }
     records = []
-    for l, I, mu_I, levels in _completion_plan(ctx.n, top):
-        for sigma in range(1, ctx.m + 1):
-            for nu in range(1, ctx.m + 1):
-                q_nu = q[nu - 1]
-                upper: dict = {}  # nonzero G at the level above, by completion
-                for rows in levels:
-                    level = {}
-                    for M, full, coeff, ups in rows:
-                        head = q_nu.get((sigma, full))
-                        value = ZERO if head is None else mul(coeff, head)
-                        for i, up in ups:
-                            above = upper.get(up)
-                            if above is not None:
-                                value = add(value, total_derivative(above, i, ctx))
-                        if value.terms:
-                            level[M] = value
-                    upper = level
-                head = q[sigma - 1].get((nu, I))
-                first = ZERO if head is None else mul(mu_I, head)
-                residual = add(first, upper.get((), ZERO))
-                if residual.terms:
-                    records.append(HelmholtzRecord(l, I, sigma, nu, residual))
+    if any(value.terms for value in free.values()):
+        for k, (entry, sigma, nu) in enumerate(cells):
+            value = free[k] if k in free else _residual(q, ctx, entry, sigma, nu)
+            if value.terms:
+                records.append(HelmholtzRecord(entry[0], entry[1], sigma, nu, value))
     return HelmholtzReport(tuple(records), probe_seed, ctx, sf.s)
 
 

@@ -1,5 +1,6 @@
 """The nested evaluation of the Euler-Lagrange and Helmholtz sums against
-the flat formulas of their docstrings, and Euler-Lagrange against sympy.
+the flat formulas of their docstrings, the skew-adjoint identity of the
+Helmholtz residuals, and both operators against sympy.
 
 The flat formulas below are the reference implementation: every term
 d_J [...] is computed on its own with iterated_total_derivative and the
@@ -18,13 +19,14 @@ from jetvar import (
     SourceForm,
     euler_lagrange,
     helmholtz_residuals,
+    variational,
 )
 from jetvar.coords import BaseCoord, JetCoord, multi_indices, multiplicity
-from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, sym
+from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, sin, sym
 from jetvar.jets import iterated_total_derivative
 from jetvar.variational import _completion_plan
 
-from corpus import coordinate_atoms, random_polynomial
+from corpus import coordinate_atoms, random_laurent, random_polynomial
 
 CASES = [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 2), (3, 1, 1), (3, 1, 2), (1, 1, 3)]
 PER_CASE = 3
@@ -170,7 +172,129 @@ def test_helmholtz_builds_one_plan_per_shape():
     assert shared[1]
 
 
-# --- sympy's euler_equations as an independent oracle --------------------------
+# --- the skew-adjoint identity the Helmholtz shortcut rests on ----------------
+
+
+def adjoint_sum(R, ctx, s, l, I, sigma, nu, start):
+    """sum_{k=start}^s (-1)^k C(k, l) sum_{|M|=k-l} mult(M) d_M R(k, I+M, sigma, nu)
+    over the full residuals R, keyed (level, I, sigma, nu)."""
+    total = ZERO
+    for k in range(start, s + 1):
+        for M in multi_indices(ctx.n, k - l):
+            tail = iterated_total_derivative(R[k, tuple(sorted(I + M)), sigma, nu], M, ctx)
+            total = add(total, mul(num((-1) ** k * comb(k, l) * multiplicity(M)), tail))
+    return total
+
+
+IDENTITY_CASES = [
+    (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (2, 1, 2),
+    (2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 1),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("n,m,s", IDENTITY_CASES)
+def test_helmholtz_residuals_satisfy_the_skew_adjoint_identity(n, m, s):
+    # R(l, I, nu, sigma) = -sum_{k>=l} (-1)^k C(k, l) sum_{|M|=k-l} mult(M)
+    #                       d_M R(k, I+M, sigma, nu)
+    # on every residual of the flat formula, zeros included, of random
+    # source forms with negative powers and sin/cos/exp atoms; on the
+    # diagonal the even levels are -1/2 of their higher-level sum
+    rng = random.Random(5000 * n + 100 * m + s)
+    ctx = JetContext(n=n, m=m, order=s)
+    half = num(Fraction(-1, 2))
+    nonzero_keys = 0
+    for _ in range(6):
+        eps = [
+            add(random_polynomial(rng, ctx, order=s), random_laurent(rng, ctx, order=s))
+            for _ in range(m)
+        ]
+        sf = SourceForm(tuple(eps), ctx, s)
+        R = {rec[:4]: rec[4] for rec in flat_helmholtz(sf)}
+        for (l, I, sigma, nu), value in R.items():
+            assert value == neg(adjoint_sum(R, ctx, s, l, I, nu, sigma, l))
+            if sigma == nu and l % 2 == 0:
+                assert value == mul(half, adjoint_sum(R, ctx, s, l, I, sigma, nu, l + 1))
+            nonzero_keys += not is_zero(value)
+    assert nonzero_keys > 0
+
+
+# an Euler-Lagrange image plus a term whose first nonzero residual shows in
+# one block: an off-diagonal one, an odd diagonal level, or (staying
+# variational) the top even diagonal level
+FALLBACK_CASES = {
+    "off_diagonal": (1, 2, JetCoord(2), True),
+    "odd_diagonal_level": (1, 1, JetCoord(1, (1,)), True),
+    "top_even_diagonal_level": (1, 1, JetCoord(1, (1, 1)), False),
+    "off_diagonal_plane": (2, 2, JetCoord(2, (1,)), True),
+}
+
+
+@pytest.mark.parametrize("n,m,term,shows", FALLBACK_CASES.values(), ids=FALLBACK_CASES)
+def test_helmholtz_fallback_matches_flat_formula(n, m, term, shows):
+    rng = random.Random(6000 * n + 100 * m)
+    sf = euler_lagrange(random_lagrangian(rng, n, m, 1))
+    assert records(helmholtz_residuals(sf)) == []
+    bumped = SourceForm((add(sf.eps[0], sym(term)),) + sf.eps[1:], sf.ctx, sf.s)
+    report = helmholtz_residuals(bumped)
+    assert records(report) == nonzero(flat_helmholtz(bumped))
+    assert bool(report.records) is shows
+    assert report.verdict == ("not_variational" if shows else "variational")
+
+
+def counted_cells(monkeypatch, sf):
+    """The (level, I, sigma, nu) of every residual helmholtz_residuals
+    computes, in the order it computes them."""
+    cells = []
+    compute = variational._residual
+
+    def counting(q, ctx, entry, sigma, nu):
+        cells.append((entry[0], entry[1], sigma, nu))
+        return compute(q, ctx, entry, sigma, nu)
+
+    monkeypatch.setattr(variational, "_residual", counting)
+    report = helmholtz_residuals(sf)
+    monkeypatch.undo()
+    return report, cells
+
+
+def test_helmholtz_computes_the_free_residuals_alone_when_they_vanish(monkeypatch):
+    rng = random.Random(4223)
+    sf = euler_lagrange(random_lagrangian(rng, 2, 2, 1))
+    keys = [(l, I, sigma, nu) for l, I, sigma, nu, _ in flat_helmholtz(sf)]
+    free = [(l, I, s, v) for l, I, s, v in keys if s < v or (s == v and l % 2)]
+    report, cells = counted_cells(monkeypatch, sf)
+    assert report.records == () and report.verdict == "variational"
+    assert cells == free
+    # off the image every residual is computed, each of them once
+    bumped = SourceForm((sf.eps[0], add(sf.eps[1], sym(JetCoord(1, (2,))))), sf.ctx, sf.s)
+    report, cells = counted_cells(monkeypatch, bumped)
+    assert records(report) == nonzero(flat_helmholtz(bumped)) != []
+    assert sorted(cells) == sorted(keys)
+    assert cells[: len(free)] == free
+
+
+# --- sympy as an independent oracle --------------------------------------------
+
+
+def to_sympy(sympy, e, xs, fs):
+    """e in sympy: x^i as xs[i - 1], y^sigma_J as fs[sigma - 1] differentiated
+    along J, and a sin/cos/exp atom as sympy's function of its argument."""
+    total = sympy.Integer(0)
+    for coeff, factors in ordered_terms(e):
+        c = Fraction(coeff)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for atom, k in factors:
+            if isinstance(atom, BaseCoord):
+                base = xs[atom.i - 1]
+            elif isinstance(atom, JetCoord):
+                f = fs[atom.sigma - 1]
+                base = sympy.diff(f, *(xs[i - 1] for i in atom.J)) if atom.J else f
+            else:
+                name, arg = atom
+                base = getattr(sympy, name)(to_sympy(sympy, arg, xs, fs))
+            term *= base**k
+        total += term
+    return total
 
 
 SYMPY_CASES = [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2)]
@@ -183,31 +307,69 @@ def test_euler_lagrange_matches_sympy_euler_equations(n, m, r):
 
     xs = sympy.symbols(f"x1:{n + 1}")
     fs = [sympy.Function(f"y{sigma}")(*xs) for sigma in range(1, m + 1)]
-
-    def coordinate(c):
-        if isinstance(c, BaseCoord):
-            return xs[c.i - 1]
-        f = fs[c.sigma - 1]
-        return sympy.Derivative(f, *(xs[i - 1] for i in c.J)) if c.J else f
-
-    def to_sympy(e):
-        total = sympy.Integer(0)
-        for coeff, factors in ordered_terms(e):
-            c = Fraction(coeff)
-            term = sympy.Rational(c.numerator, c.denominator)
-            for atom, k in factors:
-                term *= coordinate(atom) ** k
-            total += term
-        return total
-
     # sympy drops an equation that evaluates to true or false, such as
     # 4 = 0; the parameter z keeps every equation symbolic
     z = sympy.Symbol("z")
     rng = random.Random(3000 * n + 100 * m + r)
     for _ in range(PER_CASE):
         lam = random_lagrangian(rng, n, m, r)
-        L = to_sympy(lam.L)
+        L = to_sympy(sympy, lam.L, xs, fs)
         for f, eps in zip(fs, euler_lagrange(lam).eps):
             (equation,) = euler_equations(L + z * f, [f], xs)
             assert equation.rhs == 0
-            assert sympy.expand(equation.lhs - z - to_sympy(eps)) == 0
+            assert sympy.expand(equation.lhs - z - to_sympy(sympy, eps, xs, fs)) == 0
+
+
+# (n, m, r, a sin term in L, a bump off the image)
+SELF_ADJOINT_CASES = [
+    (1, 1, 1, False, False), (1, 1, 1, True, True), (1, 1, 2, True, False),
+    (1, 1, 2, False, True), (1, 2, 1, False, False), (1, 2, 1, True, True),
+    (1, 2, 2, False, True), (2, 1, 1, True, False), (2, 1, 1, False, True),
+    (2, 1, 2, False, False), (2, 2, 1, True, False), (2, 2, 1, False, True),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("n,m,r,trig,bumped", SELF_ADJOINT_CASES)
+def test_helmholtz_verdict_matches_self_adjointness_of_the_frechet_derivative(
+    n, m, r, trig, bumped
+):
+    # eps is variational iff its Frechet derivative D_eps(v) = d/ds eps(u + s v)
+    # at s = 0 is formally self-adjoint (Olver, Thm 5.92); the adjoint
+    # D_eps*(w) is the Euler-Lagrange expression of w . D_eps(v) in v
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+
+    rng = random.Random(7000 * n + 100 * m + 10 * r + 2 * trig + bumped)
+    lam = random_lagrangian(rng, n, m, r)
+    if trig:
+        jets = [c for c in coordinate_atoms(lam.ctx, r) if isinstance(c, JetCoord)]
+        term = mul(num(rng.randint(1, 3)), sin(sym(rng.choice(jets))))
+        lam = Lagrangian(add(lam.L, term), lam.ctx, r)
+    sf = euler_lagrange(lam)
+    if bumped:
+        # u^m_{1} in eps_1 puts 1 into a residual the random part cannot cancel
+        bump = add(random_polynomial(rng, sf.ctx, order=sf.s, degree=2), sym(JetCoord(m, (1,))))
+        sf = SourceForm((add(sf.eps[0], bump),) + sf.eps[1:], sf.ctx, sf.s)
+
+    xs = sympy.symbols(f"x1:{n + 1}")
+    us, vs, ws = (
+        [sympy.Function(f"{name}{sigma}")(*xs) for sigma in range(1, m + 1)]
+        for name in "uvw"
+    )
+    t, z = sympy.symbols("t z")
+
+    def frechet(directions):
+        moved = [u + t * v for u, v in zip(us, directions)]
+        return [sympy.diff(to_sympy(sympy, e, xs, moved), t).subs(t, 0) for e in sf.eps]
+
+    pairing = sum(w * d for w, d in zip(ws, frechet(vs)))
+    self_adjoint = True
+    for v, d in zip(vs, frechet(ws)):
+        # z keeps the equation from evaluating to true (see above)
+        (equation,) = euler_equations(pairing + z * v, [v], xs)
+        assert equation.rhs == 0
+        self_adjoint &= sympy.expand(equation.lhs - z - d) == 0
+
+    verdict = helmholtz_residuals(sf).verdict
+    assert verdict == ("not_variational" if bumped else "variational")
+    assert (verdict == "variational") == self_adjoint
