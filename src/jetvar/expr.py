@@ -14,16 +14,18 @@ Products distribute on construction, so structural equality decides
 equality of the functions denoted on the (Laurent-)polynomial fragment;
 sin/cos/exp atoms are opaque and compare syntactically.
 
-All differentiation goes through one chain-rule walker, `derive(e, leaf)`.
-For a coordinate atom, `leaf(atom id)` returns (slot, terms) pairs, the
-derivative of that coordinate into each output slot, and the walker
-accumulates one result per slot in a single pass over the terms:
+All differentiation goes through one chain-rule walker, `derive`.  For a
+coordinate atom, `leaf(atom id)` returns (slot, terms) pairs, the
+derivative of that coordinate into each output slot, and in a single pass
+over the terms the walker adds the result per slot, times a scale, into
+term dicts the caller owns; without them it collects its own into values.
 `gradient` has a slot per coordinate (every first partial at once),
-`partial` and the total derivative `jets.total_derivative` have one.  The
-total derivative d_i of a coordinate atom comes from a process-wide lift
-table next to the intern table, so each atom is lifted once per process;
-the jet-order ceiling is checked on every call, against the caller's
-context, never cached.
+`partial` and the total derivative `jets.total_derivative` have one, and
+an operator that sums total derivatives adds each straight into its
+target.  The total derivative d_i of a coordinate atom comes from a
+process-wide lift table next to the intern table, so each atom is lifted
+once per process; the jet-order ceiling is checked on every call, against
+the caller's context, never cached.
 
 Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
@@ -411,14 +413,19 @@ def _tree_key(e: Expr) -> tuple:
 # --- calculus ------------------------------------------------------------------
 
 
-def derive(e: Expr, leaf) -> dict:
+def derive(e: Expr, leaf, accs: dict = None, scale=1) -> dict:
     """The chain rule, shared by every derivative: leaf(a) gives the
     derivative of the coordinate atom with id a as (slot, terms) pairs, and
     sin/cos/exp atoms differentiate through their argument.  One pass over
-    the terms accumulates a result per slot; returns slot -> nonzero Expr."""
+    the terms adds scale times the result per slot into accs, slot -> term
+    dict, which the caller owns and collects; without accs, returns slot ->
+    nonzero Expr.  If a leaf raises, the dicts are left half filled."""
+    if accs is None:
+        accs = derive(e, leaf, {}, scale)
+        return {slot: v for slot, acc in accs.items() if (v := _collect(acc)).terms}
     memo: dict = {}
-    accs: dict = {}
-    for m, c in e.terms.items():
+    terms = e.terms.items() if scale == 1 else [(m, c * scale) for m, c in e.terms.items()]
+    for m, c in terms:
         for i, (a, k) in enumerate(m):
             d = memo.get(a)
             if d is None:
@@ -439,12 +446,7 @@ def derive(e: Expr, leaf) -> dict:
                     term = ck if dc == 1 else ck * dc
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
-    out = {}
-    for slot, acc in accs.items():
-        value = _collect(acc)
-        if value.terms:
-            out[slot] = value
-    return out
+    return accs
 
 
 def _derive_function(a: int, leaf) -> tuple:

@@ -45,6 +45,7 @@ from .expr import (
     Expr,
     ONE,
     ZERO,
+    _collect,
     add,
     as_expr,
     coords_in,
@@ -380,15 +381,19 @@ def cartan_form_contact(lam) -> DiffForm:
     pairs = [(gens, lam.L) for gens in omega_0(ctx).terms]
     for k in range(max(f, default=0), 0, -1):
         for (sigma, K), value in sorted(f[k].items()):
-            if not is_zero(value):
+            if value.__class__ is dict:  # a sum of derivatives, collected once
+                value = _collect(value)
+            if value.terms:
                 for i in dict.fromkeys(K):
                     J = K[: K.index(i)] + K[K.index(i) + 1 :]
                     weight = num(multiplicity(J))
                     for gens, sign in omega_i(i, ctx).terms.items():
                         pairs.append(((W(sigma, J),) + gens, mul(sign, weight, value)))
                     if k > 1:
-                        d = total_derivative(value, i, ctx)
-                        f[k - 1][sigma, J] = add(f[k - 1].get((sigma, J), ZERO), neg(d))
+                        acc = f[k - 1].get((sigma, J), ZERO)
+                        if acc.__class__ is Expr:
+                            acc = f[k - 1][sigma, J] = dict(acc.terms)
+                        total_derivative(value, i, ctx, into=acc, scale=-1)
     return form_from_terms(ctx, 2 * r - 1, ctx.n, pairs)
 
 

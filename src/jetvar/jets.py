@@ -6,21 +6,25 @@ from collections import defaultdict
 
 from .coords import BaseCoord, JetContext, JetCoord, MultiIndex, Value
 from .errors import DimensionMismatch, OrderOverflow, UnknownCoordinate
-from .expr import ZERO, Expr, add, coords_in, derive, gradient, is_zero, lift, mul, num
+from .expr import ZERO, Expr, _collect, coords_in, derive, gradient, is_zero, lift
 
 
-def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
+def total_derivative(e: Expr, i: int, ctx: JetContext, into: dict = None, scale=1):
     """Total derivative in the i-th base direction: differentiates x^i to 1,
-    lifts every jet coordinate one level (y^s_J to y^s_{Ji}).
+    lifts every jet coordinate one level (y^s_J to y^s_{Ji}).  With `into`,
+    a term dict the caller owns and collects (`expr._collect`), adds
+    scale * d_i e into it and returns it, building no Expr.
 
     Raises OrderOverflow when a lifted coordinate would exceed the context
     ceiling, max(12, 2 * ctx.order): no operator needs more, so the ceiling
-    only stops runaway iterated derivatives.
+    only stops runaway iterated derivatives.  `into` is then left half
+    filled and should be dropped with the exception.
     """
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     ceiling = ctx.ceiling
-    return derive(e, lambda a: lift(a, i, ceiling)).get(None, ZERO)
+    accs = None if into is None else {None: into}
+    return derive(e, lambda a: lift(a, i, ceiling), accs, scale).get(None, ZERO)
 
 
 def jet_partials(e: Expr) -> defaultdict:
@@ -94,12 +98,11 @@ class Prolongation(dict):
         value = self[c]
         for c in reversed(chain):
             l = c.J[-1]
-            parts = []  # a unit entry, as in every section, needs no product
+            acc = {}
             for k, row in enumerate(self.b, start=1):
                 if row[l - 1]:
-                    d = total_derivative(value, k, self.ctx)
-                    parts.append(d if row[l - 1] == 1 else mul(num(row[l - 1]), d))
-            value = self[c] = parts[0] if len(parts) == 1 else add(*parts)
+                    total_derivative(value, k, self.ctx, into=acc, scale=row[l - 1])
+            value = self[c] = _collect(acc)
         return value
 
     def get(self, c, default=None):

@@ -20,7 +20,7 @@ import contextlib
 import functools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .coords import (
     JetContext,
@@ -36,13 +36,13 @@ from .errors import NotODEContext, NumericOverflow
 from .expr import (
     Expr,
     ZERO,
+    _collect,
     add,
     as_expr,
     coords_in,
     evaluate,
     has_functions,
     integrate_param,
-    is_zero,
     mul,
     neg,
     num,
@@ -166,16 +166,25 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
     index, so every sorted J is reached along exactly one chain of
     appended indices and enters once with sign (-1)^|J|.  Only the nonzero
     F are walked, so the cost follows the jets that occur in L, not the
-    declared order.  The result is declared on the jet space of order 2r."""
+    declared order.  Each d_i F(J+i) is added straight into the term dict
+    of F(J), collected once, when read.  The mapping is Q-linear, so the
+    recursion runs on D L, D the lcm of the denominators of L's
+    coefficients, on integers, and each eps_sigma is divided by D at the
+    end, exactly.  The result is declared on the jet space of order 2r."""
     ctx = lam.ctx
-    F = jet_partials(lam.L)
-    for k in range(max(F, default=0), 0, -1):
-        below = F[k - 1]
+    D = lcm(*(c.denominator for c in lam.L.terms.values()))
+    F = jet_partials(mul(num(D), lam.L))
+    for k in range(max(F, default=0), -1, -1):
         for (sigma, K), value in sorted(F[k].items()):
-            if not is_zero(value):
-                d = total_derivative(value, K[-1], ctx)
-                below[sigma, K[:-1]] = add(below.get((sigma, K[:-1]), ZERO), neg(d))
-    eps = tuple(F[0].get((sigma, ()), ZERO) for sigma in range(1, ctx.m + 1))
+            if value.__class__ is dict:  # a sum of derivatives, collected once
+                value = F[k][sigma, K] = _collect(value)
+            if k and value.terms:
+                acc = F[k - 1].get((sigma, K[:-1]), ZERO)
+                if acc.__class__ is Expr:
+                    acc = F[k - 1][sigma, K[:-1]] = dict(acc.terms)
+                total_derivative(value, K[-1], ctx, into=acc, scale=-1)
+    inverse = num(Fraction(1, D))
+    eps = tuple(mul(inverse, F[0].get((sigma, ()), ZERO)) for sigma in range(1, ctx.m + 1))
     return SourceForm(eps, ctx, 2 * lam.r)
 
 
@@ -266,10 +275,14 @@ def _residual(q: list, ctx: JetContext, entry: tuple, sigma: int, nu: int) -> Ex
         for M, full, coeff, ups in rows:
             head = q_nu.get((sigma, full))
             value = ZERO if head is None else mul(coeff, head)
+            acc = None  # the terms of value once a derivative is added
             for i, up in ups:
                 above = upper.get(up)
                 if above is not None:
-                    value = add(value, total_derivative(above, i, ctx))
+                    acc = dict(value.terms) if acc is None else acc
+                    total_derivative(above, i, ctx, into=acc)
+            if acc is not None:
+                value = _collect(acc)
             if value.terms:
                 level[M] = value
         upper = level

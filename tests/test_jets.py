@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,10 +22,13 @@ from jetvar.coords import (
     multi_indices,
     multiplicity,
 )
-from jetvar.expr import add, coords_in, exp, mul, num, partial, pow_, substitute, sym
+from jetvar import expr, jets
+from jetvar.expr import ZERO, _collect, add, coords_in, exp, mul, neg, num, partial, pow_
+from jetvar.expr import substitute, sym
+from jetvar.forms import FiberedIso, prolong_isomorphism
 from jetvar.jets import iterated_total_derivative, prolong_section
 
-from corpus import random_base_polynomial, random_polynomial
+from corpus import random_base_polynomial, random_laurent, random_polynomial
 
 X1, X2 = BaseCoord(1), BaseCoord(2)
 U = JetCoord(1)
@@ -156,6 +160,41 @@ def test_total_derivative_agrees_with_derivative_along_sections():
             assert lhs == rhs
 
 
+def test_adding_a_total_derivative_into_a_dict_equals_adding_it():
+    # scale * d_i e added into the terms of a, then collected, is
+    # a + scale * d_i e; values with sin/cos/exp atoms, negative powers and
+    # rational coefficients, and scales that keep, flip and break integers
+    rng = random.Random(67)
+    for n in (1, 2):
+        ctx = JetContext(n=n, m=2, order=2)
+        for _ in range(12):
+            e = add(random_polynomial(rng, ctx), random_laurent(rng, ctx))
+            a = add(random_polynomial(rng, ctx), random_laurent(rng, ctx))
+            i = rng.randint(1, n)
+            d = total_derivative(e, i, ctx)
+            for c in (1, -1, Fraction(2, 3)):
+                into = dict(a.terms)
+                assert total_derivative(e, i, ctx, into=into, scale=c) is into
+                assert _collect(into) == add(a, mul(num(c), d))
+                # a target that cancels the sum collects to zero
+                into = dict(mul(num(-c), d).terms)
+                assert _collect(total_derivative(e, i, ctx, into=into, scale=c)) == ZERO
+            assert _collect(total_derivative(e, i, ctx, into={})) == d
+
+
+def test_adding_into_a_dict_raises_as_returning_does():
+    ctx = JetContext(n=1, m=1, order=6)
+    top = add(sym(X1), sym(JetCoord(1, (1,) * 12)))
+    target = dict(sym(U).terms)
+    with pytest.raises(OrderOverflow):
+        total_derivative(top, 1, ctx, into=target)
+    # a bad direction is refused before anything is added
+    target = dict(sym(U).terms)
+    with pytest.raises(UnknownCoordinate):
+        total_derivative(top, 2, ctx, into=target, scale=-1)
+    assert target == sym(U).terms
+
+
 def test_iterated_total_derivative_is_composition():
     rng = random.Random(43)
     ctx = JetContext(n=2, m=1, order=1)
@@ -256,3 +295,27 @@ def test_section_validation():
     good = SectionSpec((sym(X1), num(0)))
     good.validate(ctx)
     assert coords_in(good.components[0]) == {X1}
+
+
+def test_a_prolonged_jet_is_collected_once(monkeypatch):
+    # a non-diagonal base map: each new jet sums a total derivative per
+    # nonzero entry of its inverse-Jacobian column straight into one dict
+    calls = []
+    real = expr._collect
+    for module in (expr, jets):
+        monkeypatch.setattr(module, "_collect", lambda acc: calls.append(1) or real(acc))
+    x, y = sym(X1), sym(X2)
+    u, v = sym(U), sym(JetCoord(2))
+    ctx = JetContext(n=2, m=2, order=1)
+    iso = FiberedIso((add(mul(num(2), x), y), add(x, y)), (add(u, pow_(v, 2)), mul(x, v)))
+    pro = prolong_isomorphism(iso, 2, ctx)
+    calls.clear()
+    first = pro[JetCoord(1, (1,))]
+    assert len(calls) == 1
+    # inv([[2, 1], [1, 1]]) = [[1, -1], [-1, 2]]: d_1 - d_2 of the seed
+    seed = add(u, pow_(v, 2))
+    d1, d2 = (total_derivative(seed, i, ctx) for i in (1, 2))
+    assert first == add(d1, neg(d2))
+    calls.clear()
+    pro[JetCoord(2, (1, 2))]  # two links of a chain: a collect each
+    assert len(calls) == 2

@@ -7,9 +7,11 @@ d_J [...] is computed on its own with iterated_total_derivative and the
 terms are summed in the order the docstrings write them.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -19,10 +21,13 @@ from jetvar import (
     SourceForm,
     euler_lagrange,
     helmholtz_residuals,
+    parse_expr,
+    tonti_lagrangian,
     variational,
 )
 from jetvar.coords import BaseCoord, JetCoord, multi_indices, multiplicity
-from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, sin, sym
+from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, pow_
+from jetvar.expr import sin, sym
 from jetvar.jets import iterated_total_derivative
 from jetvar.variational import _completion_plan
 
@@ -119,6 +124,42 @@ def test_nested_euler_lagrange_matches_flat_formula(n, m, r):
         # declared above the occurring order: the same source form
         lifted = Lagrangian(lam.L, lam.ctx, r + 2)
         assert euler_lagrange(lifted).eps == flat_euler_lagrange(lifted) == eps
+
+
+def test_euler_lagrange_adds_each_derivative_into_its_target(monkeypatch):
+    # the dense n3m2r1 Lagrangian of the benchmark ladder, its Tonti
+    # Lagrangian, and the first times 5/7 plus a term over 3, whose
+    # denominators are cleared first: the recursion sums without add or
+    # neg, on integer coefficients, with one total derivative per nonzero
+    # F(K), K nonempty, as many as when it summed with add
+    ctx = JetContext(n=3, m=2, order=1, base_names=("x1", "x2", "x3"), fiber_names=("u1", "u2"))
+    source = "(u1_{1}^2+u1_{2}^2+u1_{3}^2-u2_{1}^2-u2_{2}^2-u2_{3}^2)^3 + u1^2*u2^2"
+    lam = Lagrangian(parse_expr(source, ctx).expr, ctx, 1)
+    tonti = tonti_lagrangian(euler_lagrange(lam))
+    rational = parse_expr(f"5/7*({source}) + 1/3*u1_{{1}}^2*u2_{{2}}", ctx).expr
+    mixed = Lagrangian(rational, ctx, 1)
+    assert denominator(lam) == denominator(tonti) == 1 and denominator(mixed) == 21
+    cases = [(lam, 6), (tonti, 18), (mixed, 6)]
+    expected = [flat_euler_lagrange(case) for case, _ in cases]
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(variational, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            if name == "total_derivative":
+                calls["fraction"] += any(isinstance(c, Fraction) for c in args[0].terms.values())
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("add", "neg", "total_derivative"):
+        monkeypatch.setattr(variational, name, counted(name))
+    for (case, derivatives), eps in zip(cases, expected):
+        calls.clear()
+        assert euler_lagrange(case).eps == eps
+        assert +calls == {"total_derivative": derivatives}
 
 
 @pytest.mark.parametrize("n,m,r", CASES)
@@ -300,24 +341,75 @@ def to_sympy(sympy, e, xs, fs):
 SYMPY_CASES = [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 1, 2)]
 
 
-@pytest.mark.parametrize("n,m,r", SYMPY_CASES)
-def test_euler_lagrange_matches_sympy_euler_equations(n, m, r):
-    sympy = pytest.importorskip("sympy")
+def assert_sympy_euler_equations(sympy, lam, eps):
+    """eps is sympy's Euler-Lagrange expression of lam, component by
+    component."""
     from sympy.calculus.euler import euler_equations
 
+    n, m = lam.ctx.n, lam.ctx.m
     xs = sympy.symbols(f"x1:{n + 1}")
     fs = [sympy.Function(f"y{sigma}")(*xs) for sigma in range(1, m + 1)]
     # sympy drops an equation that evaluates to true or false, such as
     # 4 = 0; the parameter z keeps every equation symbolic
     z = sympy.Symbol("z")
+    L = to_sympy(sympy, lam.L, xs, fs)
+    for f, e in zip(fs, eps):
+        (equation,) = euler_equations(L + z * f, [f], xs)
+        assert equation.rhs == 0
+        assert sympy.expand(equation.lhs - z - to_sympy(sympy, e, xs, fs)) == 0
+
+
+def denominator(lam):
+    """D, the lcm of the denominators of the coefficients of lam."""
+    return lcm(*(Fraction(c).denominator for c, _ in ordered_terms(lam.L)))
+
+
+@pytest.mark.parametrize("n,m,r", SYMPY_CASES)
+def test_euler_lagrange_matches_sympy_euler_equations(n, m, r):
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(3000 * n + 100 * m + r)
     for _ in range(PER_CASE):
         lam = random_lagrangian(rng, n, m, r)
-        L = to_sympy(sympy, lam.L, xs, fs)
-        for f, eps in zip(fs, euler_lagrange(lam).eps):
-            (equation,) = euler_equations(L + z * f, [f], xs)
-            assert equation.rhs == 0
-            assert sympy.expand(equation.lhs - z - to_sympy(sympy, eps, xs, fs)) == 0
+        assert_sympy_euler_equations(sympy, lam, euler_lagrange(lam).eps)
+
+
+def rational_lagrangian(rng, n, m, r):
+    """random_lagrangian with its terms scaled in turn by 2/3 and 5/7."""
+    lam = random_lagrangian(rng, n, m, r)
+    weights = itertools.cycle((Fraction(2, 3), Fraction(5, 7)))
+    terms = [
+        mul(num(c * next(weights)), *(pow_(sym(atom), k) for atom, k in factors))
+        for c, factors in ordered_terms(lam.L)
+    ]
+    return Lagrangian(add(*terms), lam.ctx, r)
+
+
+@pytest.mark.parametrize("n,m,r", list(itertools.product((1, 2), repeat=3)))
+def test_euler_lagrange_matches_sympy_on_rational_coefficients(n, m, r):
+    # euler_lagrange runs on D L with integer coefficients and divides by D
+    # at the end
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4000 * n + 100 * m + r)
+    for _ in range(2):
+        lam = rational_lagrangian(rng, n, m, r)
+        assert denominator(lam) == 21
+        assert_sympy_euler_equations(sympy, lam, euler_lagrange(lam).eps)
+
+
+@pytest.mark.parametrize("m,r", [(1, 2), (2, 1)])
+def test_tonti_round_trip_of_an_n2_image_matches_sympy(m, r):
+    # the Tonti Lagrangian of an image carries the weights 1/(d+1), so its
+    # Euler-Lagrange form runs with D > 1; it returns the image, and sympy
+    # agrees
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4500 + 10 * m + r)
+    lam = random_lagrangian(rng, 2, m, r)
+    sf = euler_lagrange(Lagrangian(add(lam.L, random_lagrangian(rng, 2, m, r).L), lam.ctx, r))
+    tonti = tonti_lagrangian(sf)
+    assert denominator(tonti) > 1
+    eps = euler_lagrange(tonti).eps
+    assert eps == sf.eps
+    assert_sympy_euler_equations(sympy, tonti, eps)
 
 
 # (n, m, r, a sin term in L, a bump off the image)

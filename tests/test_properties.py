@@ -89,8 +89,11 @@ def test_decide_zero_is_exact_on_polynomials(drawn):
 
 def source_forms(ctx):
     """Euler-Lagrange images of Lagrangians declared at ctx.order, and the
-    same images with a polynomial of jet order at most 2 * ctx.order added
-    to one component, which may or may not leave them variational."""
+    same images with a bump added to one component, which may or may not
+    leave them variational: a jet coordinate of order 1 to 2 * ctx.order
+    times a polynomial of jet order at most 2 * ctx.order, so that every
+    bump term has a jet factor (a constant bump, or any f(x, u) when
+    m = 1, is variational)."""
 
     def build(L, bump):
         sf = euler_lagrange(Lagrangian(L, ctx, ctx.order))
@@ -101,10 +104,10 @@ def source_forms(ctx):
         eps[sigma] = add(eps[sigma], extra)
         return SourceForm(tuple(eps), sf.ctx, sf.s)
 
-    bump = st.one_of(
-        st.tuples(st.integers(0, ctx.m - 1), polynomials(ctx, 2 * ctx.order)),
-        st.none(),
-    )
+    atoms = coordinate_atoms(ctx, 2 * ctx.order)
+    jets = [sym(c) for c in atoms if isinstance(c, JetCoord) and c.J]
+    extra = st.builds(mul, st.sampled_from(jets), polynomials(ctx, 2 * ctx.order))
+    bump = st.one_of(st.tuples(st.integers(0, ctx.m - 1), extra), st.none())
     return st.builds(build, polynomials(ctx, ctx.order), bump)
 
 
