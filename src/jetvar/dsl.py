@@ -63,10 +63,10 @@ MAX_NESTING = 100
 
 
 class ParsedExpr:
-    __slots__ = ("expr", "source", "span")
+    __slots__ = ("expr",)
 
-    def __init__(self, expr: Expr, source: str, span: tuple):
-        self.expr, self.source, self.span = expr, source, span
+    def __init__(self, expr: Expr):
+        self.expr = expr
 
 
 # --- tokenizer ----------------------------------------------------------------
@@ -311,8 +311,7 @@ class _Parser:
 
 def parse_expr(source: str, ctx: JetContext) -> ParsedExpr:
     """Parse a scalar expression in the declared context."""
-    value = _Parser(source, ctx, allow_forms=False).parse()
-    return ParsedExpr(value, source, (0, len(source)))
+    return ParsedExpr(_Parser(source, ctx, allow_forms=False).parse())
 
 
 def parse_form(source: str, ctx: JetContext) -> DiffForm:

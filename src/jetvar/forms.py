@@ -45,7 +45,6 @@ from .expr import (
     Expr,
     ONE,
     ZERO,
-    _collect,
     add,
     as_expr,
     coords_in,
@@ -60,7 +59,7 @@ from .expr import (
     substitute,
     sym,
 )
-from .jets import Prolongation, jet_partials, total_derivative
+from .jets import Prolongation, add_total_derivatives, jet_partials
 
 
 # --- basis one-form generators ----------------------------------------------
@@ -165,8 +164,8 @@ class DiffForm(Value):
 
 def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm:
     """Build a form from (generators, coefficient) pairs: generator words
-    may arrive unsorted, parallel terms merge and zero coefficients drop."""
-    acc: dict[tuple, Expr] = {}
+    may arrive unsorted; each word's coefficients sum in one add, zeros drop."""
+    acc: dict[tuple, list] = {}
     for gens, coeff in items:
         if len(gens) != degree:
             raise DegreeMismatch(
@@ -176,13 +175,9 @@ def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm
         if sign == 0:
             continue
         coeff = as_expr(coeff)
-        coeff = coeff if sign == 1 else neg(coeff)
-        if sorted_gens in acc:
-            coeff = add(acc[sorted_gens], coeff)
-        acc[sorted_gens] = coeff
-    return DiffForm(
-        ctx, order, degree, {g: c for g, c in acc.items() if not is_zero(c)}
-    )
+        acc.setdefault(sorted_gens, []).append(coeff if sign == 1 else neg(coeff))
+    sums = ((g, add(*coeffs)) for g, coeffs in acc.items())
+    return DiffForm(ctx, order, degree, {g: c for g, c in sums if c.terms})
 
 
 def function_form(ctx: JetContext, e, order: int = 0) -> DiffForm:
@@ -380,9 +375,8 @@ def cartan_form_contact(lam) -> DiffForm:
             level[sigma, K] = mul(num(Fraction(1, multiplicity(K))), d)
     pairs = [(gens, lam.L) for gens in omega_0(ctx).terms]
     for k in range(max(f, default=0), 0, -1):
+        parents = {}
         for (sigma, K), value in sorted(f[k].items()):
-            if value.__class__ is dict:  # a sum of derivatives, collected once
-                value = _collect(value)
             if value.terms:
                 for i in dict.fromkeys(K):
                     J = K[: K.index(i)] + K[K.index(i) + 1 :]
@@ -390,10 +384,9 @@ def cartan_form_contact(lam) -> DiffForm:
                     for gens, sign in omega_i(i, ctx).terms.items():
                         pairs.append(((W(sigma, J),) + gens, mul(sign, weight, value)))
                     if k > 1:
-                        acc = f[k - 1].get((sigma, J), ZERO)
-                        if acc.__class__ is Expr:
-                            acc = f[k - 1][sigma, J] = dict(acc.terms)
-                        total_derivative(value, i, ctx, into=acc, scale=-1)
+                        parents.setdefault((sigma, J), []).append((value, i, -1))
+        for key, parts in parents.items():
+            f[k - 1][key] = add_total_derivatives(f[k - 1].get(key, ZERO), parts, ctx)
     return form_from_terms(ctx, 2 * r - 1, ctx.n, pairs)
 
 
@@ -531,12 +524,11 @@ def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> Prolong
     return Prolongation(seeds, order, a_inv, ctx)
 
 
-def pullback(form: DiffForm, iso: FiberedIso, r: int = None) -> DiffForm:
-    """Pullback along the automorphism prolonged to order r, by default the
-    form's order: coefficients have the prolonged bindings substituted and
-    each basis one-form becomes the differential of its binding.  Only the
-    jets that occur are prolonged; one above r raises OrderOverflow."""
-    form = form if r is None else form.at_order(r)
+def pullback(form: DiffForm, iso: FiberedIso) -> DiffForm:
+    """Pullback along the automorphism prolonged to the form's order:
+    coefficients have the prolonged bindings substituted and each basis
+    one-form becomes the differential of its binding.  Only the jets that
+    occur are prolonged; one above the order raises OrderOverflow."""
     return _pullback_prolonged(form, prolong_isomorphism(iso, form.order, form.ctx))
 
 

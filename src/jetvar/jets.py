@@ -12,8 +12,8 @@ from .expr import ZERO, Expr, _collect, coords_in, derive, gradient, is_zero, li
 def total_derivative(e: Expr, i: int, ctx: JetContext, into: dict = None, scale=1):
     """Total derivative in the i-th base direction: differentiates x^i to 1,
     lifts every jet coordinate one level (y^s_J to y^s_{Ji}).  With `into`,
-    a term dict the caller owns and collects (`expr._collect`), adds
-    scale * d_i e into it and returns it, building no Expr.
+    the term dict of `add_total_derivatives`, adds scale * d_i e into it
+    and returns it, building no Expr.
 
     Raises OrderOverflow when a lifted coordinate would exceed the context
     ceiling, max(12, 2 * ctx.order): no operator needs more, so the ceiling
@@ -25,6 +25,17 @@ def total_derivative(e: Expr, i: int, ctx: JetContext, into: dict = None, scale=
     ceiling = ctx.ceiling
     accs = None if into is None else {None: into}
     return derive(e, lambda a: lift(a, i, ceiling), accs, scale).get(None, ZERO)
+
+
+def add_total_derivatives(head: Expr, parts, ctx: JetContext) -> Expr:
+    """head + sum of scale * d_i e over the (e, i, scale) triples of parts:
+    every derivative is added into one term dict, collected once; with no
+    parts, head itself.  Errors propagate as from total_derivative."""
+    acc = None
+    for e, i, scale in parts:
+        acc = dict(head.terms) if acc is None else acc
+        total_derivative(e, i, ctx, into=acc, scale=scale)
+    return head if acc is None else _collect(acc)
 
 
 def jet_partials(e: Expr) -> defaultdict:
@@ -98,11 +109,8 @@ class Prolongation(dict):
         value = self[c]
         for c in reversed(chain):
             l = c.J[-1]
-            acc = {}
-            for k, row in enumerate(self.b, start=1):
-                if row[l - 1]:
-                    total_derivative(value, k, self.ctx, into=acc, scale=row[l - 1])
-            value = self[c] = _collect(acc)
+            parts = [(value, k, row[l - 1]) for k, row in enumerate(self.b, 1) if row[l - 1]]
+            value = self[c] = add_total_derivatives(ZERO, parts, self.ctx)
         return value
 
     def get(self, c, default=None):

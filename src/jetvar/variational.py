@@ -36,7 +36,6 @@ from .errors import NotODEContext, NumericOverflow
 from .expr import (
     Expr,
     ZERO,
-    _collect,
     add,
     as_expr,
     coords_in,
@@ -65,7 +64,7 @@ from .forms import (
     scale,
     _pullback_prolonged,
 )
-from .jets import jet_partials, total_derivative
+from .jets import add_total_derivatives, jet_partials, total_derivative
 
 PROBE_POINTS = 20
 PROBE_THRESHOLD = 1e-8
@@ -166,23 +165,21 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
     index, so every sorted J is reached along exactly one chain of
     appended indices and enters once with sign (-1)^|J|.  Only the nonzero
     F are walked, so the cost follows the jets that occur in L, not the
-    declared order.  Each d_i F(J+i) is added straight into the term dict
-    of F(J), collected once, when read.  The mapping is Q-linear, so the
+    declared order.  The d_i F(J+i) of one F(J) are summed by one
+    `add_total_derivatives` call.  The mapping is Q-linear, so the
     recursion runs on D L, D the lcm of the denominators of L's
     coefficients, on integers, and each eps_sigma is divided by D at the
     end, exactly.  The result is declared on the jet space of order 2r."""
     ctx = lam.ctx
     D = lcm(*(c.denominator for c in lam.L.terms.values()))
     F = jet_partials(mul(num(D), lam.L))
-    for k in range(max(F, default=0), -1, -1):
+    for k in range(max(F, default=0), 0, -1):
+        parents = {}
         for (sigma, K), value in sorted(F[k].items()):
-            if value.__class__ is dict:  # a sum of derivatives, collected once
-                value = F[k][sigma, K] = _collect(value)
-            if k and value.terms:
-                acc = F[k - 1].get((sigma, K[:-1]), ZERO)
-                if acc.__class__ is Expr:
-                    acc = F[k - 1][sigma, K[:-1]] = dict(acc.terms)
-                total_derivative(value, K[-1], ctx, into=acc, scale=-1)
+            if value.terms:
+                parents.setdefault((sigma, K[:-1]), []).append((value, K[-1], -1))
+        for key, parts in parents.items():
+            F[k - 1][key] = add_total_derivatives(F[k - 1].get(key, ZERO), parts, ctx)
     inverse = num(Fraction(1, D))
     eps = tuple(mul(inverse, F[0].get((sigma, ()), ZERO)) for sigma in range(1, ctx.m + 1))
     return SourceForm(eps, ctx, 2 * lam.r)
@@ -275,14 +272,8 @@ def _residual(q: list, ctx: JetContext, entry: tuple, sigma: int, nu: int) -> Ex
         for M, full, coeff, ups in rows:
             head = q_nu.get((sigma, full))
             value = ZERO if head is None else mul(coeff, head)
-            acc = None  # the terms of value once a derivative is added
-            for i, up in ups:
-                above = upper.get(up)
-                if above is not None:
-                    acc = dict(value.terms) if acc is None else acc
-                    total_derivative(above, i, ctx, into=acc)
-            if acc is not None:
-                value = _collect(acc)
+            parts = [(upper[up], i, 1) for i, up in ups if up in upper]
+            value = add_total_derivatives(value, parts, ctx)
             if value.terms:
                 level[M] = value
         upper = level

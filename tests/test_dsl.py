@@ -301,10 +301,10 @@ def test_render_form_of_a_zero_form_is_zero(plane1):
         assert render_form(form, plane1) == "0"
 
 
-def test_parsed_expr_metadata(ode1):
+def test_parsed_expr_holds_the_value_alone(ode1):
     parsed = parse_expr(" u + 1 ", ode1)
-    assert parsed.source == " u + 1 "
-    assert parsed.span == (0, len(parsed.source))
+    assert parsed.expr == add(sym(U), num(1))
+    assert parsed.__slots__ == ("expr",)
 
 
 def reference_render(e, ctx):

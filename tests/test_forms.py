@@ -343,9 +343,7 @@ def test_pullback_above_the_prolonged_order_raises_order_overflow(ode1):
     for form in (coefficient, generator):
         with pytest.raises(OrderOverflow, match="is above order 1"):
             pullback(form, iso)
-        with pytest.raises(OrderOverflow):
-            pullback(form.at_order(0), iso, r=1)
-        assert pullback(form, iso, r=2).order == 2
+        assert pullback(form.at_order(2), iso).order == 2
     # only the requested jets and their parents are built
     pro = prolong_isomorphism(iso, 3, ode1)
     pro[U11]
@@ -365,7 +363,7 @@ def test_prolonged_pullback_preserves_contact_forms():
     for iso in isos:
         for J in ((), (1,)):
             w = contact_form(1, J, ctx)
-            pulled = pullback(w, iso, r=2)
+            pulled = pullback(w.at_order(2), iso)
             assert horizontalize(pulled).is_zero()
 
 
@@ -382,13 +380,13 @@ def test_pullback_respects_wedge_and_differential():
     for _ in range(6):
         alpha = _random_one_form(rng, ctx)
         beta = _random_one_form(rng, ctx)
-        lhs = pullback(wedge(alpha, beta), iso, r=2)
-        rhs = wedge(pullback(alpha, iso, r=2), pullback(beta, iso, r=2))
+        lhs = pullback(wedge(alpha, beta).at_order(2), iso)
+        rhs = wedge(pullback(alpha.at_order(2), iso), pullback(beta.at_order(2), iso))
         assert lhs == rhs
     for _ in range(6):
         f = random_polynomial(rng, ctx, order=0, degree=2, terms=2)
-        lhs = pullback(differential(f, ctx), iso, r=1)
-        rhs = exterior_derivative(pullback(function_form(ctx, f), iso, r=0)).at_order(1)
+        lhs = pullback(differential(f, ctx).at_order(1), iso)
+        rhs = exterior_derivative(pullback(function_form(ctx, f), iso)).at_order(1)
         assert lhs == rhs
 
 

@@ -1,9 +1,11 @@
 """Multi-indices, contexts, total derivatives, and section prolongation."""
 
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from jetvar import expr, jets
 from jetvar.expr import ZERO, _collect, add, coords_in, exp, mul, neg, num, partial, pow_
 from jetvar.expr import substitute, sym
 from jetvar.forms import FiberedIso, prolong_isomorphism
-from jetvar.jets import iterated_total_derivative, prolong_section
+from jetvar.jets import add_total_derivatives, iterated_total_derivative, prolong_section
 
 from corpus import random_base_polynomial, random_laurent, random_polynomial
 
@@ -193,6 +195,55 @@ def test_adding_into_a_dict_raises_as_returning_does():
     with pytest.raises(UnknownCoordinate):
         total_derivative(top, 2, ctx, into=target, scale=-1)
     assert target == sym(U).terms
+
+
+def test_add_total_derivatives_equals_summing_them():
+    # head + sum of s * d_i e over the parts, from one term dict, is the sum
+    # that add builds; values with sin/cos/exp atoms, negative powers and
+    # rational coefficients, and scales that keep, flip and break integers
+    rng = random.Random(71)
+    for n in (1, 2):
+        ctx = JetContext(n=n, m=2, order=2)
+        for _ in range(12):
+            head = add(random_polynomial(rng, ctx), random_laurent(rng, ctx))
+            parts = [
+                (add(random_polynomial(rng, ctx), random_laurent(rng, ctx)), rng.randint(1, n), s)
+                for s in (1, -1, Fraction(2, 3))
+            ]
+            expected = add(head, *(mul(num(s), total_derivative(e, i, ctx)) for e, i, s in parts))
+            assert add_total_derivatives(head, parts, ctx) == expected
+            # a head that cancels the sum collects to zero
+            cancel = add(*(mul(num(-s), total_derivative(e, i, ctx)) for e, i, s in parts))
+            assert add_total_derivatives(cancel, parts, ctx) == ZERO
+            assert add_total_derivatives(head, [], ctx) is head
+    # errors propagate, and the head's terms are left as they were
+    ctx = JetContext(n=1, m=1, order=6)
+    top = add(sym(X1), sym(JetCoord(1, (1,) * 12)))
+    before = dict(head.terms)
+    with pytest.raises(OrderOverflow):
+        add_total_derivatives(head, [(sym(U), 1, 1), (top, 1, -1)], ctx)
+    with pytest.raises(UnknownCoordinate):
+        add_total_derivatives(head, [(sym(U), 2, 1)], ctx)
+    assert head.terms == before
+
+
+def test_only_expr_and_jets_handle_term_dicts():
+    # the term-dict format stays in the kernel: only expr and jets name
+    # _collect, and only jets passes a dict to total_derivative to add into
+    naming, adding = set(), set()
+    for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {
+                getattr(node, field, None) for field in ("id", "attr", "name", "asname")
+            }
+            if "_collect" in names:
+                naming.add(path.name)
+            if isinstance(node, ast.Call) and any(k.arg == "into" for k in node.keywords):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "total_derivative":
+                    adding.add(path.name)
+    assert naming == {"expr.py", "jets.py"}
+    assert adding == {"jets.py"}
 
 
 def test_iterated_total_derivative_is_composition():

@@ -21,6 +21,7 @@ from jetvar import (
     SourceForm,
     euler_lagrange,
     helmholtz_residuals,
+    jets,
     parse_expr,
     tonti_lagrangian,
     variational,
@@ -129,9 +130,10 @@ def test_nested_euler_lagrange_matches_flat_formula(n, m, r):
 def test_euler_lagrange_adds_each_derivative_into_its_target(monkeypatch):
     # the dense n3m2r1 Lagrangian of the benchmark ladder, its Tonti
     # Lagrangian, and the first times 5/7 plus a term over 3, whose
-    # denominators are cleared first: the recursion sums without add or
-    # neg, on integer coefficients, with one total derivative per nonzero
-    # F(K), K nonempty, as many as when it summed with add
+    # denominators are cleared first: the recursion sums through
+    # jets.add_total_derivatives, without add or neg, on integer
+    # coefficients, with one total derivative per nonzero F(K), K
+    # nonempty, as many as when it summed with add
     ctx = JetContext(n=3, m=2, order=1, base_names=("x1", "x2", "x3"), fiber_names=("u1", "u2"))
     source = "(u1_{1}^2+u1_{2}^2+u1_{3}^2-u2_{1}^2-u2_{2}^2-u2_{3}^2)^3 + u1^2*u2^2"
     lam = Lagrangian(parse_expr(source, ctx).expr, ctx, 1)
@@ -143,8 +145,8 @@ def test_euler_lagrange_adds_each_derivative_into_its_target(monkeypatch):
     expected = [flat_euler_lagrange(case) for case, _ in cases]
     calls = Counter()
 
-    def counted(name):
-        real = getattr(variational, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
@@ -154,8 +156,8 @@ def test_euler_lagrange_adds_each_derivative_into_its_target(monkeypatch):
 
         return call
 
-    for name in ("add", "neg", "total_derivative"):
-        monkeypatch.setattr(variational, name, counted(name))
+    for module, name in ((variational, "add"), (variational, "neg"), (jets, "total_derivative")):
+        monkeypatch.setattr(module, name, counted(module, name))
     for (case, derivatives), eps in zip(cases, expected):
         calls.clear()
         assert euler_lagrange(case).eps == eps
