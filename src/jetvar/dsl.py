@@ -409,7 +409,7 @@ def render_form(form: DiffForm, ctx: JetContext) -> str:
             continue
         if coeff == ONE:
             parts.append(word)
-        elif coeff.terms == {(): -1}:
+        elif coeff == neg(ONE):
             parts.append("-" + word)
         elif len(coeff.terms) > 1:
             parts.append(f"({_render_sum(coeff, ctx, texts)})*{word}")

@@ -4,19 +4,27 @@ Every expression is one immutable value, a sparse Laurent polynomial with
 exact rational coefficients.  Its `terms` dict maps each monomial to a
 nonzero coefficient, an int when integral and otherwise a Fraction; every
 constructor and operation here keeps that invariant, so integral
-arithmetic never pays for Fraction.  Zero has no terms.  A monomial is a
-tuple of (atom, exponent) pairs with nonzero integer exponents, sorted by
-atom.  An atom is a coordinate or an application sin/cos/exp(arg) whose
-argument is itself a kernel value; each distinct atom is interned once per
-process to a small int.
+arithmetic never pays for Fraction.  Zero has no terms.  An atom is a
+coordinate or an application sin/cos/exp(arg) whose argument is itself a
+kernel value; each distinct atom is interned once per process to a small
+int a.  A monomial is one int, the sum of k * 2^(16a) over its factors
+(atom id a, exponent k) in balanced base 2^16, so negative exponents need
+no bias, the constant monomial is 0 and a product of monomials is one int
+addition.  A process-wide table decodes each key to its factors once.  A
+key is unique only while every |k| < 2^15, so each value carries a bound
+on its exponents, set by each constructor from its operands' (a product
+adds them, a sum takes the maximum, a power multiplies, a derivative adds
+one and the bound of any sin/cos/exp chain-rule factor); an operation
+whose bound would reach EXPONENT_LIMIT raises ExpansionBudget instead.
 
 Products distribute on construction, so structural equality decides
 equality of the functions denoted on the (Laurent-)polynomial fragment;
 sin/cos/exp atoms are opaque and compare syntactically.
 
 All differentiation goes through one chain-rule walker, `derive`.  For a
-coordinate atom, `leaf(atom id)` returns (slot, terms) pairs, the
-derivative of that coordinate into each output slot, and in a single pass
+coordinate atom, `leaf(atom id)` returns (slot, pairs) pairs, the
+derivative of that coordinate into each output slot with its keys less the
+atom's own, so each term costs one int addition, and in a single pass
 over the terms the walker adds the result per slot, times a scale, into
 term dicts the caller owns; without them it collects its own into values.
 `gradient` has a slot per coordinate (every first partial at once),
@@ -30,11 +38,13 @@ the caller's context, never cached.
 Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
 first, factors by coordinate order, see `ordered_terms`) is computed once
-per value on demand and cached on it; rendering and floating-point
-evaluation both follow it, so neither text nor floats depend on the
-history of the process.  Rendering reads the cached rows directly and keeps
-a table per call of the text of each (atom id, exponent) factor and of each
-sin/cos/exp argument, so each is rendered once per call.
+per value on demand and cached on it, comparing atoms by their rank among
+the sort keys of all atoms interned so far, never by the nested keys of
+deep sin/cos/exp atoms; rendering and floating-point evaluation both follow
+it, so neither text nor floats depend on the history of the process.
+Rendering reads the cached rows directly and keeps a table per call of the
+text of each (atom id, exponent) factor and of each sin/cos/exp argument,
+so each is rendered once per call.
 
 `evaluate` reads a float plan, built on a value's first evaluation and
 cached on it: the canonical rows with each coefficient converted once by
@@ -49,11 +59,13 @@ share.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from fractions import Fraction
 
 from .coords import FUNCTIONS, BaseCoord, Coord, JetCoord, coord_key, index_with
 from .errors import (
     DivisionByZero,
+    ExpansionBudget,
     NonPolynomialDivision,
     NonPolynomialParameter,
     NumericOverflow,
@@ -63,18 +75,21 @@ from .errors import (
 
 _FUNC_INDEX = {name: k for k, name in enumerate(FUNCTIONS)}
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# an operation whose exponent bound would reach this raises ExpansionBudget
+EXPONENT_LIMIT = 1 << 15
 
 
 class Expr:
     """A sparse polynomial; build values with the constructors below and
     never mutate `terms`."""
 
-    # _plan, the float plan of `evaluate`, is set on first evaluation only,
-    # so building a value pays nothing for it
-    __slots__ = ("terms", "_hash", "_rows", "_plan")
+    # _bound bounds |exponent| over the terms; _plan, the float plan of
+    # `evaluate`, is set on first evaluation only
+    __slots__ = ("terms", "_bound", "_hash", "_rows", "_plan")
 
-    def __init__(self, terms: dict):
+    def __init__(self, terms: dict, bound: int):
         self.terms = terms
+        self._bound = bound
         self._hash = None
         self._rows = None
 
@@ -102,11 +117,11 @@ class Expr:
         """The rational value of a constant; AttributeError otherwise."""
         if not is_constant(self):
             raise AttributeError("a non-constant expression has no value")
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self.terms.get(0, 0))
 
 
-ZERO = Expr({})
-ONE = Expr({(): 1})
+ZERO = Expr({}, 0)
+ONE = Expr({0: 1}, 0)
 
 
 # --- atoms ---------------------------------------------------------------------
@@ -116,11 +131,37 @@ ONE = Expr({(): 1})
 _ATOM_ID: dict = {}
 _ATOMS: list = []  # id -> atom
 _ATOM_VALUES: list = []  # id -> the Expr of the atom alone
-_ATOM_KEYS: list = []  # id -> position in the canonical order
+_UNIT: list = []  # id -> the packed monomial of the atom alone
+_ATOM_KEYS: list = []  # id -> sort key in the canonical order
+_ATOM_RANKS: list = []  # id -> position of its key in _SORTED_KEYS
+_SORTED_KEYS: list = []  # the sort keys of all atoms, ascending
 _ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
 _ATOM_ORDERS: list = []  # id -> jet order of a jet coordinate, -1 otherwise
 # (atom id, i) -> d_i of that coordinate as derive leaf pairs
 _LIFTS: dict = {}
+
+
+class _FactorTable(dict):
+    """Packed monomial -> its (atom id, exponent) factors by atom id, kept;
+    a step skips the zero digits below the lowest set bit."""
+
+    def __missing__(self, m: int) -> tuple:
+        factors = []
+        a, rest = 0, m
+        while rest:
+            skip = ((rest & -rest).bit_length() - 1) >> 4
+            a += skip
+            rest >>= skip << 4
+            k = ((rest + 0x8000) & 0xFFFF) - 0x8000
+            factors.append(_PAIRS.setdefault((a, k), (a, k)))
+            rest = (rest - k) >> 16
+            a += 1
+        factors = self[m] = tuple(factors)
+        return factors
+
+
+_FACTORS = _FactorTable()
+_PAIRS: dict = {}  # (atom id, exponent) -> that pair, one tuple each
 
 
 def _intern(atom) -> int:
@@ -137,8 +178,12 @@ def _intern(atom) -> int:
             if atom.__class__ is JetCoord:
                 order = len(atom.J)
         a = len(_ATOMS)
+        rank = bisect(_SORTED_KEYS, key)
+        _SORTED_KEYS.insert(rank, key)
+        _ATOM_RANKS[:] = [r + (r >= rank) for r in _ATOM_RANKS] + [rank]
         _ATOMS.append(atom)
-        _ATOM_VALUES.append(Expr({((a, 1),): 1}))
+        _UNIT.append(1 << (16 * a))
+        _ATOM_VALUES.append(Expr({_UNIT[a]: 1}, 1))
         _ATOM_KEYS.append(key)
         _ATOM_COORDS.append(inside)
         _ATOM_ORDERS.append(order)
@@ -168,22 +213,29 @@ def _rational(value):
     return c.numerator if c.denominator == 1 else c
 
 
-def _collect(acc: dict) -> Expr:
-    """The value of accumulated coefficients: zeros drop and integral
-    Fractions become ints."""
+def _collect(acc: dict, bound: int) -> Expr:
+    """The value of accumulated coefficients with exponent bound `bound`:
+    zeros drop and integral Fractions become ints."""
     return Expr(
         {
             m: c if c.__class__ is int or c.denominator != 1 else c.numerator
             for m, c in acc.items()
             if c
-        }
+        },
+        bound,
     )
+
+
+def _checked(bound: int) -> int:
+    if bound >= EXPONENT_LIMIT:
+        raise ExpansionBudget(f"an exponent could reach {bound}, past the kernel's limit")
+    return bound
 
 
 def num(value) -> Expr:
     """Exact rational constant."""
     c = _rational(value)
-    return Expr({(): c}) if c else ZERO
+    return Expr({0: c}, 0) if c else ZERO
 
 
 def sym(coord: Coord) -> Expr:
@@ -219,56 +271,29 @@ def exp(e: Expr) -> Expr:
 # --- arithmetic ----------------------------------------------------------------
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two monomials: exponents of equal atoms add."""
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        # one factor, the shape of every derivative leaf: insert it in place
-        ((atom, k),) = b
-        for i, (x, e) in enumerate(a):
-            if x == atom:
-                e += k
-                return a[:i] + ((x, e),) + a[i + 1 :] if e else a[:i] + a[i + 1 :]
-            if x > atom:
-                return a[:i] + b + a[i:]
-        return a + b
-    powers = dict(a)
-    for atom, k in b:
-        k += powers.get(atom, 0)
-        if k:
-            powers[atom] = k
-        else:
-            del powers[atom]
-    return tuple(sorted(powers.items()))
-
-
 def _mul2(a: Expr, b: Expr) -> Expr:
     at, bt = a.terms, b.terms
     if len(at) < len(bt):
         a, b, at, bt = b, a, bt, at
     if not bt:
         return ZERO
+    bound = _checked(a._bound + b._bound)
     if len(bt) == 1:
         # multiplying by one term maps distinct monomials to distinct ones
         ((mb, cb),) = bt.items()
         if not mb:
             if cb == 1:
                 return a
-            return _collect({m: c * cb for m, c in at.items()})
-        return _collect({_mono_mul(m, mb): c * cb for m, c in at.items()})
+            return _collect({m: c * cb for m, c in at.items()}, bound)
+        return _collect({m + mb: c * cb for m, c in at.items()}, bound)
     acc: dict = {}
     get = acc.get
     for mb, cb in bt.items():
         for ma, ca in at.items():
-            m = _mono_mul(ma, mb)
+            m = ma + mb
             prev = get(m)
             acc[m] = ca * cb if prev is None else prev + ca * cb
-    return _collect(acc)
+    return _collect(acc, bound)
 
 
 def add(*args) -> Expr:
@@ -282,7 +307,7 @@ def add(*args) -> Expr:
         for m, c in a.terms.items():
             prev = get(m)
             acc[m] = c if prev is None else prev + c
-    return _collect(acc)
+    return _collect(acc, max([a._bound for a in nonzero]))
 
 
 def mul(*args) -> Expr:
@@ -298,7 +323,7 @@ def mul(*args) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return Expr({m: -c for m, c in e.terms.items()})
+    return Expr({m: -c for m, c in e.terms.items()}, e._bound)
 
 
 def pow_(base: Expr, k: int) -> Expr:
@@ -310,13 +335,14 @@ def pow_(base: Expr, k: int) -> Expr:
         return ONE
     if k == 1:
         return base
+    bound = _checked(abs(k) * base._bound)
     terms = base.terms
     if len(terms) == 1:
         ((m, c),) = terms.items()
         c = Fraction(c) ** k if k < 0 else c**k
         if c.__class__ is Fraction and c.denominator == 1:
             c = c.numerator
-        return Expr({tuple((a, e * k) for a, e in m): c})
+        return Expr({m * k: c}, bound)
     if not terms:
         if k < 0:
             raise DivisionByZero("division by zero")
@@ -339,17 +365,17 @@ def is_zero(e: Expr) -> bool:
 
 
 def is_constant(e: Expr) -> bool:
-    return not e.terms or (len(e.terms) == 1 and () in e.terms)
+    return not e.terms or (len(e.terms) == 1 and 0 in e.terms)
 
 
 def has_functions(e: Expr) -> bool:
     """True iff a sin/cos/exp atom occurs."""
-    return any(_ATOMS[a].__class__ is tuple for m in e.terms for a, _ in m)
+    return any(_ATOMS[a].__class__ is tuple for m in e.terms for a, _ in _FACTORS[m])
 
 
 def coords_in(e: Expr) -> set:
     """All coordinates occurring, also inside functions."""
-    atoms = {a for m in e.terms for a, _ in m}
+    atoms = {a for m in e.terms for a, _ in _FACTORS[m]}
     return set().union(*(_ATOM_COORDS[a] for a in atoms))
 
 
@@ -365,13 +391,13 @@ def _rows(e: Expr) -> tuple:
     (atom id, exponent) in coordinate order; cached on e."""
     rows = e._rows
     if rows is None:
-        keys = _ATOM_KEYS
+        ranks = _ATOM_RANKS
         keyed = []
         for m, c in e.terms.items():
-            factors = tuple(sorted(m, key=lambda f: keys[f[0]]))
+            factors = tuple(sorted(_FACTORS[m], key=lambda f: ranks[f[0]]))
             if factors:
                 grade = sum(k for _, k in factors)
-                key = (0, -grade, tuple((keys[a], -k) for a, k in factors))
+                key = (0, -grade, tuple((ranks[a], -k) for a, k in factors))
             else:
                 key = (1,)
             keyed.append((key, c, factors))
@@ -413,58 +439,69 @@ def _tree_key(e: Expr) -> tuple:
 # --- calculus ------------------------------------------------------------------
 
 
-def derive(e: Expr, leaf, accs: dict = None, scale=1) -> dict:
+def derive(e: Expr, leaf, accs: dict = None, scale=1):
     """The chain rule, shared by every derivative: leaf(a) gives the
-    derivative of the coordinate atom with id a as (slot, terms) pairs, and
-    sin/cos/exp atoms differentiate through their argument.  One pass over
-    the terms adds scale times the result per slot into accs, slot -> term
-    dict, which the caller owns and collects; without accs, returns slot ->
-    nonzero Expr.  If a leaf raises, the dicts are left half filled."""
+    derivative of the coordinate atom with id a as (slot, pairs) pairs, each
+    (dm, dc) a term dc * dm, dm a constant or another atom packed minus a's
+    own unit, so that a^k in monomial m adds k * c * dc at m + dm; sin/cos/
+    exp atoms differentiate through their argument.  One pass over the
+    terms adds scale times the result per slot into accs, slot -> term
+    dict, which the caller owns and collects, and returns the exponent
+    bound of what it added; without accs, returns slot -> nonzero Expr.  If
+    a leaf raises, the dicts are left half filled."""
     if accs is None:
-        accs = derive(e, leaf, {}, scale)
-        return {slot: v for slot, acc in accs.items() if (v := _collect(acc)).terms}
+        accs = {}
+        bound = derive(e, leaf, accs, scale)
+        return {slot: v for slot, acc in accs.items() if (v := _collect(acc, bound)).terms}
+    bound = _checked(e._bound + 1)  # one exponent down, another atom's up
     memo: dict = {}
+    factors = _FACTORS
     terms = e.terms.items() if scale == 1 else [(m, c * scale) for m, c in e.terms.items()]
     for m, c in terms:
-        for i, (a, k) in enumerate(m):
+        for a, k in factors[m]:
             d = memo.get(a)
             if d is None:
                 if _ATOMS[a].__class__ is tuple:
-                    d = memo[a] = _derive_function(a, leaf)
+                    d, chain = _derive_function(a, leaf)
+                    bound = _checked(max(bound, e._bound + 1 + chain))
                 else:
-                    d = memo[a] = leaf(a)
+                    d = leaf(a)
+                memo[a] = d
             if not d:
                 continue
-            rest = m[:i] + m[i + 1 :] if k == 1 else m[:i] + ((a, k - 1),) + m[i + 1 :]
             ck = c if k == 1 else c * k
-            for slot, dt in d:
+            for slot, pairs in d:
                 acc = accs.get(slot)
                 if acc is None:
                     acc = accs[slot] = {}
-                for dm, dc in dt.items():
-                    key = _mono_mul(rest, dm)
+                for dm, dc in pairs:
+                    key = m + dm
                     term = ck if dc == 1 else ck * dc
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
-    return accs
+    return bound
 
 
 def _derive_function(a: int, leaf) -> tuple:
+    """The leaf pairs of sin/cos/exp atom a by the chain rule, and the
+    exponent bound of their terms."""
     name, arg = _ATOMS[a]
     dargs = derive(arg, leaf)
     if not dargs:
-        return ()
+        return (), 0
     if name == "sin":
         outer = func("cos", arg)
     elif name == "cos":
         outer = neg(func("sin", arg))
     else:
         outer = _ATOM_VALUES[a]
-    return tuple((slot, _mul2(outer, darg).terms) for slot, darg in dargs.items())
+    chains = [(slot, _mul2(outer, darg)) for slot, darg in dargs.items()]
+    u, bound = _UNIT[a], max(p._bound for _, p in chains)
+    return [(slot, [(dm - u, dc) for dm, dc in p.terms.items()]) for slot, p in chains], bound
 
 
 def _gradient_leaf(a: int) -> tuple:
-    return ((a, ONE.terms),)
+    return ((a, ((-_UNIT[a], 1),)),)
 
 
 def gradient(e: Expr) -> dict:
@@ -479,7 +516,7 @@ def partial(e: Expr, c: Coord) -> Expr:
     target = _ATOM_ID.get(c)
     if target is None:  # never interned, so e cannot contain it
         return ZERO
-    hit = ((None, ONE.terms),)
+    hit = ((None, ((-_UNIT[target], 1),)),)
     return derive(e, lambda a: hit if a == target else ()).get(None, ZERO)
 
 
@@ -497,9 +534,10 @@ def lift(a: int, i: int, ceiling: int) -> tuple:
     if pairs is None:
         atom = _ATOMS[a]
         if atom.__class__ is JetCoord:
-            pairs = ((None, sym(JetCoord(atom.sigma, index_with(atom.J, i))).terms),)
+            up = _intern(JetCoord(atom.sigma, index_with(atom.J, i)))
+            pairs = ((None, ((_UNIT[up] - _UNIT[a], 1),)),)
         elif atom.__class__ is BaseCoord and atom.i == i:
-            pairs = ((None, ONE.terms),)
+            pairs = ((None, ((-_UNIT[a], 1),)),)
         else:
             pairs = ()
         _LIFTS[(a, i)] = pairs
@@ -514,19 +552,19 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     powers: dict = {}  # (atom id, exponent) -> image to that power
     pieces = []
     for m, c in e.terms.items():
-        kept = []
+        kept = 0  # the packed factors left as they are
         term = None
-        for a, k in m:
+        for a, k in _FACTORS[m]:
             if a not in images:
                 images[a] = _substitute_atom(a, bindings)
             if images[a] is None:
-                kept.append((a, k))
+                kept += k * _UNIT[a]
                 continue
             power = powers.get((a, k))
             if power is None:
                 power = powers[(a, k)] = pow_(images[a], k)
             term = power if term is None else _mul2(term, power)
-        own = Expr({tuple(kept): c})
+        own = Expr({kept: c}, e._bound)
         pieces.append(own if term is None else _mul2(own, term))
     return add(*pieces)
 
@@ -550,7 +588,7 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
     acc: dict = {}
     for m, c in e.terms.items():
         degree = 0
-        for a, k in m:
+        for a, k in _FACTORS[m]:
             atom = _ATOMS[a]
             if atom.__class__ is JetCoord:
                 degree += k
@@ -565,7 +603,7 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
             p = degree + 1
             w = weights[degree] = (hi**p - lo**p) / p
         acc[m] = c * w
-    return _collect(acc)
+    return _collect(acc, e._bound)
 
 
 # --- numeric evaluation --------------------------------------------------------

@@ -12,8 +12,8 @@ from .expr import ZERO, Expr, _collect, coords_in, derive, gradient, is_zero, li
 def total_derivative(e: Expr, i: int, ctx: JetContext, into: dict = None, scale=1):
     """Total derivative in the i-th base direction: differentiates x^i to 1,
     lifts every jet coordinate one level (y^s_J to y^s_{Ji}).  With `into`,
-    the term dict of `add_total_derivatives`, adds scale * d_i e into it
-    and returns it, building no Expr.
+    the term dict of `add_total_derivatives`, adds scale * d_i e into it,
+    building no Expr, and returns the exponent bound of what it added.
 
     Raises OrderOverflow when a lifted coordinate would exceed the context
     ceiling, max(12, 2 * ctx.order): no operator needs more, so the ceiling
@@ -23,19 +23,20 @@ def total_derivative(e: Expr, i: int, ctx: JetContext, into: dict = None, scale=
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     ceiling = ctx.ceiling
-    accs = None if into is None else {None: into}
-    return derive(e, lambda a: lift(a, i, ceiling), accs, scale).get(None, ZERO)
+    if into is not None:
+        return derive(e, lambda a: lift(a, i, ceiling), {None: into}, scale)
+    return derive(e, lambda a: lift(a, i, ceiling), None, scale).get(None, ZERO)
 
 
 def add_total_derivatives(head: Expr, parts, ctx: JetContext) -> Expr:
     """head + sum of scale * d_i e over the (e, i, scale) triples of parts:
     every derivative is added into one term dict, collected once; with no
     parts, head itself.  Errors propagate as from total_derivative."""
-    acc = None
+    acc, bound = None, head._bound
     for e, i, scale in parts:
         acc = dict(head.terms) if acc is None else acc
-        total_derivative(e, i, ctx, into=acc, scale=scale)
-    return head if acc is None else _collect(acc)
+        bound = max(bound, total_derivative(e, i, ctx, into=acc, scale=scale))
+    return head if acc is None else _collect(acc, bound)
 
 
 def jet_partials(e: Expr) -> defaultdict:

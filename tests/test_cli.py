@@ -416,6 +416,8 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
         # coefficients computed past the digit limit, met when rendering
         ("2^99999*u_{1}^2", "ExpansionBudget", None),
         ("(10^4299*u_{1})^2", "ExpansionBudget", None),
+        # an exponent past the kernel's limit, met when parsing
+        ("u^40000", "ExpansionBudget", None),
     ],
     ids=[
         "percent",
@@ -425,6 +427,7 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
         "long-literal",
         "long-power",
         "long-square",
+        "huge-exponent",
     ],
 )
 def test_crashing_expressions_exit_2(tmp_path, capsys, expr, error, span):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from jetvar import (
+    ExpansionBudget,
     JetContext,
     NonPolynomialDivision,
     NonPolynomialParameter,
@@ -14,8 +15,10 @@ from jetvar import (
     parse_expr,
     render_expr,
 )
+from jetvar import expr
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import (
+    EXPONENT_LIMIT,
     ZERO,
     add,
     coords_in,
@@ -243,3 +246,36 @@ def test_negative_powers_evaluate():
     assert evaluate(e, {U: 2}) == pytest.approx(0.25)
     d = partial(e, U)
     assert d == mul(num(-2), pow_(u, -3))
+
+
+def test_exponents_past_the_limit_exceed_the_budget():
+    # a packed monomial holds exponents below 2^15; a product, power or
+    # derivative that could reach it raises before building anything
+    u = sym(U)
+    top = pow_(u, EXPONENT_LIMIT - 1)
+    assert ordered_terms(top) == [(1, ((U, EXPONENT_LIMIT - 1),))]
+    assert ordered_terms(pow_(u, 1 - EXPONENT_LIMIT)) == [(1, ((U, 1 - EXPONENT_LIMIT),))]
+    with pytest.raises(ExpansionBudget):
+        mul(pow_(u, 20000), pow_(u, 20000))
+    with pytest.raises(ExpansionBudget):
+        pow_(add(u, sym(X)), EXPONENT_LIMIT)
+    with pytest.raises(ExpansionBudget):
+        partial(top, U)
+    # the bound is kept even where the product's exponents cancel
+    with pytest.raises(ExpansionBudget):
+        mul(pow_(u, 20000), pow_(u, -20000))
+
+
+def test_atom_ranks_follow_the_canonical_keys():
+    # after the corpus's atoms and nested sin/cos/exp atoms, the rank of
+    # every atom interned so far sorts the atoms as their keys do
+    rng = random.Random(73)
+    ctx = JetContext(n=2, m=2, order=2)
+    for _ in range(40):
+        e = random_mixed(rng, ctx)
+        for wrap in (sin, cos, exp):
+            e = add(wrap(e), random_mixed(rng, ctx))
+    ids = range(len(expr._ATOMS))
+    assert sorted(expr._ATOM_RANKS) == list(ids)
+    by_key = sorted(ids, key=expr._ATOM_KEYS.__getitem__)
+    assert by_key == sorted(ids, key=expr._ATOM_RANKS.__getitem__)

@@ -175,13 +175,17 @@ def test_adding_a_total_derivative_into_a_dict_equals_adding_it():
             i = rng.randint(1, n)
             d = total_derivative(e, i, ctx)
             for c in (1, -1, Fraction(2, 3)):
+                # adding returns the exponent bound that returning carries
                 into = dict(a.terms)
-                assert total_derivative(e, i, ctx, into=into, scale=c) is into
-                assert _collect(into) == add(a, mul(num(c), d))
+                bound = total_derivative(e, i, ctx, into=into, scale=c)
+                assert bound == d._bound
+                assert _collect(into, bound) == add(a, mul(num(c), d))
                 # a target that cancels the sum collects to zero
                 into = dict(mul(num(-c), d).terms)
-                assert _collect(total_derivative(e, i, ctx, into=into, scale=c)) == ZERO
-            assert _collect(total_derivative(e, i, ctx, into={})) == d
+                bound = total_derivative(e, i, ctx, into=into, scale=c)
+                assert _collect(into, bound) == ZERO
+            into = {}
+            assert _collect(into, total_derivative(e, i, ctx, into=into)) == d
 
 
 def test_adding_into_a_dict_raises_as_returning_does():
@@ -229,8 +233,9 @@ def test_add_total_derivatives_equals_summing_them():
 
 def test_only_expr_and_jets_handle_term_dicts():
     # the term-dict format stays in the kernel: only expr and jets name
-    # _collect, and only jets passes a dict to total_derivative to add into
-    naming, adding = set(), set()
+    # _collect, only jets passes a dict to total_derivative to add into,
+    # and only expr names the tables that pack and unpack monomials
+    naming, adding, packing = set(), set(), set()
     for path in sorted(Path(jets.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = {
@@ -238,12 +243,15 @@ def test_only_expr_and_jets_handle_term_dicts():
             }
             if "_collect" in names:
                 naming.add(path.name)
+            if names & {"_FACTORS", "_UNIT"}:
+                packing.add(path.name)
             if isinstance(node, ast.Call) and any(k.arg == "into" for k in node.keywords):
                 func = node.func
                 if getattr(func, "id", getattr(func, "attr", None)) == "total_derivative":
                     adding.add(path.name)
     assert naming == {"expr.py", "jets.py"}
     assert adding == {"jets.py"}
+    assert packing == {"expr.py"}
 
 
 def test_iterated_total_derivative_is_composition():
@@ -354,7 +362,9 @@ def test_a_prolonged_jet_is_collected_once(monkeypatch):
     calls = []
     real = expr._collect
     for module in (expr, jets):
-        monkeypatch.setattr(module, "_collect", lambda acc: calls.append(1) or real(acc))
+        monkeypatch.setattr(
+            module, "_collect", lambda acc, bound: calls.append(1) or real(acc, bound)
+        )
     x, y = sym(X1), sym(X2)
     u, v = sym(U), sym(JetCoord(2))
     ctx = JetContext(n=2, m=2, order=1)

@@ -21,7 +21,18 @@ from jetvar import (  # noqa: E402
     total_derivative,
 )
 from jetvar.coords import BaseCoord, JetCoord, index_with  # noqa: E402
-from jetvar.expr import add, coords_in, mul, ordered_terms, partial, pow_  # noqa: E402
+from jetvar.expr import (  # noqa: E402
+    add,
+    atom_id,
+    coords_in,
+    mul,
+    num,
+    ordered_terms,
+    partial,
+    pow_,
+    sin,
+    sym,
+)
 
 from corpus import coordinate_atoms, random_laurent, random_polynomial  # noqa: E402
 
@@ -92,6 +103,37 @@ def test_total_derivative_matches_sympy_chain_rule(seed):
                 lifted = oracle_symbol(JetCoord(c.sigma, index_with(c.J, i)))
                 want += lifted * sympy.diff(se, oracle_symbol(c))
         assert same(total_derivative(e, i, CTX), want)
+
+
+def test_wide_keys_and_large_exponents_match_sympy():
+    # 150 more coordinates first, so that the atoms below sit past bit 2400
+    # of a packed monomial; exponents near +-2^14 fill their digits next to
+    # small ones, and y^K * y^-K cancels in the product
+    ctx = JetContext(n=1, m=9, order=2)
+    for k in range(150):
+        sym(JetCoord(8, (1,) * k))
+    x = BaseCoord(1)
+    ys = [JetCoord(9, (1,) * k) for k in range(4)]
+    y, y1, y2 = (sym(c) for c in ys[:3])
+    assert min(atom_id(c) for c in ys) >= 150
+    K = 2**14 - 8
+    a = add(
+        mul(num(3), pow_(y, K)),
+        mul(pow_(sym(x), -2), y1),
+        mul(sin(y1), y2),
+    )
+    b = add(mul(pow_(y, -K), y2), mul(num(Fraction(-1, 2)), sym(x)))
+    sa, sb = to_sympy(a), to_sympy(b)
+    product = mul(a, b)
+    want = sympy.expand(sa * sb)
+    assert same(product, want)
+    assert same(pow_(mul(pow_(y, K // 4), y2), -4), to_sympy(y) ** -K * to_sympy(y2) ** -4)
+    for c in (x,) + tuple(ys[:3]):
+        assert same(partial(product, c), sympy.diff(want, oracle_symbol(c)))
+    lifted = sympy.diff(want, oracle_symbol(x)) + sum(
+        oracle_symbol(up) * sympy.diff(want, oracle_symbol(c)) for c, up in zip(ys, ys[1:])
+    )
+    assert same(total_derivative(product, 1, ctx), lifted)
 
 
 @pytest.mark.parametrize("seed", range(CASES))
