@@ -20,6 +20,11 @@ spelled as quotients, `1/2`.  In form mode the additional atoms `dx1`, `du`,
 `du_{1,2}` denote basis one-forms (`d` followed by a declared name), `^`
 between forms is the wedge product, and `*` scales a form by a scalar.
 
+The tokenizer lexes an IDENT and a well-formed jet-index after it as one
+JET token, spaces allowed wherever they may stand between tokens, and the
+parser reads the indices from that token; it walks the tokens of a
+malformed jet-index only to report its first error.
+
 Rendering produces strings that re-parse to the same canonical value.
 """
 
@@ -38,6 +43,7 @@ from .expr import (
     add,
     func,
     is_constant,
+    jet,
     max_jet_order,
     mul,
     neg,
@@ -71,37 +77,47 @@ class ParsedExpr:
 
 # --- tokenizer ----------------------------------------------------------------
 
-# after spaces: a number, a run of letters and digits, an operator, or any
-# other character; `[0-9]` because `\d` and str.isdigit also take digits
-# int() rejects, such as ²
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W_]+)|([-+*/^(){},_])|(\S))")
-_KINDS = (None, "NUM", "IDENT", "OP")
+# after spaces: a number; a run of letters and digits, with the body of a
+# well-formed jet index when one follows (spaces allowed between its parts,
+# as between tokens); an operator; or any other character.  `[0-9]` because
+# `\d` and str.isdigit also take digits int() rejects, such as ²
+_TOKEN = re.compile(
+    r"\s*(?:([0-9]+)|([^\W_]+)(?:\s*_\s*\{(\s*[0-9]+(?:\s*,\s*[0-9]+)*\s*)\})?"
+    r"|([-+*/^(){},_])|(\S))"
+)
+_KINDS = (None, "NUM", "IDENT", "JET", "OP")
 
 
 def tokenize(source: str) -> list:
-    """The tokens of source as (kind, text, start, end), kind NUM, IDENT or
-    OP, closed by an END token whose text is 'end of input'; a name starts
-    with a letter."""
+    """The tokens of source as (kind, text, start, end, index), kind NUM,
+    IDENT, JET or OP, closed by an END token whose text is 'end of input'.
+    A name starts with a letter.  A name followed by a well-formed jet index
+    is one JET token: its text and span are the name's, and index is its
+    regex match, whose group 3 is the body of the index; index is None on
+    every other token."""
     tokens = []
     for match in _TOKEN.finditer(source):
         kind = match.lastindex
-        start, end = match.span(kind)
-        if kind == 4 or kind == 2 and not source[start].isalpha():
+        start, end = match.span(2 if kind == 3 else kind)
+        if kind == 5 or 1 < kind < 4 and not source[start].isalpha():
             raise DslSyntaxError(f"unexpected character {source[start]!r}", (start, start + 1))
-        tokens.append((_KINDS[kind], match[kind], start, end))
-    tokens.append(("END", "end of input", len(source), len(source)))
+        if kind == 3:
+            tokens.append(("JET", match[2], start, end, match))
+        else:
+            tokens.append((_KINDS[kind], match[kind], start, end, None))
+    tokens.append(("END", "end of input", len(source), len(source), None))
     return tokens
 
 
 def _integer(tok: tuple) -> int:
     """The value of a NUM token; a literal past the interpreter's limit on
     digits converted to int is a syntax error at the token."""
-    _, text, start, end = tok
+    text = tok[1]
     try:
         return int(text)
     except ValueError:
         raise DslSyntaxError(
-            f"integer literal of {len(text)} digits is too long", (start, end)
+            f"integer literal of {len(text)} digits is too long", tok[2:4]
         ) from None
 
 
@@ -139,23 +155,25 @@ class _Parser:
     def expect(self, text: str) -> tuple:
         tok = self.accept(text)
         if tok is None:
-            _, found, start, end = self.tokens[self.pos]
-            raise DslSyntaxError(
-                f"expected {text!r}, found {found!r}", (start, end)
-            )
+            self.fail(text)
         return tok
+
+    def fail(self, text: str):
+        """Raise: text was expected where the next token is."""
+        tok = self.tokens[self.pos]
+        raise DslSyntaxError(f"expected {text!r}, found {tok[1]!r}", tok[2:4])
 
     def enter(self, tok: tuple) -> None:
         """One more level of nesting opens at tok."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2:])
+            raise DslSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2:4])
 
     def parse(self):
         value = self.sum()
-        kind, text, start, end = self.tokens[self.pos]
-        if kind != "END":
-            raise DslSyntaxError(f"unexpected trailing input {text!r}", (start, end))
+        tok = self.tokens[self.pos]
+        if tok[0] != "END":
+            raise DslSyntaxError(f"unexpected trailing input {tok[1]!r}", tok[2:4])
         return value
 
     def sum(self):
@@ -167,7 +185,7 @@ class _Parser:
         while op := self.accept("+-"):
             term = self.product()
             if isinstance(term, DiffForm) != is_form:
-                raise DslSyntaxError("cannot add a scalar and a form", op[2:])
+                raise DslSyntaxError("cannot add a scalar and a form", op[2:4])
             if op[1] == "-":
                 term = _negate(term)
             if is_form:
@@ -187,9 +205,9 @@ class _Parser:
             if not isinstance(factor, DiffForm):
                 factors.append(factor if op[1] == "*" else pow_(factor, -1))
             elif op[1] == "/":
-                raise DslSyntaxError("cannot divide by a form", op[2:])
+                raise DslSyntaxError("cannot divide by a form", op[2:4])
             elif form is not None:
-                raise DslSyntaxError("use ^ to combine two forms", op[2:])
+                raise DslSyntaxError("use ^ to combine two forms", op[2:4])
             else:
                 form = factor
         if not factors:
@@ -206,7 +224,7 @@ class _Parser:
             if isinstance(value, DiffForm) or isinstance(right, DiffForm):
                 value = wedge(_as_form(self.ctx, value), _as_form(self.ctx, right))
             elif not is_constant(right) or right.value.denominator != 1:
-                raise DslSyntaxError("exponent must be an integer", op[2:])
+                raise DslSyntaxError("exponent must be an integer", op[2:4])
             else:
                 value = pow_(value, int(right.value))
         return value
@@ -224,10 +242,13 @@ class _Parser:
     def primary(self):
         """primary := INTEGER | FUNC '(' sum ')' | '(' sum ')' | identifier"""
         tok = self.accept()
-        kind, text, start, end = tok
+        kind, text, start, end, index = tok
         if kind == "NUM":
             return num(_integer(tok))
         if text == "(" or text in FUNCTIONS:
+            if index:  # the '(' is due where the index opens
+                underscore = index.string.index("_", end)
+                raise DslSyntaxError("expected '(', found '_'", (underscore, underscore + 1))
             if text != "(":
                 self.expect("(")
             self.enter(tok)
@@ -239,22 +260,21 @@ class _Parser:
             if isinstance(inner, DiffForm):
                 raise DslSyntaxError(f"{text} takes a scalar argument", (start, end))
             return func(text, inner)
-        if kind == "IDENT":
+        if kind == "IDENT" or kind == "JET":
             return self.identifier(tok)
         raise DslSyntaxError(f"unexpected {text!r}", (start, end))
 
     def identifier(self, tok: tuple):
         """A declared name, or in form mode `d` before one: a basis one-form."""
-        _, name, start, end = tok
+        _, name, start, end, index = tok
         ctx = self.ctx
         span = (start, end)
         if name in ctx.base_names:
-            if self.accept("_"):
+            if index or self.accept("_"):
                 raise DslSyntaxError(f"base variable {name!r} carries no jet index", span)
             return sym(BaseCoord(ctx.base_names.index(name) + 1))
         if name in ctx.fiber_names:
-            sigma = ctx.fiber_names.index(name) + 1
-            return sym(JetCoord(sigma, self._jet_index(span)))
+            return jet(ctx.fiber_names.index(name) + 1, self._jet_index(tok))
         rest = name[1:]
         if name.startswith("d") and rest:
             if not self.allow_forms:
@@ -262,7 +282,7 @@ class _Parser:
                     f"differential {name!r} is not a scalar expression", span
                 )
             if rest in ctx.base_names:
-                if self.accept("_"):
+                if index or self.accept("_"):
                     raise DslSyntaxError(
                         f"base differential {name!r} carries no jet index", span
                     )
@@ -270,43 +290,54 @@ class _Parser:
                 return DiffForm(ctx, 0, 1, {(DX(i),): ONE})
             if rest in ctx.fiber_names:
                 sigma = ctx.fiber_names.index(rest) + 1
-                J = self._jet_index(span)
+                J = self._jet_index(tok)
                 return DiffForm(ctx, len(J), 1, {(DY(sigma, J),): ONE})
         raise UnknownIdentifier(f"unknown identifier {name!r}", span)
 
-    def _jet_index(self, name_span: tuple) -> tuple:
-        """jet-index, if one follows: its indices, sorted."""
-        if not self.accept("_"):
+    def _jet_index(self, tok: tuple) -> tuple:
+        """The indices of the jet index of a fiber name's token, sorted; ()
+        for a name without one."""
+        index = tok[4]
+        if index is None:
+            if self.accept("_"):
+                self._malformed_index()
             return ()
+        try:
+            given = tuple(map(int, index[3].split(",")))
+        except ValueError:  # a run of digits too long to convert
+            given = (0,)
+        J = tuple(sorted(given))
+        if J[0] < 1 or J[-1] > self.ctx.n:  # raise at the first bad index
+            for match in _TOKEN.finditer(index.string, index.start(3), index.end(3)):
+                if match.lastindex == 1:
+                    self._check_index(("NUM", match[1], *match.span(1), None))
+        if len(J) > self.ctx.order:
+            raise OrderExceeded(
+                f"jet index of length {len(J)} exceeds declared order {self.ctx.order}",
+                (tok[2], index.end()),
+            )
+        if J != given:
+            warnings.warn(f"jet index {given} normalized to {J}", stacklevel=3)
+        return J
+
+    def _malformed_index(self):
+        """Raise the first error, from the left, of the jet index after a
+        name token: a well-formed one lexes with its name as a JET token."""
         self.expect("{")
-        indices = []
         while True:
             tok = self.accept()
-            kind, text, start, end = tok
-            if kind != "NUM":
-                raise DslSyntaxError(
-                    f"expected a base index, found {text!r}",
-                    (start, end),
-                )
-            value = _integer(tok)
-            if not 1 <= value <= self.ctx.n:
-                raise UnknownIdentifier(
-                    f"no base direction {value} (n = {self.ctx.n})", (start, end)
-                )
-            indices.append(value)
+            if tok[0] != "NUM":
+                raise DslSyntaxError(f"expected a base index, found {tok[1]!r}", tok[2:4])
+            self._check_index(tok)
             if not self.accept(","):
                 break
-        close = self.expect("}")
-        if len(indices) > self.ctx.order:
-            raise OrderExceeded(
-                f"jet index of length {len(indices)} exceeds declared order "
-                f"{self.ctx.order}",
-                (name_span[0], close[3]),
-            )
-        J = tuple(sorted(indices))
-        if J != tuple(indices):
-            warnings.warn(f"jet index {tuple(indices)} normalized to {J}", stacklevel=3)
-        return J
+        self.fail("}")
+
+    def _check_index(self, tok: tuple) -> None:
+        """Raise unless a NUM token in a jet index names a base direction."""
+        value = _integer(tok)
+        if not 1 <= value <= self.ctx.n:
+            raise UnknownIdentifier(f"no base direction {value} (n = {self.ctx.n})", tok[2:4])
 
 
 def parse_expr(source: str, ctx: JetContext) -> ParsedExpr:

@@ -28,7 +28,12 @@ class NonPolynomialDivision(JetvarError):
 
 
 class DivisionByZero(JetvarError):
-    """Division by the zero constant, or evaluation at a pole."""
+    """Division by the zero constant, or evaluation at a pole: then `pole`
+    is the atom, as a kernel value, and the exponent whose power has it."""
+
+    def __init__(self, message: str, pole: tuple | None = None):
+        super().__init__(message)
+        self.pole = pole
 
 
 class NumericOverflow(JetvarError):

@@ -19,7 +19,10 @@ whose bound would reach EXPONENT_LIMIT raises ExpansionBudget instead.
 
 Products distribute on construction, so structural equality decides
 equality of the functions denoted on the (Laurent-)polynomial fragment;
-sin/cos/exp atoms are opaque and compare syntactically.
+sin/cos/exp atoms are opaque and compare syntactically.  A product of
+single terms is built as one value, and `jet(sigma, J)` finds the value of
+a jet coordinate by its indices, so a parsed monomial costs one value per
+factor and one for the product.
 
 All differentiation goes through one chain-rule walker, `derive`.  For a
 coordinate atom, `leaf(atom id)` returns (slot, pairs) pairs, the
@@ -77,6 +80,10 @@ _FUNC_INDEX = {name: k for k, name in enumerate(FUNCTIONS)}
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 # an operation whose exponent bound would reach this raises ExpansionBudget
 EXPONENT_LIMIT = 1 << 15
+# so does a power whose numerator or denominator could pass this many bits:
+# |k| times the bits of the coefficient's, at most twice what the power has,
+# so a refused power has over 2^15 bits, past the renderer's 4300 digits
+COEFFICIENT_BITS = 1 << 16
 
 
 class Expr:
@@ -137,6 +144,8 @@ _ATOM_RANKS: list = []  # id -> position of its key in _SORTED_KEYS
 _SORTED_KEYS: list = []  # the sort keys of all atoms, ascending
 _ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
 _ATOM_ORDERS: list = []  # id -> jet order of a jet coordinate, -1 otherwise
+# (sigma, J sorted) -> the Expr of that jet coordinate, one per interned atom
+_JET_VALUES: dict = {}
 # (atom id, i) -> d_i of that coordinate as derive leaf pairs
 _LIFTS: dict = {}
 
@@ -242,6 +251,15 @@ def sym(coord: Coord) -> Expr:
     return _ATOM_VALUES[_intern(coord)]
 
 
+def jet(sigma: int, J: tuple) -> Expr:
+    """The value of the jet coordinate y^sigma_J, J sorted; a repeat builds
+    and hashes no JetCoord."""
+    value = _JET_VALUES.get((sigma, J))
+    if value is None:
+        value = _JET_VALUES[(sigma, J)] = sym(JetCoord(sigma, J))
+    return value
+
+
 def as_expr(value) -> Expr:
     if value.__class__ is Expr:
         return value
@@ -311,9 +329,20 @@ def add(*args) -> Expr:
 
 
 def mul(*args) -> Expr:
-    """Product, distributed over sums so that values stay expanded."""
+    """Product, distributed over sums so that values stay expanded; a
+    product of single terms is built as one value."""
     if len(args) == 2:
         return _mul2(args[0], args[1])
+    m, c, bound = 0, 1, 0
+    for a in args:
+        if len(a.terms) != 1:
+            break
+        ((ma, ca),) = a.terms.items()
+        m, c, bound = m + ma, c * ca, bound + a._bound
+    else:
+        if c.__class__ is Fraction and c.denominator == 1:
+            c = c.numerator
+        return Expr({m: c}, _checked(bound))
     result = ONE
     for a in sorted(args, key=lambda a: len(a.terms)):
         result = _mul2(result, a)
@@ -339,6 +368,8 @@ def pow_(base: Expr, k: int) -> Expr:
     terms = base.terms
     if len(terms) == 1:
         ((m, c),) = terms.items()
+        if abs(k) * max(c.numerator.bit_length(), c.denominator.bit_length()) > COEFFICIENT_BITS:
+            raise ExpansionBudget(f"a coefficient to the power {k} could pass {COEFFICIENT_BITS} bits")
         c = Fraction(c) ** k if k < 0 else c**k
         if c.__class__ is Fraction and c.denominator == 1:
             c = c.numerator
@@ -641,7 +672,8 @@ def _evaluate(e: Expr, env: dict, values: dict) -> float:
             if k != 1:
                 if k < 0 and v == 0.0:
                     raise DivisionByZero(
-                        f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole"
+                        f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole",
+                        (_ATOM_VALUES[a], k),
                     )
                 v = v**k
             product *= v

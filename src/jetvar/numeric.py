@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 
 from .coords import BaseCoord, JetContext, JetCoord, coord_key
-from .errors import NotODEContext, ProbeBoundaryError
+from .dsl import render_expr
+from .errors import DivisionByZero, NotODEContext, ProbeBoundaryError
 from .expr import add, atom_id, coords_in, evaluate, max_jet_order, mul, num
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
@@ -102,6 +103,25 @@ def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
                 )
 
 
+def _naming_poles(entry):
+    """entry, with the atom of a pole it meets named as render_expr names it
+    in the context of entry's first argument, a Lagrangian or source form."""
+
+    @functools.wraps(entry)
+    def named(obj, *args, **kwargs):
+        try:
+            return entry(obj, *args, **kwargs)
+        except DivisionByZero as exc:
+            if exc.pole is None:
+                raise
+            atom, k = exc.pole
+            raise DivisionByZero(
+                f"{render_expr(atom, obj.ctx)} is 0 at this point, so its power {k} has a pole"
+            ) from None
+
+    return named
+
+
 class FirstVariationResult:
     __slots__ = ("lhs", "rhs", "abs_diff")
 
@@ -126,6 +146,7 @@ def _point_values(jets: tuple, base_env: dict) -> dict:
     return values
 
 
+@_naming_poles
 def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Quadrature of the Lagrangian density along the prolonged section
     over the base interval [0, 1]."""
@@ -145,6 +166,7 @@ def _integrate(density, jets: tuple, quad: QuadratureSpec) -> float:
     return total
 
 
+@_naming_poles
 def first_variation_check(
     lam, probe: VariationProbe, quad: QuadratureSpec = QuadratureSpec()
 ) -> FirstVariationResult:
@@ -199,6 +221,7 @@ def first_variation_check(
     return FirstVariationResult(lhs, rhs, abs(lhs - rhs))
 
 
+@_naming_poles
 def residual_on_section(sf, gamma: SectionSpec, points) -> list:
     """Source form components evaluated along the prolonged section at the
     given base points (numbers for n = 1, index-ordered tuples otherwise)."""

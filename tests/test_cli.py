@@ -413,8 +413,13 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
         ("²*u_{1}", "DslSyntaxError", [0, 1]),
         ("u_{¹}^2", "DslSyntaxError", [3, 4]),
         ("9" * 5000 + "*u_{1}^2", "DslSyntaxError", [0, 5000]),
-        # coefficients computed past the digit limit, met when rendering
+        # a power whose coefficient could pass the kernel's bits, met when
+        # parsing; the first exited 2 at rendering, the second ran for
+        # seconds and exited 0, since its Euler-Lagrange form is 0
         ("2^99999*u_{1}^2", "ExpansionBudget", None),
+        ("3^20000000*u_{1}", "ExpansionBudget", None),
+        ("(2/3)^-200000*u_{1}", "ExpansionBudget", None),
+        # a coefficient past the digit limit, met when rendering
         ("(10^4299*u_{1})^2", "ExpansionBudget", None),
         # an exponent past the kernel's limit, met when parsing
         ("u^40000", "ExpansionBudget", None),
@@ -426,6 +431,8 @@ def test_dsl_errors_carry_spans_through_cli(tmp_path, capsys):
         "superscript-index",
         "long-literal",
         "long-power",
+        "huge-coefficient",
+        "huge-negative-power",
         "long-square",
         "huge-exponent",
     ],
@@ -524,6 +531,44 @@ def test_pole_at_evaluation_point_exits_2(tmp_path, capsys):
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "DivisionByZero"
+    assert diagnostic["message"] == "u is 0 at this point, so its power -1 has a pole"
+
+
+POLE_ON_SECTION = """
+    [context]
+    n = 1
+    m = 1
+    order = 1
+    base = x
+    fiber = u
+
+    [section]
+    comp1 = x - 1/2
+"""
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            "[source]\n    eps1 = x*sin(x*u)^(-2)\n    [points]\n    values = 0.5",
+            "sin(x*u) is 0 at this point, so its power -2 has a pole",
+        ),
+        (
+            # the middle node of three is x = 1/2, where the source form
+            # -u^(-2) of the Lagrangian has its pole
+            "[lagrangian]\n    expr = u^(-1)\n    [variation]\n    comp1 = x^2*(1-x)^2\n"
+            "    [options]\n    nodes = 3",
+            "u is 0 at this point, so its power -2 has a pole",
+        ),
+    ],
+    ids=["residual", "first-variation"],
+)
+def test_a_pole_names_its_atom_as_rendered(tmp_path, capsys, payload, message):
+    path = problem(tmp_path, POLE_ON_SECTION + "\n    " + payload + "\n")
+    code, out, diagnostic = run(capsys, ["numcheck", path])
+    assert code == 2 and out is None
+    assert diagnostic == {"error": "DivisionByZero", "message": message}
 
 
 FIRST_VARIATION = """

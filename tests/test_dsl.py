@@ -1,19 +1,24 @@
 """Expression language: parsing, precedence, diagnostics, rendering."""
 
+import importlib.util
 import inspect
 import random
+import re
 import sys
 import threading
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import jetvar.problem
 from jetvar import (
     DegreeMismatch,
     DslSyntaxError,
     JetContext,
+    JetvarError,
     Lagrangian,
     OrderExceeded,
     UnknownIdentifier,
@@ -25,6 +30,7 @@ from jetvar import (
     dsl,
     render_form,
 )
+from jetvar import expr as jetvar_expr
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.dsl import MAX_NESTING
 from jetvar.expr import add, mul, neg, num, ordered_terms, partial, pow_, sin, sym
@@ -37,6 +43,7 @@ X = BaseCoord(1)
 U = JetCoord(1)
 U1 = JetCoord(1, (1,))
 U12 = JetCoord(1, (1, 2))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def expr(source, ctx):
@@ -138,6 +145,142 @@ def test_identifier_errors(ode1):
         parse_expr("u_{1,1}", ode1)
     with pytest.raises(DslSyntaxError):
         parse_expr("x1_{1}", ode1)
+
+
+_X = JetContext(n=1, m=1, order=1, base_names=("x",), fiber_names=("u",))
+_XY = JetContext(n=2, m=1, order=2, base_names=("x", "y"), fiber_names=("u",))
+_NORMALIZED = "jet index (2, 1) normalized to (1, 2)"
+
+
+_JET_INDEX_CASES = [
+    ("u_{0}", _X, False, UnknownIdentifier, "no base direction 0 (n = 1)", (3, 4), None),
+    ("u_{2}", _X, False, UnknownIdentifier, "no base direction 2 (n = 1)", (3, 4), None),
+    ("u_{3,0}", _XY, False, UnknownIdentifier, "no base direction 3 (n = 2)", (3, 4), None),
+    ("u_{2,0}", _XY, False, UnknownIdentifier, "no base direction 0 (n = 2)", (5, 6), None),
+    ("u_{0,x}", _X, False, UnknownIdentifier, "no base direction 0 (n = 1)", (3, 4), None),
+    ("u_{1,x}", _X, False, DslSyntaxError, "expected a base index, found 'x'", (5, 6), None),
+    ("u_{1,}", _X, False, DslSyntaxError, "expected a base index, found '}'", (5, 6), None),
+    ("u_{}", _X, False, DslSyntaxError, "expected a base index, found '}'", (3, 4), None),
+    ("u_{1", _X, False, DslSyntaxError, "expected '}', found 'end of input'", (4, 4), None),
+    ("u_{1 2}", _X, False, DslSyntaxError, "expected '}', found '2'", (5, 6), None),
+    ("x_{1}", _X, False, DslSyntaxError, "base variable 'x' carries no jet index", (0, 1), None),
+    ("y_{1}", _XY, True, DslSyntaxError, "base variable 'y' carries no jet index", (0, 1), None),
+    ("q_{1}", _X, False, UnknownIdentifier, "unknown identifier 'q'", (0, 1), None),
+    ("dq_{1}", _X, True, UnknownIdentifier, "unknown identifier 'dq'", (0, 2), None),
+    ("sin_{1}(u)", _X, False, DslSyntaxError, "expected '(', found '_'", (3, 4), None),
+    ("du_{1}", _X, True, None, None, None, None),
+    ("du_{1}", _X, False, DslSyntaxError, "differential 'du' is not a scalar expression", (0, 2), None),
+    ("dx_{1}", _X, True, DslSyntaxError, "base differential 'dx' carries no jet index", (0, 2), None),
+    ("u_{1,1}", _X, False, OrderExceeded, "jet index of length 2 exceeds declared order 1", (0, 7), None),
+    ("u _ { 1 , 1 }", _X, False, OrderExceeded, "jet index of length 2 exceeds declared order 1", (0, 13), None),
+    ("du_{1,1}", _X, True, OrderExceeded, "jet index of length 2 exceeds declared order 1", (0, 8), None),
+    ("u_{1,2,2}", _XY, False, OrderExceeded, "jet index of length 3 exceeds declared order 2", (0, 9), None),
+    ("u_{2,1}", _XY, False, None, None, None, _NORMALIZED),
+    ("u _ { 2 , 1 }", _XY, False, None, None, None, _NORMALIZED),
+    ("du_{2,1}", _XY, True, None, None, None, _NORMALIZED),
+    # a jet coordinate where an operator is due is quoted by its name
+    ("u_{1}_{1}", _X, False, DslSyntaxError, "unexpected trailing input '_'", (5, 6), None),
+    ("u u_{1}", _X, False, DslSyntaxError, "unexpected trailing input 'u'", (2, 3), None),
+    ("(u u_{1})", _X, False, DslSyntaxError, "expected ')', found 'u'", (3, 4), None),
+    ("u_{1}2", _X, False, DslSyntaxError, "unexpected trailing input '2'", (5, 6), None),
+]
+
+
+@pytest.mark.parametrize(
+    "source, ctx, forms, error, message, span, warned",
+    _JET_INDEX_CASES,
+    ids=[case[0] + (" form" if case[2] else "") for case in _JET_INDEX_CASES],
+)
+def test_jet_index_diagnostics(source, ctx, forms, error, message, span, warned):
+    # class, message and span of each error, and the one warning of an
+    # unsorted index, left to right as the index reads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            (parse_form if forms else parse_expr)(source, ctx)
+            raised = None
+        except Exception as exc:  # compared with the expected class below
+            raised = exc
+    assert [str(w.message) for w in caught] == ([warned] if warned else [])
+    if error is None:
+        assert raised is None
+    else:
+        assert type(raised) is error
+        assert (raised.message, raised.span) == (message, span)
+
+
+def test_a_jet_coordinate_is_one_token():
+    assert [tok[0] for tok in dsl.tokenize("u_{1,2}*v")] == ["JET", "OP", "IDENT", "END"]
+    # spaces may stand between the parts of an index, as between tokens
+    assert [tok[0] for tok in dsl.tokenize("u _ { 1 , 2 } * v")] == ["JET", "OP", "IDENT", "END"]
+
+
+def test_a_product_of_single_terms_is_built_as_one_value(monkeypatch):
+    ctx = JetContext(n=1, m=1, order=1, base_names=("x",))
+    products = []
+    pairwise = jetvar_expr._mul2
+    monkeypatch.setattr(jetvar_expr, "_mul2", lambda a, b: products.append(1) or pairwise(a, b))
+    value = expr("3*x^2*u_{1}", ctx)
+    assert products == []
+    assert value == pairwise(pairwise(num(3), pow_(sym(X), 2)), sym(U1))
+
+
+def _bench_expressions(monkeypatch, tmp_path) -> list:
+    """(source, context, form mode) of every expression that loading the
+    problem files of the benchmark's pools parses."""
+    spec = importlib.util.spec_from_file_location("bench_problems", BENCH / "problems.py")
+    problems = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_problems", problems)  # for its dataclass
+    spec.loader.exec_module(problems)
+    seen = []
+
+    def recording(parse, form):
+        def recorded(source, ctx):
+            seen.append((source, ctx, form))
+            return parse(source, ctx)
+
+        return recorded
+
+    monkeypatch.setattr(jetvar.problem, "parse_expr", recording(parse_expr, False))
+    monkeypatch.setattr(jetvar.problem, "parse_form", recording(parse_form, True))
+    pools = problems.verdict_pool() + problems.cli_pool() + problems.dense_ladder(1)
+    for k, item in enumerate(pools):
+        if item.text is not None:
+            path = tmp_path / f"{k}.ini"
+            path.write_text(item.text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    jetvar.load_problem(str(path))
+                except JetvarError:  # a malformed file of the CLI pool
+                    pass
+    monkeypatch.undo()
+    return seen
+
+
+def _outcome(parse, source, ctx):
+    """The value of source, or the class and message of its error, and
+    the warnings parsing it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(source, ctx)
+            result = result.expr if isinstance(result, dsl.ParsedExpr) else result
+        except JetvarError as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def test_spaces_inside_jet_indices_change_no_bench_value(monkeypatch, tmp_path):
+    seen = _bench_expressions(monkeypatch, tmp_path)
+    assert len(seen) > 700
+    spaced = 0
+    for source, ctx, form in seen:
+        parse = parse_form if form else parse_expr
+        respaced = re.sub(r"([_{,}])", r" \1 ", source)
+        spaced += respaced != source
+        assert _outcome(parse, respaced, ctx) == _outcome(parse, source, ctx), source
+    assert spaced > 500
 
 
 def test_exponent_must_be_integer(ode1):

@@ -18,6 +18,7 @@ from jetvar import (
 from jetvar import expr
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import (
+    COEFFICIENT_BITS,
     EXPONENT_LIMIT,
     ZERO,
     add,
@@ -264,6 +265,43 @@ def test_exponents_past_the_limit_exceed_the_budget():
     # the bound is kept even where the product's exponents cancel
     with pytest.raises(ExpansionBudget):
         mul(pow_(u, 20000), pow_(u, -20000))
+
+
+def test_powers_of_long_coefficients_exceed_the_budget():
+    # |k| times the bits of the longer of numerator and denominator is
+    # checked before the power is computed: 2 and 1/2 have 2 bits
+    limit = COEFFICIENT_BITS // 2
+    assert pow_(num(2), limit) == num(2**limit)
+    assert pow_(num(Fraction(1, 2)), -limit) == num(2**limit)
+    for base, k in ((2, limit + 1), (3, 20_000_000), (Fraction(2, 3), -200_000)):
+        with pytest.raises(ExpansionBudget):
+            pow_(num(base), k)
+    # 3^100 has 159 bits: the budget, not the exponent bound, refuses
+    with pytest.raises(ExpansionBudget, match="coefficient"):
+        pow_(mul(num(3**100), sym(U)), 1000)
+
+
+def test_products_of_single_terms():
+    u, x = sym(U), sym(X)
+    half = num(Fraction(1, 2))
+    product = mul(half, num(-4), pow_(x, 2), u)
+    assert product == mul(mul(mul(half, num(-4)), pow_(x, 2)), u)
+    assert ordered_terms(product) == [(-2, ((X, 2), (U, 1)))]
+    assert type(ordered_terms(mul(half, num(2), u))[0][0]) is int
+    assert mul(u, pow_(u, -1), num(3)) == num(3)
+    # the bounds add, as in a pairwise product
+    with pytest.raises(ExpansionBudget):
+        mul(pow_(u, 20000), pow_(x, 20000), u)
+
+
+def test_jet_atoms_are_memoized_by_index(monkeypatch):
+    value = expr.jet(1, (1, 2))
+    built = []
+    monkeypatch.setattr(expr, "JetCoord", lambda *args: built.append(args) or JetCoord(*args))
+    assert expr.jet(1, (1, 2)) is value is sym(JetCoord(1, (2, 1)))
+    assert built == []
+    # one entry per interned jet coordinate
+    assert len(expr._JET_VALUES) <= len(expr._ATOMS)
 
 
 def test_atom_ranks_follow_the_canonical_keys():
