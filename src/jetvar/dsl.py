@@ -52,9 +52,8 @@ from .expr import (
     sym,
 )
 from .forms import (
-    DX,
-    DY,
     DiffForm,
+    W,
     form_add,
     function_form,
     gen_key,
@@ -287,11 +286,11 @@ class _Parser:
                         f"base differential {name!r} carries no jet index", span
                     )
                 i = ctx.base_names.index(rest) + 1
-                return DiffForm(ctx, 0, 1, {(DX(i),): ONE})
+                return DiffForm(ctx, 0, 1, {(BaseCoord(i),): ONE})
             if rest in ctx.fiber_names:
                 sigma = ctx.fiber_names.index(rest) + 1
                 J = self._jet_index(tok)
-                return DiffForm(ctx, len(J), 1, {(DY(sigma, J),): ONE})
+                return DiffForm(ctx, len(J), 1, {(JetCoord(sigma, J),): ONE})
         raise UnknownIdentifier(f"unknown identifier {name!r}", span)
 
     def _jet_index(self, tok: tuple) -> tuple:
@@ -420,10 +419,9 @@ def _render_factor(f: tuple, ctx: JetContext, texts: dict) -> str:
 
 
 def _render_generator(g, ctx: JetContext) -> str:
-    if isinstance(g, DX):
-        return "d" + ctx.coord_name(BaseCoord(g.i))
-    prefix = "d" if isinstance(g, DY) else "w_"
-    return prefix + ctx.coord_name(JetCoord(g.sigma, g.J))
+    if isinstance(g, W):
+        return "w_" + ctx.coord_name(JetCoord(g.sigma, g.J))
+    return "d" + ctx.coord_name(g)
 
 
 def render_form(form: DiffForm, ctx: JetContext) -> str:

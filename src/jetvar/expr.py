@@ -84,6 +84,9 @@ EXPONENT_LIMIT = 1 << 15
 # |k| times the bits of the coefficient's, at most twice what the power has,
 # so a refused power has over 2^15 bits, past the renderer's 4300 digits
 COEFFICIENT_BITS = 1 << 16
+# the monomial decode table empties itself at this size, so a long-lived
+# process keeps it bounded; the benchmark's workloads stay below 6000
+FACTOR_TABLE_LIMIT = 1 << 16
 
 
 class Expr:
@@ -151,10 +154,14 @@ _LIFTS: dict = {}
 
 
 class _FactorTable(dict):
-    """Packed monomial -> its (atom id, exponent) factors by atom id, kept;
-    a step skips the zero digits below the lowest set bit."""
+    """Packed monomial -> its (atom id, exponent) factors by atom id, kept
+    until the table holds FACTOR_TABLE_LIMIT monomials, then emptied in
+    place: decoding is pure, so a clear costs only decoding again.  A step
+    skips the zero digits below the lowest set bit."""
 
     def __missing__(self, m: int) -> tuple:
+        if len(self) >= FACTOR_TABLE_LIMIT:
+            self.clear()
         factors = []
         a, rest = 0, m
         while rest:
@@ -272,18 +279,6 @@ def func(name: str, arg: Expr) -> Expr:
     if name not in _FUNC_INDEX:
         raise ValueError(f"unsupported function {name!r}")
     return _ATOM_VALUES[_intern((name, as_expr(arg)))]
-
-
-def sin(e: Expr) -> Expr:
-    return func("sin", e)
-
-
-def cos(e: Expr) -> Expr:
-    return func("cos", e)
-
-
-def exp(e: Expr) -> Expr:
-    return func("exp", e)
 
 
 # --- arithmetic ----------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Differential forms on jet spaces.
 
 A form is a formal sum of terms, each a canonical coefficient expression
-times a sorted wedge word of basis one-forms dx^i (DX) and dy^s_J (DY).
-Storage always uses this raw coordinate basis; the contact forms
-w^s_J = dy^s_J - sum_i y^s_{Ji} dx^i exist only transiently inside the
+times a sorted wedge word of basis one-forms.  A word holds each basis
+one-form as the coordinate it differentiates: `BaseCoord(i)` for dx^i and
+`JetCoord(s, J)` for dy^s_J.  Storage always uses this raw coordinate
+basis; the contact forms w^s_J = dy^s_J - sum_i y^s_{Ji} dx^i, the one
+generator class of their own (`W`), exist only transiently inside the
 contact decomposition and the Cartan form assembly.  With canonical
 coefficients and sorted wedge words, structural equality of two forms
 of the same degree decides equality on the polynomial fragment.
@@ -78,39 +80,11 @@ class W(Value):
         return (self.sigma, self.J)
 
 
-class DY(Value):
-    """Coordinate differential dy^sigma_J.  Not a subclass of W, whose
-    generators `gen_key` sorts first."""
-
-    __slots__ = ("sigma", "J")
-
-    def __init__(self, sigma: int, J: tuple = ()):
-        self.sigma = sigma
-        self.J = tuple(sorted(J))
-
-    def _fields(self) -> tuple:
-        return (self.sigma, self.J)
-
-
-class DX(Value):
-    """Base differential dx^i."""
-
-    __slots__ = ("i",)
-
-    def __init__(self, i: int):
-        self.i = i
-
-    def _fields(self) -> tuple:
-        return (self.i,)
-
-
 def gen_key(g) -> tuple:
-    # Contact generators sort first so transient terms read w ^ ... ^ dx.
-    if isinstance(g, W):
-        return (0, g.sigma, len(g.J), g.J)
-    if isinstance(g, DY):
-        return (1, g.sigma, len(g.J), g.J)
-    return (2, g.i)
+    # Contact generators sort first so transient terms read w ^ ... ^ dy ^ dx.
+    if isinstance(g, BaseCoord):
+        return (2, g.i)
+    return (0 if isinstance(g, W) else 1, g.sigma, len(g.J), g.J)
 
 
 def _normalize_gens(gens):
@@ -216,7 +190,7 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
 
 def omega_0(ctx: JetContext) -> DiffForm:
     """Base volume form dx^1 ^ ... ^ dx^n."""
-    gens = tuple(DX(i) for i in range(1, ctx.n + 1))
+    gens = tuple(BaseCoord(i) for i in range(1, ctx.n + 1))
     return DiffForm(ctx, 0, ctx.n, {gens: ONE})
 
 
@@ -225,7 +199,7 @@ def omega_i(i: int, ctx: JetContext) -> DiffForm:
     direction; signed so that dx^j ^ omega_i == delta^j_i omega_0."""
     if not 1 <= i <= ctx.n:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
-    gens = tuple(DX(j) for j in range(1, ctx.n + 1) if j != i)
+    gens = tuple(BaseCoord(j) for j in range(1, ctx.n + 1) if j != i)
     coeff = ONE if i % 2 == 1 else num(-1)
     return DiffForm(ctx, 0, ctx.n - 1, {gens: coeff})
 
@@ -237,7 +211,7 @@ def max_form_order(form: DiffForm) -> int:
         order = max(
             order,
             max_jet_order(coeff),
-            *(len(g.J) for g in gens if not isinstance(g, DX)),
+            *(len(g.J) for g in gens if not isinstance(g, BaseCoord)),
         )
     return order
 
@@ -248,11 +222,8 @@ def max_form_order(form: DiffForm) -> int:
 def differential(e, ctx: JetContext, order: int = 0) -> DiffForm:
     """Exterior derivative of a function, in the coordinate basis."""
     e = as_expr(e)
-    pairs = []
     grad = gradient(e)
-    for c in sorted(grad, key=coord_key):
-        g = DX(c.i) if isinstance(c, BaseCoord) else DY(c.sigma, c.J)
-        pairs.append(((g,), grad[c]))
+    pairs = [((c,), grad[c]) for c in sorted(grad, key=coord_key)]
     return form_from_terms(ctx, order, 1, pairs)
 
 
@@ -301,7 +272,7 @@ def _horizontal_part(g, ctx: JetContext) -> list:
             f"past ceiling {ctx.ceiling}"
         )
     return [
-        (DX(i), sym(JetCoord(g.sigma, index_with(g.J, i))))
+        (BaseCoord(i), sym(JetCoord(g.sigma, index_with(g.J, i))))
         for i in range(1, ctx.n + 1)
     ]
 
@@ -315,7 +286,7 @@ def expand_contact(form: DiffForm) -> DiffForm:
     def image(g):
         if not isinstance(g, W):
             return [(g, ONE)]
-        pairs = [(DY(g.sigma, g.J), ONE)]
+        pairs = [(JetCoord(g.sigma, g.J), ONE)]
         return pairs + [(h, neg(c)) for h, c in _horizontal_part(g, form.ctx)]
 
     return _map_generators(form, image, form.order)
@@ -336,7 +307,7 @@ def contact_decompose(form: DiffForm) -> list:
     lifted = form.order + 1
 
     def image(g):
-        if not isinstance(g, DY):
+        if not isinstance(g, JetCoord):
             return [(g, ONE)]
         return [(W(g.sigma, g.J), ONE)] + _horizontal_part(g, ctx)
 
@@ -540,7 +511,6 @@ def _pullback_prolonged(form: DiffForm, pro: dict) -> DiffForm:
     ctx, r = form.ctx, form.order
 
     def image(g):
-        comp = pro[BaseCoord(g.i) if isinstance(g, DX) else JetCoord(g.sigma, g.J)]
-        return [(h, c) for (h,), c in differential(comp, ctx, r).terms.items()]
+        return [(h, c) for (h,), c in differential(pro[g], ctx, r).terms.items()]
 
     return _map_generators(form, image, r, lambda c: substitute(c, pro))

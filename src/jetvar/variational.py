@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .coords import (
+    BaseCoord,
     JetContext,
     JetCoord,
     Value,
@@ -49,8 +50,6 @@ from .expr import (
     sym,
 )
 from .forms import (
-    DX,
-    DY,
     DiffForm,
     cartan_form,
     exterior_derivative,
@@ -119,7 +118,7 @@ class SourceForm(Value):
 
     def as_form(self) -> DiffForm:
         pairs = [
-            ((DY(sigma),) + gens, e)
+            ((JetCoord(sigma),) + gens, e)
             for sigma, e in enumerate(self.eps, start=1)
             for gens in omega_0(self.ctx).terms
         ]
@@ -195,7 +194,7 @@ def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
             f"need a degree {ctx.n - 1} form, got degree {eta.degree}"
         )
     lifted = horizontalize(exterior_derivative(eta))
-    vol = tuple(DX(i) for i in range(1, ctx.n + 1))
+    vol = tuple(BaseCoord(i) for i in range(1, ctx.n + 1))
     density = lifted.terms.get(vol, ZERO)
     return Lagrangian(density, ctx, eta.order + 1)
 
@@ -405,7 +404,7 @@ def pullback_lagrangian(lam: Lagrangian, iso: FiberedIso) -> Lagrangian:
 
 
 def _density(pulled: DiffForm, lam: Lagrangian) -> Lagrangian:
-    vol = tuple(DX(i) for i in range(1, lam.ctx.n + 1))
+    vol = tuple(BaseCoord(i) for i in range(1, lam.ctx.n + 1))
     return Lagrangian(pulled.terms.get(vol, ZERO), lam.ctx, lam.r)
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from jetvar.coords import BaseCoord, JetCoord, multi_indices
-from jetvar.expr import add, cos, exp, mul, num, pow_, sin, sym
+from jetvar.expr import add, func, mul, num, pow_, sym
 
 
 def coordinate_atoms(ctx, order):
@@ -45,7 +45,7 @@ def random_laurent(rng, ctx, terms=3, order=None, functions=True):
                 mul(num(rng.randint(1, 3)), sym(rng.choice(atoms))),
                 pow_(sym(rng.choice(atoms)), rng.randint(1, 2)),
             )
-            factors.append(rng.choice((sin, cos, exp))(arg))
+            factors.append(func(rng.choice(("sin", "cos", "exp")), arg))
         parts.append(mul(*factors))
     return add(*parts)
 
@@ -67,12 +67,12 @@ def random_mixed(rng, ctx, order=None):
     """Polynomial with some sin/cos/exp factors wrapped around small
     polynomial arguments."""
     base = random_polynomial(rng, ctx, order, degree=2, terms=2)
-    wrapper = rng.choice([None, sin, cos, exp])
+    wrapper = rng.choice([None, "sin", "cos", "exp"])
     if wrapper is None:
         return base
     atom = sym(rng.choice(coordinate_atoms(ctx, order or ctx.order)))
     arg = atom if rng.random() < 0.7 else pow_(atom, 2)
-    return add(base, mul(num(Fraction(rng.randint(1, 3))), wrapper(arg)))
+    return add(base, mul(num(Fraction(rng.randint(1, 3))), func(wrapper, arg)))
 
 
 def random_env(rng, coords):

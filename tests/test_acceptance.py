@@ -32,8 +32,6 @@ from jetvar import (
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import ZERO, add, is_zero, mul, neg, num, pow_, sym
 from jetvar.forms import (
-    DX,
-    DY,
     contact_decompose,
     exterior_derivative,
     form_from_terms,
@@ -116,12 +114,12 @@ def test_acceptance_3_boundary_forms_have_zero_source():
                     ctx, random_polynomial(rng, ctx, order=1), order=1
                 )
             else:
-                gens = [(DX(1),), (DX(2),)]
+                gens = [(BaseCoord(1),), (BaseCoord(2),)]
                 for sigma in range(1, m + 1):
                     gens += [
-                        (DY(sigma),),
-                        (DY(sigma, (1,)),),
-                        (DY(sigma, (2,)),),
+                        (JetCoord(sigma),),
+                        (JetCoord(sigma, (1,)),),
+                        (JetCoord(sigma, (2,)),),
                     ]
                 items = [
                     (rng.choice(gens), random_polynomial(rng, ctx, order=1, terms=2))

@@ -23,9 +23,8 @@ from jetvar.expr import (
     ZERO,
     add,
     coords_in,
-    cos,
     evaluate,
-    exp,
+    func,
     integrate_param,
     is_zero,
     max_jet_order,
@@ -35,12 +34,11 @@ from jetvar.expr import (
     ordered_terms,
     partial,
     pow_,
-    sin,
     substitute,
     sym,
 )
 
-from corpus import random_env, random_mixed, random_polynomial
+from corpus import random_env, random_laurent, random_mixed, random_polynomial
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -128,11 +126,11 @@ def test_partial_matches_difference_quotient():
 
 def test_partial_chain_rules():
     u = sym(U)
-    assert partial(sin(u), U) == cos(u)
-    assert partial(cos(u), U) == neg(sin(u))
-    assert partial(exp(u), U) == exp(u)
-    assert partial(sin(pow_(u, 2)), U) == mul(num(2), u, cos(pow_(u, 2)))
-    assert partial(sin(u), X) == ZERO
+    assert partial(func("sin", u), U) == func("cos", u)
+    assert partial(func("cos", u), U) == neg(func("sin", u))
+    assert partial(func("exp", u), U) == func("exp", u)
+    assert partial(func("sin", pow_(u, 2)), U) == mul(num(2), u, func("cos", pow_(u, 2)))
+    assert partial(func("sin", u), X) == ZERO
 
 
 def test_substitute_is_simultaneous():
@@ -166,7 +164,7 @@ def test_integrate_param_monomials():
     assert integrate_param(num(5), 0, 1) == num(5)
     # base coordinates, also inside atoms, do not scale; negative jet
     # exponents count towards the degree: here 3 - 1 = 2
-    e = mul(x, sin(x), pow_(u, 3), pow_(u1, -1))
+    e = mul(x, func("sin", x), pow_(u, 3), pow_(u1, -1))
     assert integrate_param(e, 0, 1) == mul(num(Fraction(1, 3)), e)
     # on [1/2, 1] the weights are 1/2 for degree 0 and 3/8 for degree 1
     assert integrate_param(add(x, u1), Fraction(1, 2), 1) == add(
@@ -184,7 +182,7 @@ def test_integrate_param_matches_quadrature():
     rng = random.Random(61)
     ctx = JetContext(n=1, m=2, order=1)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    laurent = mul(sin(sym(X)), pow_(sym(U), 2), pow_(sym(U1), -1))
+    laurent = mul(func("sin", sym(X)), pow_(sym(U), 2), pow_(sym(U1), -1))
     for _ in range(15):
         e = add(random_polynomial(rng, ctx, degree=3, terms=3), laurent)
         env = random_env(rng, coords_in(e))
@@ -204,14 +202,14 @@ def test_integrate_param_matches_quadrature():
 def test_integrate_param_rejects_nonpolynomial_parameter():
     u, x = sym(U), sym(X)
     inside = "^parameter inside a function application$"
-    for e in (sin(u), mul(x, exp(add(x, sym(U1))))):
+    for e in (func("sin", u), mul(x, func("exp", add(x, sym(U1))))):
         with pytest.raises(NonPolynomialParameter, match=inside):
             integrate_param(e, 0, 1)
     for e in (pow_(u, -1), pow_(u, -2), mul(x, u, pow_(sym(U1), -2))):
         with pytest.raises(NonPolynomialParameter, match="^parameter in a denominator$"):
             integrate_param(e, 0, 1)
     # an atom of base coordinates only scales like a constant
-    assert integrate_param(cos(x), 0, 1) == cos(x)
+    assert integrate_param(func("cos", x), 0, 1) == func("cos", x)
 
 
 def test_division():
@@ -228,8 +226,8 @@ def test_evaluate_errors_and_functions():
     u = sym(U)
     with pytest.raises(UnboundCoordinate):
         evaluate(u, {})
-    assert evaluate(sin(u), {U: math.pi / 2}) == pytest.approx(1.0)
-    assert evaluate(exp(num(0)), {}) == pytest.approx(1.0)
+    assert evaluate(func("sin", u), {U: math.pi / 2}) == pytest.approx(1.0)
+    assert evaluate(func("exp", num(0)), {}) == pytest.approx(1.0)
 
 
 def test_structure_queries():
@@ -311,9 +309,39 @@ def test_atom_ranks_follow_the_canonical_keys():
     ctx = JetContext(n=2, m=2, order=2)
     for _ in range(40):
         e = random_mixed(rng, ctx)
-        for wrap in (sin, cos, exp):
-            e = add(wrap(e), random_mixed(rng, ctx))
+        for name in ("sin", "cos", "exp"):
+            e = add(func(name, e), random_mixed(rng, ctx))
     ids = range(len(expr._ATOMS))
     assert sorted(expr._ATOM_RANKS) == list(ids)
     by_key = sorted(ids, key=expr._ATOM_KEYS.__getitem__)
     assert by_key == sorted(ids, key=expr._ATOM_RANKS.__getitem__)
+
+
+def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):
+    # the same seeded values, their gradients and canonical rows, once with
+    # the decode table left to grow and once capped low enough to empty it
+    # many times: the capped table never passes its limit, and no result moves
+    ctx = JetContext(n=2, m=2, order=2)
+
+    def run(check):
+        rng = random.Random(31)
+        out = []
+        for _ in range(30):
+            e = mul(random_laurent(rng, ctx), random_laurent(rng, ctx))
+            check()
+            grad = expr.gradient(e)
+            check()
+            out.append((expr._rows(e), {c: expr._rows(d) for c, d in grad.items()}))
+            check()
+        return out
+
+    uncleared = run(lambda: None)
+    limit = 64
+    monkeypatch.setattr(expr, "FACTOR_TABLE_LIMIT", limit)
+    expr._FACTORS.clear()
+    sizes = []
+    assert run(lambda: sizes.append(len(expr._FACTORS))) == uncleared
+    assert max(sizes) <= limit
+    # every row's monomial was decoded, far more monomials than the limit
+    monomials = {f for rows, grad in uncleared for r in (rows, *grad.values()) for _, f in r}
+    assert len(monomials) > 4 * limit

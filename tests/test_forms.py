@@ -30,8 +30,6 @@ from jetvar import (
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import add, mul, neg, num, pow_, sym
 from jetvar.forms import (
-    DX,
-    DY,
     DiffForm,
     W,
     _determinant,
@@ -71,10 +69,10 @@ def _one_form(ctx, gens_and_coeffs, order):
 
 
 def _random_one_form(rng, ctx):
-    gens = [(DX(i),) for i in range(1, ctx.n + 1)]
+    gens = [(BaseCoord(i),) for i in range(1, ctx.n + 1)]
     for sigma in range(1, ctx.m + 1):
-        gens.append((DY(sigma),))
-        gens.append((DY(sigma, (1,)),))
+        gens.append((JetCoord(sigma),))
+        gens.append((JetCoord(sigma, (1,)),))
     picked = rng.sample(gens, rng.randint(1, min(3, len(gens))))
     pairs = [
         (g, random_polynomial(rng, ctx, order=1, degree=2, terms=2)) for g in picked
@@ -83,15 +81,15 @@ def _random_one_form(rng, ctx):
 
 
 def test_wedge_antisymmetry(plane1):
-    dx1 = DiffForm(plane1, 0, 1, {(DX(1),): num(1)})
-    dx2 = DiffForm(plane1, 0, 1, {(DX(2),): num(1)})
-    du = DiffForm(plane1, 0, 1, {(DY(1),): num(1)})
+    dx1 = DiffForm(plane1, 0, 1, {(BaseCoord(1),): num(1)})
+    dx2 = DiffForm(plane1, 0, 1, {(BaseCoord(2),): num(1)})
+    du = DiffForm(plane1, 0, 1, {(JetCoord(1),): num(1)})
     assert wedge(dx1, dx1).is_zero()
     assert wedge(du, du).is_zero()
     assert wedge(dx1, dx2) == scale(wedge(dx2, dx1), num(-1))
-    assert wedge(dx1, dx2).terms == {(DX(1), DX(2)): num(1)}
+    assert wedge(dx1, dx2).terms == {(BaseCoord(1), BaseCoord(2)): num(1)}
     # dy sorts before dx in the wedge word
-    assert wedge(dx1, du).terms == {(DY(1), DX(1)): num(-1)}
+    assert wedge(dx1, du).terms == {(JetCoord(1), BaseCoord(1)): num(-1)}
 
 
 def test_wedge_associative_and_bilinear():
@@ -108,7 +106,7 @@ def test_contraction_basis_is_signed():
         ctx = JetContext(n=n, m=1, order=1)
         vol = omega_0(ctx)
         for j in range(1, n + 1):
-            dxj = DiffForm(ctx, 0, 1, {(DX(j),): num(1)})
+            dxj = DiffForm(ctx, 0, 1, {(BaseCoord(j),): num(1)})
             for i in range(1, n + 1):
                 product = wedge(dxj, omega_i(i, ctx))
                 assert product == (vol if i == j else DiffForm(ctx, 0, n, {}))
@@ -121,9 +119,9 @@ def test_omega_i_n1_is_the_unit(ode1):
 def test_differential_of_functions(ode1):
     x, u = sym(X), sym(U)
     d = differential(pow_(x, 2), ode1)
-    assert d.terms == {(DX(1),): mul(num(2), x)}
+    assert d.terms == {(BaseCoord(1),): mul(num(2), x)}
     d2 = differential(mul(x, u), ode1)
-    assert d2.terms == {(DX(1),): u, (DY(1),): x}
+    assert d2.terms == {(BaseCoord(1),): u, (JetCoord(1),): x}
     assert differential(num(3), ode1).is_zero()
 
 
@@ -153,9 +151,9 @@ def test_contact_form_expansion(plane1):
     w = contact_form(1, (), plane1)
     assert w.order == 1
     assert w.terms == {
-        (DY(1),): num(1),
-        (DX(1),): neg(sym(JetCoord(1, (1,)))),
-        (DX(2),): neg(sym(JetCoord(1, (2,)))),
+        (JetCoord(1),): num(1),
+        (BaseCoord(1),): neg(sym(JetCoord(1, (1,)))),
+        (BaseCoord(2),): neg(sym(JetCoord(1, (2,)))),
     }
 
 
@@ -163,9 +161,9 @@ def test_expand_contact_matches_contact_form(plane1):
     # w_{1} = du_{1} - u_{1,1} dx - u_{1,2} dy, one jet order up
     transient = DiffForm(plane1, 2, 1, {(W(1, (1,)),): num(1)})
     assert expand_contact(transient).terms == {
-        (DY(1, (1,)),): num(1),
-        (DX(1),): neg(sym(JetCoord(1, (1, 1)))),
-        (DX(2),): neg(sym(JetCoord(1, (1, 2)))),
+        (JetCoord(1, (1,)),): num(1),
+        (BaseCoord(1),): neg(sym(JetCoord(1, (1, 1)))),
+        (BaseCoord(2),): neg(sym(JetCoord(1, (1, 2)))),
     }
 
 
@@ -218,12 +216,12 @@ def test_lifting_a_differential_of_ceiling_order_overflows():
         contact_form(1, top, ctx)
     with pytest.raises(OrderOverflow):
         expand_contact(DiffForm(ctx, 2, 1, {(W(1, top),): num(1)}))
-    for g in (DY(1, top), W(1, top)):
+    for g in (JetCoord(1, top), W(1, top)):
         with pytest.raises(OrderOverflow):
             contact_decompose(DiffForm(ctx, 2, 1, {(g,): num(1)}))
     assert contact_form(1, below, ctx).order == 12
-    assert horizontalize(DiffForm(ctx, 1, 1, {(DY(1, below),): num(1)})).terms == {
-        (DX(1),): sym(JetCoord(1, top))
+    assert horizontalize(DiffForm(ctx, 1, 1, {(JetCoord(1, below),): num(1)})).terms == {
+        (BaseCoord(1),): sym(JetCoord(1, top))
     }
 
 
@@ -233,8 +231,8 @@ def test_contact_decompose_grades(ode1):
     pieces = dict(contact_decompose(w))
     assert 0 not in pieces or pieces[0].is_zero()
     assert horizontalize(w).is_zero()
-    du = DiffForm(ode1, 0, 1, {(DY(1),): num(1)})
-    assert horizontalize(du).terms == {(DX(1),): sym(U1)}
+    du = DiffForm(ode1, 0, 1, {(JetCoord(1),): num(1)})
+    assert horizontalize(du).terms == {(BaseCoord(1),): sym(U1)}
     assert horizontalize(du).order == 1
 
 
@@ -250,8 +248,8 @@ def test_cartan_form_first_order_is_classical(ode1):
     theta = cartan_form(lam)
     assert theta.order == 1
     assert theta.terms == {
-        (DY(1),): u1,
-        (DX(1),): mul(num(Fraction(-1, 2)), pow_(u1, 2)),
+        (JetCoord(1),): u1,
+        (BaseCoord(1),): mul(num(Fraction(-1, 2)), pow_(u1, 2)),
     }
 
 
@@ -261,9 +259,9 @@ def test_cartan_form_second_order_frozen(ode2):
     theta = cartan_form(lam)
     assert theta.order == 3
     assert theta.terms == {
-        (DY(1),): neg(u111),
-        (DY(1, (1,)),): u11,
-        (DX(1),): add(
+        (JetCoord(1),): neg(u111),
+        (JetCoord(1, (1,)),): u11,
+        (BaseCoord(1),): add(
             mul(u1, u111), mul(num(Fraction(-1, 2)), pow_(u11, 2))
         ),
     }
@@ -338,8 +336,8 @@ def test_pullback_above_the_prolonged_order_raises_order_overflow(ode1):
     # a JetvarError (exit 2), never as a KeyError (exit 3)
     assert issubclass(OrderOverflow, JetvarError)
     iso = FiberedIso((mul(num(2), sym(X)),), (add(sym(U), pow_(sym(U), 2)),))
-    coefficient = form_from_terms(ode1, 1, 1, [((DX(1),), sym(U11))])
-    generator = form_from_terms(ode1, 1, 1, [((DY(1, (1, 1)),), sym(U))])
+    coefficient = form_from_terms(ode1, 1, 1, [((BaseCoord(1),), sym(U11))])
+    generator = form_from_terms(ode1, 1, 1, [((JetCoord(1, (1, 1)),), sym(U))])
     for form in (coefficient, generator):
         with pytest.raises(OrderOverflow, match="is above order 1"):
             pullback(form, iso)
@@ -393,7 +391,7 @@ def test_pullback_respects_wedge_and_differential():
 def test_pullback_along_identity(ode1):
     iso = FiberedIso((sym(X),), (sym(U),))
     alpha = form_from_terms(
-        ode1, 1, 1, [((DX(1),), sym(U1)), ((DY(1),), sym(X))]
+        ode1, 1, 1, [((BaseCoord(1),), sym(U1)), ((JetCoord(1),), sym(X))]
     )
     assert pullback(alpha, iso) == alpha
 
@@ -410,7 +408,7 @@ def test_pullback_drops_a_term_that_vanishes_partway():
     lam = Lagrangian(add(sym(U), neg(x1)), ctx, 0)
     pulled = _pullback_prolonged(lam.as_form(), pro)
     assert pulled.is_zero() and pulled.degree == 2
-    volume = form_from_terms(ctx, 0, 3, [((DY(1), DX(1), DX(2)), sym(U))])
+    volume = form_from_terms(ctx, 0, 3, [((JetCoord(1), BaseCoord(1), BaseCoord(2)), sym(U))])
     pulled = _pullback_prolonged(volume, pro)
     assert pulled.is_zero() and pulled.degree == 3
     with pytest.raises(SingularFiberMap):
@@ -492,11 +490,11 @@ def test_form_arithmetic_guards(ode1, plane1):
     b = function_form(plane1, sym(U))
     with pytest.raises(ContextMismatch):
         form_add(a, b)
-    dx = DiffForm(ode1, 0, 1, {(DX(1),): num(1)})
+    dx = DiffForm(ode1, 0, 1, {(BaseCoord(1),): num(1)})
     with pytest.raises(DegreeMismatch):
         form_add(a, dx)
     assert form_add(dx, scale(dx, num(-1))).is_zero()
-    assert scale(dx, num(-1)).terms == {(DX(1),): num(-1)}
+    assert scale(dx, num(-1)).terms == {(BaseCoord(1),): num(-1)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -538,7 +536,7 @@ def test_invert_matrix_refuses_a_singular_matrix(rows):
 
 
 def test_zero_results_keep_degree_and_order(ode1, plane1):
-    a = form_from_terms(plane1, 2, 1, [((DX(1),), sym(U)), ((DY(1, (2,)),), sym(X))])
+    a = form_from_terms(plane1, 2, 1, [((BaseCoord(1),), sym(U)), ((JetCoord(1, (2,)),), sym(X))])
     for zero in (scale(a, 0), scale(a, num(0)), form_add(a, scale(a, -1))):
         assert zero.is_zero()
         assert (zero.degree, zero.order) == (1, 2)

@@ -25,7 +25,7 @@ from jetvar.coords import (
     multiplicity,
 )
 from jetvar import expr, jets
-from jetvar.expr import ZERO, _collect, add, coords_in, exp, mul, neg, num, partial, pow_
+from jetvar.expr import ZERO, _collect, add, coords_in, func, mul, neg, num, partial, pow_
 from jetvar.expr import substitute, sym
 from jetvar.forms import FiberedIso, prolong_isomorphism
 from jetvar.jets import add_total_derivatives, iterated_total_derivative, prolong_section
@@ -311,7 +311,7 @@ def test_prolong_section_builds_long_chains_without_recursion():
     # a 3000-long chain of parents runs past the default recursion limit
     # if it is built recursively
     ctx = JetContext(n=1, m=1, order=1)
-    e = exp(sym(X1))
+    e = func("exp", sym(X1))
     jets = prolong_section(SectionSpec((e,)), 3000, ctx)
     assert jets[JetCoord(1, (1,) * 3000)] == e
     assert len(jets) == 3001

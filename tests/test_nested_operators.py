@@ -28,7 +28,7 @@ from jetvar import (
 )
 from jetvar.coords import BaseCoord, JetCoord, multi_indices, multiplicity
 from jetvar.expr import ZERO, add, is_zero, mul, neg, num, ordered_terms, partial, pow_
-from jetvar.expr import sin, sym
+from jetvar.expr import func, sym
 from jetvar.jets import iterated_total_derivative
 from jetvar.variational import _completion_plan
 
@@ -437,7 +437,7 @@ def test_helmholtz_verdict_matches_self_adjointness_of_the_frechet_derivative(
     lam = random_lagrangian(rng, n, m, r)
     if trig:
         jets = [c for c in coordinate_atoms(lam.ctx, r) if isinstance(c, JetCoord)]
-        term = mul(num(rng.randint(1, 3)), sin(sym(rng.choice(jets))))
+        term = mul(num(rng.randint(1, 3)), func("sin", sym(rng.choice(jets))))
         lam = Lagrangian(add(lam.L, term), lam.ctx, r)
     sf = euler_lagrange(lam)
     if bumped:

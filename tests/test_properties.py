@@ -25,8 +25,8 @@ from jetvar import (  # noqa: E402
 )
 from jetvar.coords import JetCoord  # noqa: E402
 from jetvar.errors import DslError, JetvarError  # noqa: E402
-from jetvar.expr import add, cos, exp, mul, neg, num, pow_, sin, sym  # noqa: E402
-from jetvar.forms import DX, DY, exterior_derivative, form_from_terms  # noqa: E402
+from jetvar.expr import add, func, mul, neg, num, pow_, sym  # noqa: E402
+from jetvar.forms import exterior_derivative, form_from_terms  # noqa: E402
 
 from corpus import coordinate_atoms  # noqa: E402
 from test_dsl import reference_render  # noqa: E402
@@ -46,10 +46,10 @@ def polynomials(ctx, order, functions=False):
     and jet coordinates up to order, with small integer coefficients;
     with functions, a term may carry a sin/cos/exp of a coordinate."""
     atoms = [sym(c) for c in coordinate_atoms(ctx, order)]
-    wrappers = st.sampled_from([sin, cos, exp]) if functions else st.nothing()
+    wrappers = st.sampled_from(["sin", "cos", "exp"]) if functions else st.nothing()
     factor = st.one_of(
         st.sampled_from(atoms),
-        st.builds(lambda f, a: f(a), wrappers, st.sampled_from(atoms)),
+        st.builds(func, wrappers, st.sampled_from(atoms)),
     )
     term = st.builds(
         lambda c, fs: mul(num(c), *fs),
@@ -162,19 +162,17 @@ def test_euler_lagrange_kills_total_derivatives(drawn):
     assert decide_zero(euler_lagrange(lam).eps) is True
 
 
-def generators(ctx):
-    jets = [c for c in coordinate_atoms(ctx, ctx.order) if isinstance(c, JetCoord)]
-    return [DX(i) for i in range(1, ctx.n + 1)] + [DY(c.sigma, c.J) for c in jets]
-
-
 def forms(ctx):
     """A 0-, 1- or 2-form with polynomial coefficients, some with
     sin/cos/exp factors."""
     coefficient = polynomials(ctx, ctx.order, functions=True)
 
     def of_degree(degree):
+        # a word holds each basis one-form as the coordinate it differentiates
         word = st.lists(
-            st.sampled_from(generators(ctx)), min_size=degree, max_size=degree
+            st.sampled_from(coordinate_atoms(ctx, ctx.order)),
+            min_size=degree,
+            max_size=degree,
         )
         pairs = st.lists(st.tuples(word, coefficient), min_size=1, max_size=3)
         return pairs.map(lambda ps: form_from_terms(ctx, ctx.order, degree, ps))
@@ -208,7 +206,7 @@ def laurent_values(ctx):
 
     atoms = st.recursive(
         coords,
-        lambda inner: st.builds(lambda f, a: f(a), st.sampled_from([sin, cos, exp]), sums(inner)),
+        lambda inner: st.builds(func, st.sampled_from(["sin", "cos", "exp"]), sums(inner)),
         max_leaves=3,
     )
     return sums(atoms)

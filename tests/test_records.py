@@ -12,7 +12,7 @@ import jetvar
 from jetvar import FiberedIso, JetContext, Lagrangian, SectionSpec, SourceForm
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import sym
-from jetvar.forms import DX, DY, W, function_form, gen_key
+from jetvar.forms import W, function_form, gen_key
 
 
 def test_jet_coordinate_sorts_its_index_and_hashes_the_field_tuple():
@@ -20,27 +20,28 @@ def test_jet_coordinate_sorts_its_index_and_hashes_the_field_tuple():
     assert JetCoord(1, (2, 1)).J == (1, 2)
     assert hash(JetCoord(1, (2, 1))) == hash((1, (1, 2)))
     assert hash(BaseCoord(3)) == hash((3,))
-    assert hash(DY(2, (3, 1))) == hash((2, (1, 3)))
-    assert hash(DX(2)) == hash((2,))
     assert JetCoord(1, (1,)) != JetCoord(1, (2,))
     assert JetCoord(1) != JetCoord(2)
 
 
 def test_records_compare_only_within_their_class():
-    assert DY(1) != W(1) and W(1) != DY(1)
-    assert DX(1) != BaseCoord(1) and BaseCoord(1) != DX(1)
-    assert JetCoord(1) != DY(1) and JetCoord(1) != (1, ())
+    assert JetCoord(1) != W(1) and W(1) != JetCoord(1)
+    assert W(1) != BaseCoord(1) and BaseCoord(1) != W(1)
+    assert JetCoord(1) != BaseCoord(1) and BaseCoord(1) != JetCoord(1)
+    assert JetCoord(1) != (1, ()) and W(1) != (1, ())
     assert BaseCoord(1) != (1,)
-    assert not isinstance(DY(1), W) and not isinstance(W(1), DY)
+    assert not isinstance(JetCoord(1), W) and not isinstance(W(1), JetCoord)
     # same field tuples hash alike; a set still tells the classes apart
-    assert len({W(1), DY(1), JetCoord(1)}) == 3
+    assert len({W(1), JetCoord(1), BaseCoord(1)}) == 3
 
 
 def test_gen_key_ranks_contact_then_fiber_then_base_generators():
-    gens = [DX(1), DY(1), W(2), DX(2), W(1, (1,)), DY(1, (1,))]
+    gens = [BaseCoord(1), JetCoord(1), W(2), BaseCoord(2), W(1, (1,)), JetCoord(1, (1,))]
     ranked = sorted(gens, key=gen_key)
-    assert ranked == [W(1, (1,)), W(2), DY(1), DY(1, (1,)), DX(1), DX(2)]
-    assert gen_key(W(1)) < gen_key(DY(1)) < gen_key(DX(1))
+    assert ranked == [
+        W(1, (1,)), W(2), JetCoord(1), JetCoord(1, (1,)), BaseCoord(1), BaseCoord(2)
+    ]
+    assert gen_key(W(1)) < gen_key(JetCoord(1)) < gen_key(BaseCoord(1))
 
 
 def test_diff_form_equality_ignores_the_context_and_forms_are_unhashable():
@@ -84,8 +85,6 @@ def test_coordinate_and_generator_repr_text_is_unchanged():
     assert repr(JetCoord(2, (2, 1))) == "JetCoord(sigma=2, J=(1, 2))"
     assert repr(BaseCoord(3)) == "BaseCoord(i=3)"
     assert repr(W(1, (1,))) == "W(sigma=1, J=(1,))"
-    assert repr(DY(1)) == "DY(sigma=1, J=())"
-    assert repr(DX(2)) == "DX(i=2)"
     assert str(JetCoord(1)) == repr(JetCoord(1))
 
 

@@ -27,7 +27,7 @@ from jetvar import (
     total_derivative,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import ZERO, add, cos, is_zero, mul, neg, num, pow_, sin, sym
+from jetvar.expr import ZERO, add, func, is_zero, mul, neg, num, pow_, sym
 from jetvar.forms import function_form
 
 from corpus import random_polynomial
@@ -159,12 +159,12 @@ def test_helmholtz_record_ordering():
 
 
 def test_helmholtz_probe_rejects_opaque_nonzero(ode1):
-    sf = SourceForm((sin(sym(U1)),), ode1, 1)
+    sf = SourceForm((func("sin", sym(U1)),), ode1, 1)
     assert helmholtz_residuals(sf).verdict == "not_variational"
 
 
 def test_helmholtz_opaque_zero_order_is_variational(ode1):
-    sf = SourceForm((sin(sym(U)),), ode1.with_order(0), 0)
+    sf = SourceForm((func("sin", sym(U)),), ode1.with_order(0), 0)
     assert helmholtz_residuals(sf).verdict == "variational"
 
 
@@ -174,7 +174,7 @@ def test_helmholtz_undecided_on_hidden_identity(ode1):
     u1 = sym(U1)
     eps = mul(
         half(u1),
-        add(pow_(sin(u1), 2), pow_(cos(u1), 2), num(-1)),
+        add(pow_(func("sin", u1), 2), pow_(func("cos", u1), 2), num(-1)),
     )
     report = helmholtz_residuals(SourceForm((eps,), ode1, 1))
     assert report.verdict == "undecided"
@@ -261,7 +261,7 @@ def test_tonti_round_trip_random():
 
 
 def test_tonti_rejects_transcendental_fiber_dependence(ode1):
-    sf = SourceForm((sin(sym(U)),), ode1.with_order(0), 0)
+    sf = SourceForm((func("sin", sym(U)),), ode1.with_order(0), 0)
     with pytest.raises(NonPolynomialParameter):
         tonti_lagrangian(sf)
 
@@ -306,7 +306,7 @@ def test_naturality_under_fibered_automorphisms(ode1):
 
 def hidden_zero(e):
     """e*(sin(e)^2 + cos(e)^2 - 1): identically zero, structurally not."""
-    return mul(e, add(pow_(sin(e), 2), pow_(cos(e), 2), num(-1)))
+    return mul(e, add(pow_(func("sin", e), 2), pow_(func("cos", e), 2), num(-1)))
 
 
 def test_decide_zero_answers_yes_no_or_undecided():
@@ -314,7 +314,7 @@ def test_decide_zero_answers_yes_no_or_undecided():
     assert decide_zero([]) is True
     assert decide_zero([ZERO, ZERO]) is True
     assert decide_zero([ZERO, u]) is False  # a nonzero polynomial
-    assert decide_zero([sin(u1)]) is False  # probed away from zero
+    assert decide_zero([func("sin", u1)]) is False  # probed away from zero
     assert decide_zero([hidden_zero(u1)]) is None
     assert decide_zero([hidden_zero(u1), u]) is False  # a no outweighs undecided
     assert not decide_zero([hidden_zero(u1)])  # undecided never reads as yes
