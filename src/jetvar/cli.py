@@ -118,7 +118,7 @@ def _cmd_cartan(problem: ProblemFile, opts: dict):
     contact = cartan_form_contact(lag)
     raw = expand_contact(contact)
     payload = {
-        "order": contact.order,
+        "order": max(2 * lag.r - 1, 0),
         "raw": render_form(raw, problem.ctx),
         "contact": render_form(contact, problem.ctx),
     }

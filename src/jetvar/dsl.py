@@ -44,7 +44,6 @@ from .expr import (
     func,
     is_constant,
     jet,
-    max_jet_order,
     mul,
     neg,
     num,
@@ -55,9 +54,8 @@ from .forms import (
     DiffForm,
     W,
     form_add,
-    function_form,
+    form_from_terms,
     gen_key,
-    max_form_order,
     scale,
     wedge,
 )
@@ -131,7 +129,7 @@ def _as_form(ctx: JetContext, value) -> DiffForm:
     """value, a 0-form when it is a scalar."""
     if isinstance(value, DiffForm):
         return value
-    return function_form(ctx, value, max_jet_order(value))
+    return form_from_terms(ctx, 0, [((), value)])
 
 
 class _Parser:
@@ -286,11 +284,11 @@ class _Parser:
                         f"base differential {name!r} carries no jet index", span
                     )
                 i = ctx.base_names.index(rest) + 1
-                return DiffForm(ctx, 0, 1, {(BaseCoord(i),): ONE})
+                return DiffForm(ctx, 1, {(BaseCoord(i),): ONE})
             if rest in ctx.fiber_names:
                 sigma = ctx.fiber_names.index(rest) + 1
                 J = self._jet_index(tok)
-                return DiffForm(ctx, len(J), 1, {(JetCoord(sigma, J),): ONE})
+                return DiffForm(ctx, 1, {(JetCoord(sigma, J),): ONE})
         raise UnknownIdentifier(f"unknown identifier {name!r}", span)
 
     def _jet_index(self, tok: tuple) -> tuple:
@@ -346,9 +344,8 @@ def parse_expr(source: str, ctx: JetContext) -> ParsedExpr:
 
 def parse_form(source: str, ctx: JetContext) -> DiffForm:
     """Parse a differential-form literal; a scalar result is returned as a
-    0-form.  The declared order is the highest jet order occurring."""
-    form = _as_form(ctx, _Parser(source, ctx, allow_forms=True).parse())
-    return form.at_order(max_form_order(form))
+    0-form."""
+    return _as_form(ctx, _Parser(source, ctx, allow_forms=True).parse())
 
 
 # --- rendering ----------------------------------------------------------------

@@ -14,7 +14,7 @@ addition.  A process-wide table decodes each key to its factors once.  A
 key is unique only while every |k| < 2^15, so each value carries a bound
 on its exponents, set by each constructor from its operands' (a product
 adds them, a sum takes the maximum, a power multiplies, a derivative adds
-one and the bound of any sin/cos/exp chain-rule factor); an operation
+the larger of 1 and any sin/cos/exp chain-rule factor's); an operation
 whose bound would reach EXPONENT_LIMIT raises ExpansionBudget instead.
 
 Products distribute on construction, so structural equality decides
@@ -489,7 +489,9 @@ def derive(e: Expr, leaf, accs: dict = None, scale=1):
             if d is None:
                 if _ATOMS[a].__class__ is tuple:
                     d, chain = _derive_function(a, leaf)
-                    bound = _checked(max(bound, e._bound + 1 + chain))
+                    # a's own exponent moves by 1 at most (exp's chain factor
+                    # holds a once, sin's and cos's not), any other's by chain
+                    bound = _checked(max(bound, e._bound + chain))
                 else:
                     d = leaf(a)
                 memo[a] = d

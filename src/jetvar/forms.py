@@ -8,11 +8,9 @@ basis; the contact forms w^s_J = dy^s_J - sum_i y^s_{Ji} dx^i, the one
 generator class of their own (`W`), exist only transiently inside the
 contact decomposition and the Cartan form assembly.  With canonical
 coefficients and sorted wedge words, structural equality of two forms
-of the same degree decides equality on the polynomial fragment.
-
-Every form carries the jet order of the space it lives on.  Operations
-that lift the order (horizontalization, contact decomposition) stamp the
-result accordingly; sums and products live at the larger of the orders.
+of the same degree decides equality on the polynomial fragment.  A form
+is identified with its pullbacks to higher jet orders: its order is the
+highest occurring, `max_form_order`.
 
 The contraction basis is signed: the (n-1)-form paired with direction i
 carries (-1)^(i-1), which makes dx^j wedge omega_i equal delta^j_i omega_0.
@@ -109,34 +107,26 @@ def _normalize_gens(gens):
 
 
 class DiffForm(Value):
-    """A differential form on the jet space of the stated order.
+    """A differential form on a jet space.
 
     The context is carried for dimension data and error reporting but does
-    not take part in equality; two forms are equal when degree, order, and
+    not take part in equality; two forms are equal when degree and
     canonical terms agree.  A form is not hashable: its terms are a dict.
     """
 
-    __slots__ = ("ctx", "order", "degree", "terms")
+    __slots__ = ("ctx", "degree", "terms")
     __hash__ = None
 
-    def __init__(self, ctx: JetContext, order: int, degree: int, terms: dict):
+    def __init__(self, ctx: JetContext, degree: int, terms: dict):
         self.ctx = ctx
-        self.order = order
         self.degree = degree
         self.terms = terms  # sorted generator tuple -> nonzero canonical Expr
 
     def _fields(self) -> tuple:
-        return (self.order, self.degree, self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def at_order(self, order: int) -> "DiffForm":
-        """The same form regarded on a jet space of another order."""
-        return DiffForm(self.ctx, order, self.degree, self.terms)
+        return (self.degree, self.terms)
 
 
-def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm:
+def form_from_terms(ctx: JetContext, degree: int, items) -> DiffForm:
     """Build a form from (generators, coefficient) pairs: generator words
     may arrive unsorted; each word's coefficients sum in one add, zeros drop."""
     acc: dict[tuple, list] = {}
@@ -151,12 +141,7 @@ def form_from_terms(ctx: JetContext, order: int, degree: int, items) -> DiffForm
         coeff = as_expr(coeff)
         acc.setdefault(sorted_gens, []).append(coeff if sign == 1 else neg(coeff))
     sums = ((g, add(*coeffs)) for g, coeffs in acc.items())
-    return DiffForm(ctx, order, degree, {g: c for g, c in sums if c.terms})
-
-
-def function_form(ctx: JetContext, e, order: int = 0) -> DiffForm:
-    """A 0-form wrapping a bare expression."""
-    return form_from_terms(ctx, order, 0, [((), e)])
+    return DiffForm(ctx, degree, {g: c for g, c in sums if c.terms})
 
 
 def _require_compatible(a: DiffForm, b: DiffForm) -> None:
@@ -169,13 +154,13 @@ def form_add(a: DiffForm, b: DiffForm) -> DiffForm:
     if a.degree != b.degree:
         raise DegreeMismatch(f"cannot add degree {a.degree} to degree {b.degree}")
     pairs = itertools.chain(a.terms.items(), b.terms.items())
-    return form_from_terms(a.ctx, max(a.order, b.order), a.degree, pairs)
+    return form_from_terms(a.ctx, a.degree, pairs)
 
 
 def scale(a: DiffForm, factor) -> DiffForm:
     factor = as_expr(factor)
     pairs = ((gens, mul(factor, coeff)) for gens, coeff in a.terms.items())
-    return form_from_terms(a.ctx, a.order, a.degree, pairs)
+    return form_from_terms(a.ctx, a.degree, pairs)
 
 
 def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
@@ -185,13 +170,13 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
         for ga, ca in a.terms.items()
         for gb, cb in b.terms.items()
     )
-    return form_from_terms(a.ctx, max(a.order, b.order), a.degree + b.degree, pairs)
+    return form_from_terms(a.ctx, a.degree + b.degree, pairs)
 
 
 def omega_0(ctx: JetContext) -> DiffForm:
     """Base volume form dx^1 ^ ... ^ dx^n."""
     gens = tuple(BaseCoord(i) for i in range(1, ctx.n + 1))
-    return DiffForm(ctx, 0, ctx.n, {gens: ONE})
+    return DiffForm(ctx, ctx.n, {gens: ONE})
 
 
 def omega_i(i: int, ctx: JetContext) -> DiffForm:
@@ -201,7 +186,7 @@ def omega_i(i: int, ctx: JetContext) -> DiffForm:
         raise UnknownCoordinate(f"no base direction {i} in a {ctx.n}-dimensional base")
     gens = tuple(BaseCoord(j) for j in range(1, ctx.n + 1) if j != i)
     coeff = ONE if i % 2 == 1 else num(-1)
-    return DiffForm(ctx, 0, ctx.n - 1, {gens: coeff})
+    return DiffForm(ctx, ctx.n - 1, {gens: coeff})
 
 
 def max_form_order(form: DiffForm) -> int:
@@ -219,32 +204,32 @@ def max_form_order(form: DiffForm) -> int:
 # --- exterior derivative, horizontalization, contact split -------------------
 
 
-def differential(e, ctx: JetContext, order: int = 0) -> DiffForm:
+def differential(e, ctx: JetContext) -> DiffForm:
     """Exterior derivative of a function, in the coordinate basis."""
     e = as_expr(e)
     grad = gradient(e)
     pairs = [((c,), grad[c]) for c in sorted(grad, key=coord_key)]
-    return form_from_terms(ctx, order, 1, pairs)
+    return form_from_terms(ctx, 1, pairs)
 
 
 def exterior_derivative(form: DiffForm) -> DiffForm:
-    """d in the coordinate basis; satisfies d(d(form)).is_zero()."""
+    """d in the coordinate basis; d(d(form)) has no terms."""
     ctx = form.ctx
     if form.degree == 0:
-        return differential(form.terms.get((), ZERO), ctx, form.order)
+        return differential(form.terms.get((), ZERO), ctx)
     pairs = []
     for gens, coeff in form.terms.items():
         df = differential(coeff, ctx)
         for (g,), dc in df.terms.items():
             pairs.append(((g,) + gens, dc))
-    return form_from_terms(ctx, form.order, form.degree + 1, pairs)
+    return form_from_terms(ctx, form.degree + 1, pairs)
 
 
-def _map_generators(form: DiffForm, image, order: int, coeff=None) -> DiffForm:
+def _map_generators(form: DiffForm, image, coeff=None) -> DiffForm:
     """The form with each basis one-form g replaced by the 1-form image(g),
     given as (generator, coefficient) pairs, and each coefficient c by
-    coeff(c); every wedge word is multiplied out on the jet space of the
-    given order.  Each generator's image is computed once per call."""
+    coeff(c); every wedge word is multiplied out.  Each generator's image
+    is computed once per call."""
     images: dict = {}
     pairs = []
     for gens, c in form.terms.items():
@@ -259,7 +244,7 @@ def _map_generators(form: DiffForm, image, order: int, coeff=None) -> DiffForm:
                 if h not in word
             ]
         pairs.extend(products)
-    return form_from_terms(form.ctx, order, form.degree, pairs)
+    return form_from_terms(form.ctx, form.degree, pairs)
 
 
 def _horizontal_part(g, ctx: JetContext) -> list:
@@ -289,7 +274,7 @@ def expand_contact(form: DiffForm) -> DiffForm:
         pairs = [(JetCoord(g.sigma, g.J), ONE)]
         return pairs + [(h, neg(c)) for h, c in _horizontal_part(g, form.ctx)]
 
-    return _map_generators(form, image, form.order)
+    return _map_generators(form, image)
 
 
 def contact_decompose(form: DiffForm) -> list:
@@ -300,11 +285,9 @@ def contact_decompose(form: DiffForm) -> list:
     contact generators already present stay; terms are grouped by their
     number of contact factors, and every group is expanded back to the raw
     basis.  Returns the list of pairs (l, component) for l = 0..degree;
-    the components sum to the form, its contact generators expanded,
-    regarded one order higher.
+    the components sum to the form, its contact generators expanded.
     """
     ctx = form.ctx
-    lifted = form.order + 1
 
     def image(g):
         if not isinstance(g, JetCoord):
@@ -312,18 +295,17 @@ def contact_decompose(form: DiffForm) -> list:
         return [(W(g.sigma, g.J), ONE)] + _horizontal_part(g, ctx)
 
     groups = [{} for _ in range(form.degree + 1)]
-    for gens, coeff in _map_generators(form, image, lifted).terms.items():
+    for gens, coeff in _map_generators(form, image).terms.items():
         groups[sum(isinstance(g, W) for g in gens)][gens] = coeff
     return [
-        (l, expand_contact(DiffForm(ctx, lifted, form.degree, terms)))
+        (l, expand_contact(DiffForm(ctx, form.degree, terms)))
         for l, terms in enumerate(groups)
     ]
 
 
 def horizontalize(form: DiffForm) -> DiffForm:
     """The 0-contact component: contact factors drop and each dy^s_J turns
-    into sum_i y^s_{Ji} dx^i; the result lives one order higher and
-    contains only base differentials."""
+    into sum_i y^s_{Ji} dx^i, leaving only base differentials."""
     return contact_decompose(form)[0][1]
 
 
@@ -333,8 +315,8 @@ def horizontalize(form: DiffForm) -> DiffForm:
 def cartan_form_contact(lam) -> DiffForm:
     """Like cartan_form, but keeps the contact generators w^s_J unexpanded
     so the result displays in the L omega_0 + sum f w^s_J ^ omega_i shape."""
-    ctx, r = lam.ctx, lam.r
-    if r == 0:
+    ctx = lam.ctx
+    if lam.r == 0:
         warnings.warn(
             "order-0 Lagrangian: the Cartan form is the Lagrangian itself",
             OrderZeroWarning,
@@ -358,7 +340,7 @@ def cartan_form_contact(lam) -> DiffForm:
                         parents.setdefault((sigma, J), []).append((value, i, -1))
         for key, parts in parents.items():
             f[k - 1][key] = add_total_derivatives(f[k - 1].get(key, ZERO), parts, ctx)
-    return form_from_terms(ctx, 2 * r - 1, ctx.n, pairs)
+    return form_from_terms(ctx, ctx.n, pairs)
 
 
 def cartan_form(lam) -> DiffForm:
@@ -496,21 +478,19 @@ def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> Prolong
 
 
 def pullback(form: DiffForm, iso: FiberedIso) -> DiffForm:
-    """Pullback along the automorphism prolonged to the form's order:
-    coefficients have the prolonged bindings substituted and each basis
-    one-form becomes the differential of its binding.  Only the jets that
-    occur are prolonged; one above the order raises OrderOverflow."""
-    return _pullback_prolonged(form, prolong_isomorphism(iso, form.order, form.ctx))
+    """Pullback along the automorphism prolonged to the jet order occurring
+    in the form, building only the jets that occur."""
+    pro = prolong_isomorphism(iso, max_form_order(form), form.ctx)
+    return _pullback_prolonged(form, pro)
 
 
 def _pullback_prolonged(form: DiffForm, pro: dict) -> DiffForm:
     """Pullback of a form along bindings prolonged at least to its order:
     each coefficient has the bindings substituted and each basis one-form
     becomes the differential of its binding.  The result keeps the form's
-    degree and order, also when every term vanishes."""
-    ctx, r = form.ctx, form.order
+    degree, also when every term vanishes."""
 
     def image(g):
-        return [(h, c) for (h,), c in differential(pro[g], ctx, r).terms.items()]
+        return [(h, c) for (h,), c in differential(pro[g], form.ctx).terms.items()]
 
-    return _map_generators(form, image, r, lambda c: substitute(c, pro))
+    return _map_generators(form, image, lambda c: substitute(c, pro))

@@ -57,6 +57,7 @@ from .forms import (
     form_add,
     form_from_terms,
     horizontalize,
+    max_form_order,
     omega_0,
     prolong_isomorphism,
     pullback,
@@ -99,7 +100,7 @@ class Lagrangian(Value):
 
     def as_form(self) -> DiffForm:
         pairs = [(gens, self.L) for gens in omega_0(self.ctx).terms]
-        return form_from_terms(self.ctx, self.r, self.ctx.n, pairs)
+        return form_from_terms(self.ctx, self.ctx.n, pairs)
 
 
 class SourceForm(Value):
@@ -122,7 +123,7 @@ class SourceForm(Value):
             for sigma, e in enumerate(self.eps, start=1)
             for gens in omega_0(self.ctx).terms
         ]
-        return form_from_terms(self.ctx, self.s, self.ctx.n + 1, pairs)
+        return form_from_terms(self.ctx, self.ctx.n + 1, pairs)
 
 
 class HelmholtzRecord:
@@ -185,8 +186,8 @@ def euler_lagrange(lam: Lagrangian) -> SourceForm:
 
 
 def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
-    """The Lagrangian with density h(d eta) for an (n-1)-form eta; its
-    source form vanishes identically, so it lies in the kernel of the
+    """The Lagrangian h(d eta), one order above eta, for an (n-1)-form eta;
+    its source form vanishes identically, so it lies in the kernel of the
     Euler-Lagrange mapping."""
     ctx = eta.ctx
     if eta.degree != ctx.n - 1:
@@ -194,9 +195,7 @@ def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
             f"need a degree {ctx.n - 1} form, got degree {eta.degree}"
         )
     lifted = horizontalize(exterior_derivative(eta))
-    vol = tuple(BaseCoord(i) for i in range(1, ctx.n + 1))
-    density = lifted.terms.get(vol, ZERO)
-    return Lagrangian(density, ctx, eta.order + 1)
+    return _density(lifted, ctx, max_form_order(eta) + 1)
 
 
 # --- Helmholtz conditions ------------------------------------------------------
@@ -400,12 +399,13 @@ def tonti_lagrangian(sf: SourceForm) -> Lagrangian:
 def pullback_lagrangian(lam: Lagrangian, iso: FiberedIso) -> Lagrangian:
     """The Lagrangian of the pulled-back horizontal form: the base-map
     Jacobian determinant enters through the pullback of omega_0."""
-    return _density(pullback(lam.as_form(), iso), lam)
+    return _density(pullback(lam.as_form(), iso), lam.ctx, lam.r)
 
 
-def _density(pulled: DiffForm, lam: Lagrangian) -> Lagrangian:
-    vol = tuple(BaseCoord(i) for i in range(1, lam.ctx.n + 1))
-    return Lagrangian(pulled.terms.get(vol, ZERO), lam.ctx, lam.r)
+def _density(form: DiffForm, ctx: JetContext, r: int) -> Lagrangian:
+    """The Lagrangian of order r with the volume coefficient of form."""
+    vol = tuple(BaseCoord(i) for i in range(1, ctx.n + 1))
+    return Lagrangian(form.terms.get(vol, ZERO), ctx, r)
 
 
 def naturality_report(lam: Lagrangian, iso: FiberedIso, probe_seed: int = 0) -> dict:
@@ -414,7 +414,7 @@ def naturality_report(lam: Lagrangian, iso: FiberedIso, probe_seed: int = 0) -> 
     decide_zero answers on each gap.  The pullbacks share one prolongation
     up to the order 2r of the source form, built for the jets that occur."""
     pro = prolong_isomorphism(iso, 2 * lam.r, lam.ctx)
-    pulled = _density(_pullback_prolonged(lam.as_form(), pro), lam)
+    pulled = _density(_pullback_prolonged(lam.as_form(), pro), lam.ctx, lam.r)
 
     def commutes(form: DiffForm, image: DiffForm):  # == costs a tenth of the gap
         form = _pullback_prolonged(form, pro)

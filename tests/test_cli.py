@@ -968,6 +968,7 @@ def test_warnings_of_a_success_are_one_json_object(tmp_path, capsys):
     )
     code, payload, diagnostic = run(capsys, ["cartan", problem(tmp_path, order_zero)])
     assert code == 0
+    assert payload["order"] == 0
     assert payload["contact"] == "u^2*dx"
     assert diagnostic == {
         "warnings": ["order-0 Lagrangian: the Cartan form is the Lagrangian itself"]

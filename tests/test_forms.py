@@ -28,7 +28,7 @@ from jetvar import (
     pullback_lagrangian,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, mul, neg, num, pow_, sym
+from jetvar.expr import add, mul, neg, num, pow_, substitute, sym
 from jetvar.forms import (
     DiffForm,
     W,
@@ -41,8 +41,8 @@ from jetvar.forms import (
     exterior_derivative,
     form_add,
     form_from_terms,
-    function_form,
     horizontalize,
+    max_form_order,
     omega_0,
     omega_i,
     prolong_isomorphism,
@@ -61,11 +61,7 @@ U111 = JetCoord(1, (1, 1, 1))
 
 def contact_form(sigma: int, J: tuple, ctx: JetContext) -> DiffForm:
     """w^sigma_J in the raw basis: dy^sigma_J - sum_i y^sigma_{Ji} dx^i."""
-    return expand_contact(DiffForm(ctx, len(J) + 1, 1, {(W(sigma, J),): num(1)}))
-
-
-def _one_form(ctx, gens_and_coeffs, order):
-    return form_from_terms(ctx, order, 1, gens_and_coeffs)
+    return expand_contact(DiffForm(ctx, 1, {(W(sigma, J),): num(1)}))
 
 
 def _random_one_form(rng, ctx):
@@ -77,15 +73,15 @@ def _random_one_form(rng, ctx):
     pairs = [
         (g, random_polynomial(rng, ctx, order=1, degree=2, terms=2)) for g in picked
     ]
-    return form_from_terms(ctx, 1, 1, pairs)
+    return form_from_terms(ctx, 1, pairs)
 
 
 def test_wedge_antisymmetry(plane1):
-    dx1 = DiffForm(plane1, 0, 1, {(BaseCoord(1),): num(1)})
-    dx2 = DiffForm(plane1, 0, 1, {(BaseCoord(2),): num(1)})
-    du = DiffForm(plane1, 0, 1, {(JetCoord(1),): num(1)})
-    assert wedge(dx1, dx1).is_zero()
-    assert wedge(du, du).is_zero()
+    dx1 = DiffForm(plane1, 1, {(BaseCoord(1),): num(1)})
+    dx2 = DiffForm(plane1, 1, {(BaseCoord(2),): num(1)})
+    du = DiffForm(plane1, 1, {(JetCoord(1),): num(1)})
+    assert not wedge(dx1, dx1).terms
+    assert not wedge(du, du).terms
     assert wedge(dx1, dx2) == scale(wedge(dx2, dx1), num(-1))
     assert wedge(dx1, dx2).terms == {(BaseCoord(1), BaseCoord(2)): num(1)}
     # dy sorts before dx in the wedge word
@@ -106,10 +102,10 @@ def test_contraction_basis_is_signed():
         ctx = JetContext(n=n, m=1, order=1)
         vol = omega_0(ctx)
         for j in range(1, n + 1):
-            dxj = DiffForm(ctx, 0, 1, {(BaseCoord(j),): num(1)})
+            dxj = DiffForm(ctx, 1, {(BaseCoord(j),): num(1)})
             for i in range(1, n + 1):
                 product = wedge(dxj, omega_i(i, ctx))
-                assert product == (vol if i == j else DiffForm(ctx, 0, n, {}))
+                assert product == (vol if i == j else DiffForm(ctx, n, {}))
 
 
 def test_omega_i_n1_is_the_unit(ode1):
@@ -122,7 +118,7 @@ def test_differential_of_functions(ode1):
     assert d.terms == {(BaseCoord(1),): mul(num(2), x)}
     d2 = differential(mul(x, u), ode1)
     assert d2.terms == {(BaseCoord(1),): u, (JetCoord(1),): x}
-    assert differential(num(3), ode1).is_zero()
+    assert not differential(num(3), ode1).terms
 
 
 def test_exterior_derivative_squares_to_zero():
@@ -130,10 +126,10 @@ def test_exterior_derivative_squares_to_zero():
     ctx = JetContext(n=2, m=1, order=1)
     for _ in range(10):
         f = random_polynomial(rng, ctx, order=1)
-        assert exterior_derivative(differential(f, ctx, 1)).is_zero()
+        assert not exterior_derivative(differential(f, ctx)).terms
     for _ in range(10):
         alpha = _random_one_form(rng, ctx)
-        assert exterior_derivative(exterior_derivative(alpha)).is_zero()
+        assert not exterior_derivative(exterior_derivative(alpha)).terms
 
 
 def test_exterior_derivative_leibniz_on_functions():
@@ -142,14 +138,14 @@ def test_exterior_derivative_leibniz_on_functions():
     for _ in range(10):
         f = random_polynomial(rng, ctx, order=1)
         g = random_polynomial(rng, ctx, order=1)
-        lhs = differential(mul(f, g), ctx, 1)
-        rhs = form_add(scale(differential(f, ctx, 1), g), scale(differential(g, ctx, 1), f))
+        lhs = differential(mul(f, g), ctx)
+        rhs = form_add(scale(differential(f, ctx), g), scale(differential(g, ctx), f))
         assert lhs == rhs
 
 
 def test_contact_form_expansion(plane1):
     w = contact_form(1, (), plane1)
-    assert w.order == 1
+    assert max_form_order(w) == 1
     assert w.terms == {
         (JetCoord(1),): num(1),
         (BaseCoord(1),): neg(sym(JetCoord(1, (1,)))),
@@ -159,7 +155,7 @@ def test_contact_form_expansion(plane1):
 
 def test_expand_contact_matches_contact_form(plane1):
     # w_{1} = du_{1} - u_{1,1} dx - u_{1,2} dy, one jet order up
-    transient = DiffForm(plane1, 2, 1, {(W(1, (1,)),): num(1)})
+    transient = DiffForm(plane1, 1, {(W(1, (1,)),): num(1)})
     assert expand_contact(transient).terms == {
         (JetCoord(1, (1,)),): num(1),
         (BaseCoord(1),): neg(sym(JetCoord(1, (1, 1)))),
@@ -186,25 +182,25 @@ def test_contact_decompose_reassembles():
         top = pow_(sym(JetCoord(m, (n,) * r)), 2)
         lam = Lagrangian(add(random_polynomial(rng, ctx, order=r), top), ctx, r)
         theta = cartan_form_contact(lam)
-        w = DiffForm(ctx, theta.order, 1, {(W(1, ()),): num(1)})
+        w = DiffForm(ctx, 1, {(W(1, ()),): num(1)})
         contact.append(wedge(w, wedge(*(_random_one_form(rng, ctx) for _ in range(2)))))
         pieces = dict(contact_decompose(theta))
-        lifted = theta.order + 1
-        assert pieces[0] == lam.as_form().at_order(lifted)
+        assert pieces[0] == lam.as_form()
         words = {gens: c for gens, c in theta.terms.items() if isinstance(gens[0], W)}
         assert words
-        assert pieces[1] == expand_contact(DiffForm(ctx, lifted, n, words))
+        assert pieces[1] == expand_contact(DiffForm(ctx, n, words))
         forms.append(theta)
     for form in contact:
-        assert form.terms and contact_decompose(form)[0][1].is_zero()
+        assert form.terms and not contact_decompose(form)[0][1].terms
     for form in forms + contact:
         pieces = contact_decompose(form)
         assert [l for l, _ in pieces] == list(range(form.degree + 1))
-        total = DiffForm(form.ctx, form.order + 1, form.degree, {})
+        total = DiffForm(form.ctx, form.degree, {})
         for _, comp in pieces:
-            assert comp.order == form.order + 1
+            # dy^s_J splits through y^s_{Ji}: one order up at most
+            assert max_form_order(comp) <= max_form_order(form) + 1
             total = form_add(total, comp)
-        assert total == expand_contact(form).at_order(form.order + 1)
+        assert total == expand_contact(form)
 
 
 def test_lifting_a_differential_of_ceiling_order_overflows():
@@ -215,12 +211,12 @@ def test_lifting_a_differential_of_ceiling_order_overflows():
     with pytest.raises(OrderOverflow):
         contact_form(1, top, ctx)
     with pytest.raises(OrderOverflow):
-        expand_contact(DiffForm(ctx, 2, 1, {(W(1, top),): num(1)}))
+        expand_contact(DiffForm(ctx, 1, {(W(1, top),): num(1)}))
     for g in (JetCoord(1, top), W(1, top)):
         with pytest.raises(OrderOverflow):
-            contact_decompose(DiffForm(ctx, 2, 1, {(g,): num(1)}))
-    assert contact_form(1, below, ctx).order == 12
-    assert horizontalize(DiffForm(ctx, 1, 1, {(JetCoord(1, below),): num(1)})).terms == {
+            contact_decompose(DiffForm(ctx, 1, {(g,): num(1)}))
+    assert max_form_order(contact_form(1, below, ctx)) == 12
+    assert horizontalize(DiffForm(ctx, 1, {(JetCoord(1, below),): num(1)})).terms == {
         (BaseCoord(1),): sym(JetCoord(1, top))
     }
 
@@ -229,24 +225,24 @@ def test_contact_decompose_grades(ode1):
     # a contact form is purely 1-contact; its horizontal part vanishes
     w = contact_form(1, (), ode1)
     pieces = dict(contact_decompose(w))
-    assert 0 not in pieces or pieces[0].is_zero()
-    assert horizontalize(w).is_zero()
-    du = DiffForm(ode1, 0, 1, {(JetCoord(1),): num(1)})
+    assert 0 not in pieces or not pieces[0].terms
+    assert not horizontalize(w).terms
+    du = DiffForm(ode1, 1, {(JetCoord(1),): num(1)})
     assert horizontalize(du).terms == {(BaseCoord(1),): sym(U1)}
-    assert horizontalize(du).order == 1
+    assert max_form_order(horizontalize(du)) == 1
 
 
 def test_horizontalize_is_identity_on_horizontal_forms(plane1):
     f = mul(sym(JetCoord(1, (1,))), sym(BaseCoord(2)))
-    alpha = scale(omega_0(plane1), f).at_order(1)
-    assert horizontalize(alpha) == alpha.at_order(2)
+    alpha = scale(omega_0(plane1), f)
+    assert horizontalize(alpha) == alpha
 
 
 def test_cartan_form_first_order_is_classical(ode1):
     u1 = sym(U1)
     lam = Lagrangian(mul(num(Fraction(1, 2)), pow_(u1, 2)), ode1, 1)
     theta = cartan_form(lam)
-    assert theta.order == 1
+    assert max_form_order(theta) == 1
     assert theta.terms == {
         (JetCoord(1),): u1,
         (BaseCoord(1),): mul(num(Fraction(-1, 2)), pow_(u1, 2)),
@@ -257,7 +253,7 @@ def test_cartan_form_second_order_frozen(ode2):
     u1, u11, u111 = sym(U1), sym(U11), sym(U111)
     lam = Lagrangian(mul(num(Fraction(1, 2)), pow_(u11, 2)), ode2, 2)
     theta = cartan_form(lam)
-    assert theta.order == 3
+    assert max_form_order(theta) == 3
     assert theta.terms == {
         (JetCoord(1),): neg(u111),
         (JetCoord(1, (1,)),): u11,
@@ -282,14 +278,14 @@ def test_cartan_form_splits_lagrangian_and_source():
     for n, m, r in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)):
         ctx = JetContext(n=n, m=m, order=r)
         lam = Lagrangian(random_polynomial(rng, ctx, order=r), ctx, r)
-        # declared above the occurring order: the same terms, one order up
+        # declared above the occurring order: the same form
         lifted = Lagrangian(lam.L, ctx, r + 2)
-        assert cartan_form(lifted) == cartan_form(lam).at_order(2 * r + 3)
+        assert cartan_form(lifted) == cartan_form(lam)
         cases += [lam, lifted]
     for lam in cases:
         theta = cartan_form(lam)
         # horizontal part recovers the Lagrangian
-        assert horizontalize(theta) == lam.as_form().at_order(2 * lam.r)
+        assert horizontalize(theta) == lam.as_form()
         # 1-contact part of d theta recovers the source form
         pieces = dict(contact_decompose(exterior_derivative(theta)))
         assert pieces[1] == euler_lagrange(lam).as_form()
@@ -330,23 +326,36 @@ def test_prolong_isomorphism_chain_rule():
     assert pro[U11] == mul(num(Fraction(1, 4)), sym(U11))
 
 
-def test_pullback_above_the_prolonged_order_raises_order_overflow(ode1):
+def test_a_jet_above_the_prolonged_order_raises_order_overflow(ode1):
     # the prolongation bounds the order: a coefficient reaches it through
     # substitute's bindings.get, a generator through pro[...]; each ends as
     # a JetvarError (exit 2), never as a KeyError (exit 3)
     assert issubclass(OrderOverflow, JetvarError)
     iso = FiberedIso((mul(num(2), sym(X)),), (add(sym(U), pow_(sym(U), 2)),))
-    coefficient = form_from_terms(ode1, 1, 1, [((BaseCoord(1),), sym(U11))])
-    generator = form_from_terms(ode1, 1, 1, [((JetCoord(1, (1, 1)),), sym(U))])
-    for form in (coefficient, generator):
+    pro = prolong_isomorphism(iso, 1, ode1)
+    for reach in (lambda: pro[U11], lambda: pro.get(U11), lambda: substitute(sym(U11), pro)):
         with pytest.raises(OrderOverflow, match="is above order 1"):
-            pullback(form, iso)
-        assert pullback(form.at_order(2), iso).order == 2
+            reach()
     # only the requested jets and their parents are built
     pro = prolong_isomorphism(iso, 3, ode1)
     pro[U11]
     assert set(pro) == {X, U, U1, U11}
     assert pro.get(BaseCoord(2)) is None
+
+
+def test_pullback_prolongs_to_the_order_occurring_in_the_form(ode1):
+    # a coefficient or a generator of order 2 prolongs the map to order 2,
+    # also on an order-1 context; the result is what bindings prolonged
+    # further give
+    iso = FiberedIso((mul(num(2), sym(X)),), (add(sym(U), pow_(sym(U), 2)),))
+    coefficient = form_from_terms(ode1, 1, [((BaseCoord(1),), sym(U11))])
+    generator = form_from_terms(ode1, 1, [((JetCoord(1, (1, 1)),), sym(U))])
+    for form in (coefficient, generator):
+        assert max_form_order(form) == 2
+        pulled = pullback(form, iso)
+        assert pulled == _pullback_prolonged(form, prolong_isomorphism(iso, 2, ode1))
+        assert pulled == _pullback_prolonged(form, prolong_isomorphism(iso, 4, ode1))
+        assert max_form_order(pulled) == 2
 
 
 def test_prolonged_pullback_preserves_contact_forms():
@@ -361,8 +370,8 @@ def test_prolonged_pullback_preserves_contact_forms():
     for iso in isos:
         for J in ((), (1,)):
             w = contact_form(1, J, ctx)
-            pulled = pullback(w.at_order(2), iso)
-            assert horizontalize(pulled).is_zero()
+            pulled = pullback(w, iso)
+            assert not horizontalize(pulled).terms
 
 
 def test_pullback_respects_wedge_and_differential():
@@ -378,21 +387,19 @@ def test_pullback_respects_wedge_and_differential():
     for _ in range(6):
         alpha = _random_one_form(rng, ctx)
         beta = _random_one_form(rng, ctx)
-        lhs = pullback(wedge(alpha, beta).at_order(2), iso)
-        rhs = wedge(pullback(alpha.at_order(2), iso), pullback(beta.at_order(2), iso))
+        lhs = pullback(wedge(alpha, beta), iso)
+        rhs = wedge(pullback(alpha, iso), pullback(beta, iso))
         assert lhs == rhs
     for _ in range(6):
         f = random_polynomial(rng, ctx, order=0, degree=2, terms=2)
-        lhs = pullback(differential(f, ctx).at_order(1), iso)
-        rhs = exterior_derivative(pullback(function_form(ctx, f), iso)).at_order(1)
+        lhs = pullback(differential(f, ctx), iso)
+        rhs = exterior_derivative(pullback(form_from_terms(ctx, 0, [((), f)]), iso))
         assert lhs == rhs
 
 
 def test_pullback_along_identity(ode1):
     iso = FiberedIso((sym(X),), (sym(U),))
-    alpha = form_from_terms(
-        ode1, 1, 1, [((BaseCoord(1),), sym(U1)), ((JetCoord(1),), sym(X))]
-    )
+    alpha = form_from_terms(ode1, 1, [((BaseCoord(1),), sym(U1)), ((JetCoord(1),), sym(X))])
     assert pullback(alpha, iso) == alpha
 
 
@@ -407,10 +414,10 @@ def test_pullback_drops_a_term_that_vanishes_partway():
     pro = {BaseCoord(1): x1, BaseCoord(2): x2, U: x1}
     lam = Lagrangian(add(sym(U), neg(x1)), ctx, 0)
     pulled = _pullback_prolonged(lam.as_form(), pro)
-    assert pulled.is_zero() and pulled.degree == 2
-    volume = form_from_terms(ctx, 0, 3, [((JetCoord(1), BaseCoord(1), BaseCoord(2)), sym(U))])
+    assert not pulled.terms and pulled.degree == 2
+    volume = form_from_terms(ctx, 3, [((JetCoord(1), BaseCoord(1), BaseCoord(2)), sym(U))])
     pulled = _pullback_prolonged(volume, pro)
-    assert pulled.is_zero() and pulled.degree == 3
+    assert not pulled.terms and pulled.degree == 3
     with pytest.raises(SingularFiberMap):
         pullback_lagrangian(lam, FiberedIso((x1, x2), (x1,)))
 
@@ -486,14 +493,14 @@ def test_prolongation_rejects_an_isomorphism_of_other_dimensions(iso, plane1):
 
 
 def test_form_arithmetic_guards(ode1, plane1):
-    a = function_form(ode1, sym(U))
-    b = function_form(plane1, sym(U))
+    a = form_from_terms(ode1, 0, [((), sym(U))])
+    b = form_from_terms(plane1, 0, [((), sym(U))])
     with pytest.raises(ContextMismatch):
         form_add(a, b)
-    dx = DiffForm(ode1, 0, 1, {(BaseCoord(1),): num(1)})
+    dx = DiffForm(ode1, 1, {(BaseCoord(1),): num(1)})
     with pytest.raises(DegreeMismatch):
         form_add(a, dx)
-    assert form_add(dx, scale(dx, num(-1))).is_zero()
+    assert not form_add(dx, scale(dx, num(-1))).terms
     assert scale(dx, num(-1)).terms == {(BaseCoord(1),): num(-1)}
 
 
@@ -535,11 +542,12 @@ def test_invert_matrix_refuses_a_singular_matrix(rows):
         _invert_matrix(rows)
 
 
-def test_zero_results_keep_degree_and_order(ode1, plane1):
-    a = form_from_terms(plane1, 2, 1, [((BaseCoord(1),), sym(U)), ((JetCoord(1, (2,)),), sym(X))])
+def test_zero_results_keep_their_degree(ode1, plane1):
+    a = form_from_terms(plane1, 1, [((BaseCoord(1),), sym(U)), ((JetCoord(1, (2,)),), sym(X))])
     for zero in (scale(a, 0), scale(a, num(0)), form_add(a, scale(a, -1))):
-        assert zero.is_zero()
-        assert (zero.degree, zero.order) == (1, 2)
-    f = function_form(ode1, 0, 3)
-    assert f.is_zero()
-    assert (f.degree, f.order) == (0, 3)
+        assert not zero.terms
+        assert zero.degree == 1
+        assert zero == DiffForm(plane1, 1, {})
+    f = form_from_terms(ode1, 0, [((), 0)])
+    assert not f.terms
+    assert f.degree == 0

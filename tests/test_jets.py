@@ -25,12 +25,12 @@ from jetvar.coords import (
     multiplicity,
 )
 from jetvar import expr, jets
-from jetvar.expr import ZERO, _collect, add, coords_in, func, mul, neg, num, partial, pow_
-from jetvar.expr import substitute, sym
+from jetvar.expr import ZERO, _collect, add, coords_in, func, gradient, mul, neg, num
+from jetvar.expr import ordered_terms, partial, pow_, substitute, sym
 from jetvar.forms import FiberedIso, prolong_isomorphism
 from jetvar.jets import add_total_derivatives, iterated_total_derivative, prolong_section
 
-from corpus import random_base_polynomial, random_laurent, random_polynomial
+from corpus import random_base_polynomial, random_laurent, random_mixed, random_polynomial
 
 X1, X2 = BaseCoord(1), BaseCoord(2)
 U = JetCoord(1)
@@ -186,6 +186,39 @@ def test_adding_a_total_derivative_into_a_dict_equals_adding_it():
                 assert _collect(into, bound) == ZERO
             into = {}
             assert _collect(into, total_derivative(e, i, ctx, into=into)) == d
+
+
+def test_the_bound_of_a_chain_of_derivatives_grows_by_one_per_step():
+    # every exponent of d^k exp(x1) = exp(x1) is 1; the bound may lag, but
+    # by one per derivative, not two
+    ctx = JetContext(n=1, m=1, order=1)
+    e = func("exp", sym(X1))
+    for _ in range(8):
+        e = total_derivative(e, 1, ctx)
+    assert e == func("exp", sym(X1))
+    assert e._bound == 9
+
+
+def _max_exponent(e):
+    return max((abs(k) for _, factors in ordered_terms(e) for _, k in factors), default=0)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_derivative_bounds_cover_every_exponent(seed):
+    # corpus values, and one times a power of a sin/cos/exp atom, whose own
+    # exponent the chain rule moves; three derivatives in a row
+    rng = random.Random(seed)
+    ctx = JetContext(n=2, m=2, order=2)
+    arg = rng.choice((random_polynomial, random_laurent, random_mixed))(rng, ctx)
+    atom = pow_(func(rng.choice(("sin", "cos", "exp")), arg), rng.choice((-3, -1, 1, 2)))
+    values = [random_polynomial(rng, ctx), random_laurent(rng, ctx), random_mixed(rng, ctx)]
+    values.append(add(random_laurent(rng, ctx), mul(atom, random_mixed(rng, ctx))))
+    for e in values:
+        for _ in range(3):
+            for d in gradient(e).values():
+                assert d._bound >= _max_exponent(d)
+            e = total_derivative(e, rng.randint(1, ctx.n), ctx)
+            assert e._bound >= _max_exponent(e)
 
 
 def test_adding_into_a_dict_raises_as_returning_does():

@@ -12,7 +12,7 @@ import jetvar
 from jetvar import FiberedIso, JetContext, Lagrangian, SectionSpec, SourceForm
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import sym
-from jetvar.forms import W, function_form, gen_key
+from jetvar.forms import DiffForm, W, form_from_terms, gen_key
 
 
 def test_jet_coordinate_sorts_its_index_and_hashes_the_field_tuple():
@@ -46,11 +46,11 @@ def test_gen_key_ranks_contact_then_fiber_then_base_generators():
 
 def test_diff_form_equality_ignores_the_context_and_forms_are_unhashable():
     u = sym(JetCoord(1))
-    plain = function_form(JetContext(n=1, m=1, order=1), u)
-    named = function_form(JetContext(n=1, m=1, order=1, base_names=("t1",)), u)
+    plain = form_from_terms(JetContext(n=1, m=1, order=1), 0, [((), u)])
+    named = form_from_terms(JetContext(n=1, m=1, order=1, base_names=("t1",)), 0, [((), u)])
     assert plain == named
-    assert plain != plain.at_order(2)
-    assert plain.at_order(2).ctx is plain.ctx
+    # the degree takes part: the same terms at another degree differ
+    assert plain != DiffForm(plain.ctx, 1, plain.terms)
     with pytest.raises(TypeError):
         hash(plain)
 

@@ -28,7 +28,7 @@ from jetvar import (
 )
 from jetvar.coords import BaseCoord, JetCoord
 from jetvar.expr import ZERO, add, func, is_zero, mul, neg, num, pow_, sym
-from jetvar.forms import function_form
+from jetvar.forms import form_from_terms, max_form_order
 
 from corpus import random_polynomial
 
@@ -104,16 +104,23 @@ def test_euler_lagrange_is_linear():
 
 
 def test_null_lagrangian_from_closed_form_input(plane1):
-    eta = function_form(plane1, pow_(sym(U), 2), 1)
+    eta = form_from_terms(plane1, 0, [((), pow_(sym(U), 2))])
     with pytest.raises(DegreeMismatch):
         null_lagrangian_from_eta(eta)
 
 
 def test_null_lagrangian_from_eta_ode(ode1):
-    # eta = u^2 (a 0-form): the null density is its total derivative
-    lam = null_lagrangian_from_eta(function_form(ode1, pow_(sym(U), 2), 1))
+    # eta = u^2 (a 0-form): the null density is its total derivative,
+    # declared one order above the jets occurring in eta
+    eta = form_from_terms(ode1, 0, [((), pow_(sym(U), 2))])
+    lam = null_lagrangian_from_eta(eta)
     assert lam.L == mul(num(2), sym(U), sym(U1))
-    assert lam.r == 2
+    assert lam.r == max_form_order(eta) + 1 == 1
+    assert decide_zero(euler_lagrange(lam).eps) is True
+    eta = form_from_terms(ode1, 0, [((), mul(sym(U), sym(U1)))])
+    lam = null_lagrangian_from_eta(eta)
+    assert lam.L == add(pow_(sym(U1), 2), mul(sym(U), sym(U11)))
+    assert lam.r == max_form_order(eta) + 1 == 2
     assert decide_zero(euler_lagrange(lam).eps) is True
 
 
@@ -334,8 +341,8 @@ def test_naturality_decides_the_gap_of_unequal_sides(ode1, monkeypatch, extra, a
     # from it differs from the pullback of the same side of lam
     density = jetvar.variational._density
 
-    def skewed(pulled, lam):
-        out = density(pulled, lam)
+    def skewed(pulled, ctx, r):
+        out = density(pulled, ctx, r)
         return Lagrangian(add(out.L, extra()), out.ctx, out.r)
 
     monkeypatch.setattr(jetvar.variational, "_density", skewed)
