@@ -42,8 +42,9 @@ Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
 first, factors by coordinate order, see `ordered_terms`) is computed once
 per value on demand and cached on it, comparing atoms by their rank among
-the sort keys of all atoms interned so far, never by the nested keys of
-deep sin/cos/exp atoms; rendering and floating-point evaluation both follow
+the sort keys of all atoms interned so far (rebuilt from one sorted list
+when an atom was interned since), never by the nested keys of deep
+sin/cos/exp atoms; rendering and floating-point evaluation both follow
 it, so neither text nor floats depend on the history of the process.
 Rendering reads the cached rows directly and keeps a table per call of the
 text of each (atom id, exponent) factor and of each sin/cos/exp argument,
@@ -62,7 +63,7 @@ share.
 from __future__ import annotations
 
 import math
-from bisect import bisect
+from bisect import insort
 from fractions import Fraction
 
 from .coords import FUNCTIONS, BaseCoord, Coord, JetCoord, coord_key, index_with
@@ -143,8 +144,8 @@ _ATOMS: list = []  # id -> atom
 _ATOM_VALUES: list = []  # id -> the Expr of the atom alone
 _UNIT: list = []  # id -> the packed monomial of the atom alone
 _ATOM_KEYS: list = []  # id -> sort key in the canonical order
-_ATOM_RANKS: list = []  # id -> position of its key in _SORTED_KEYS
-_SORTED_KEYS: list = []  # the sort keys of all atoms, ascending
+_ATOM_RANKS: list = []  # id -> position in _SORTED_ATOMS, rebuilt by `_rows`
+_SORTED_ATOMS: list = []  # (sort key, id) of every atom, ascending
 _ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
 _ATOM_ORDERS: list = []  # id -> jet order of a jet coordinate, -1 otherwise
 # (sigma, J sorted) -> the Expr of that jet coordinate, one per interned atom
@@ -194,9 +195,7 @@ def _intern(atom) -> int:
             if atom.__class__ is JetCoord:
                 order = len(atom.J)
         a = len(_ATOMS)
-        rank = bisect(_SORTED_KEYS, key)
-        _SORTED_KEYS.insert(rank, key)
-        _ATOM_RANKS[:] = [r + (r >= rank) for r in _ATOM_RANKS] + [rank]
+        insort(_SORTED_ATOMS, (key, a))
         _ATOMS.append(atom)
         _UNIT.append(1 << (16 * a))
         _ATOM_VALUES.append(Expr({_UNIT[a]: 1}, 1))
@@ -418,6 +417,10 @@ def _rows(e: Expr) -> tuple:
     rows = e._rows
     if rows is None:
         ranks = _ATOM_RANKS
+        if len(ranks) < len(_ATOMS):  # an atom was interned since the last rebuild
+            ranks[:] = [0] * len(_ATOMS)
+            for rank, (_, a) in enumerate(_SORTED_ATOMS):
+                ranks[a] = rank
         keyed = []
         for m, c in e.terms.items():
             factors = tuple(sorted(_FACTORS[m], key=lambda f: ranks[f[0]]))

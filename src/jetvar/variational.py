@@ -17,10 +17,9 @@ number of ordered tuples representing it).
 from __future__ import annotations
 
 import contextlib
-import functools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .coords import (
     BaseCoord,
@@ -29,7 +28,6 @@ from .coords import (
     Value,
     coord_key,
     index_with,
-    multi_indices,
     multiplicity,
 )
 from .errors import DegreeMismatch, DimensionMismatch, DivisionByZero
@@ -229,55 +227,39 @@ def decide_zero(exprs, seed: int = 0):
     return answer
 
 
-@functools.lru_cache(maxsize=32)  # verdict_mix alone uses 10 (n, t) shapes
-def _completion_plan(n: int, t: int) -> tuple:
-    """The completions of the Helmholtz sums for base dimension n and jets
-    of order at most t, shared by every source form whose partials reach
-    order t.  One entry (l, I, 1/mult(I), levels) per level l and sorted I
-    of length l, in record order; levels run longest completions first,
-    and each holds rows (M, I+M, w_|M|/mult(I+M), ((i, M+i) for i = 1..n))
-    with w_j as in helmholtz_residuals.  The rationals are constant values
-    and nothing refers to a context, so the ceiling check stays with each
-    total_derivative call."""
-    plan = []
-    for l in range(t + 1):
-        for I in multi_indices(n, l):
-            levels = []
-            for j in range(t - l, -1, -1):
-                weight = -comb(l + j, l) if (l + j) % 2 == 0 else comb(l + j, l)
-                levels.append(
-                    tuple(
-                        (
-                            M,
-                            tuple(sorted(I + M)),
-                            num(Fraction(weight, multiplicity(I + M))),
-                            tuple((i, index_with(M, i)) for i in range(1, n + 1)),
-                        )
-                        for M in multi_indices(n, j)
-                    )
-                )
-            plan.append((l, I, num(Fraction(1, multiplicity(I))), tuple(levels)))
-    return tuple(plan)
+def _adjoint(partials: list, sigma: int, nu: int, ctx: JetContext) -> dict:
+    """The (sigma, nu) entry of the formal adjoint D_eps* = sum_F (-D)_F (q_F .),
+    q_F = partial(eps_nu, y^sigma_F), as its nonzero coefficients {K: u_K}
+    of D_K.  Horner's rule over the tree of sorted F that euler_lagrange
+    walks, from the longest F that occurs down:
 
+        U(F) = (-1)^|F| q_F + sum_{i >= last(F)} D_i U(F+i)
 
-def _residual(q: list, ctx: JetContext, entry: tuple, sigma: int, nu: int) -> Expr:
-    """R(l, I, sigma, nu) for one plan entry (l, I, 1/mult(I), levels)."""
-    _, I, mu_I, levels = entry
-    q_nu = q[nu - 1]
-    upper: dict = {}  # nonzero G at the level above, by completion
-    for rows in levels:
-        level = {}
-        for M, full, coeff, ups in rows:
-            head = q_nu.get((sigma, full))
-            value = ZERO if head is None else mul(coeff, head)
-            parts = [(upper[up], i, 1) for i, up in ups if up in upper]
-            value = add_total_derivatives(value, parts, ctx)
-            if value.terms:
-                level[M] = value
-        upper = level
-    head = q[sigma - 1].get((nu, I))
-    first = ZERO if head is None else mul(mu_I, head)
-    return add(first, upper.get((), ZERO))
+    and the adjoint is U(()).  D_i sends the coefficient u_K of an operator
+    to d_i u_K at K plus u_K at K+i, so each coefficient of U(F) costs one
+    `add_total_derivatives` call."""
+    levels = partials[nu - 1]
+    below = {}  # the nonzero U(F) of the level below, by F
+    for k in range(max(levels, default=0), -1, -1):
+        sums = {}  # F -> K -> (coefficients shifted to K, derivative parts)
+        for (s, F), d in levels.get(k, {}).items():
+            if s == sigma:
+                sums[F] = {(): ([neg(d) if k % 2 else d], [])}
+        for F, U in below.items():
+            i, coefficients = F[-1], sums.setdefault(F[:-1], {})
+            for K, u in U.items():
+                coefficients.setdefault(index_with(K, i), ([], []))[0].append(u)
+                coefficients.setdefault(K, ([], []))[1].append((u, i, 1))
+        below = {}
+        for F, coefficients in sums.items():
+            U = {}
+            for K, (shifted, parts) in coefficients.items():
+                value = add_total_derivatives(add(*shifted), parts, ctx)
+                if value.terms:
+                    U[K] = value
+            if U:
+                below[F] = U
+    return below.get((), {})
 
 
 def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
@@ -291,51 +273,43 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
                 d_M [partial(eps_nu, y^sigma_{I+M}) / mult(I+M)]
 
     where the inner sum runs over sorted completions M, weighted by the
-    number of ordered tuples each represents.  The second head term and
-    the tail are evaluated in nested form, from the longest completions
-    down, with q_F = partial(eps_nu, y^sigma_F):
-
-        G(M) = w_|M| q_{I+M} / mult(I+M) + sum_{i=1..n} d_i G(M+i)
-        w_j  = -(-1)^(l+j) C(l+j, l)
-
-    so that R = partial(eps_sigma, y^nu_I) / mult(I) + G(()).  G is kept
-    per sorted M; summing d_i over every i reaches M along mult(M)
-    ordered chains, which supplies the weight mult(M).  The completions,
-    weights and up-links depend on n and on the highest order t of a jet
-    in the partials of eps alone; `_completion_plan` builds them once per
-    (n, t) and process.  Every residual of a level above t is zero, since
-    no partial reaches its jets, and the report keeps the nonzero residuals
-    alone, so neither time nor memory grows with s.  The residuals are the
-    coefficients of the skew-adjoint D_eps - D_eps*, so
+    number of ordered tuples each represents.  By the Leibniz rule, D_I
+    enters (-D)_{I+M} (q .) with coefficient (-1)^k C(k, l) mult(I) mult(M)
+    d_M q / mult(I+M), so mult(I) R is the coefficient of D_I in the (sigma,
+    nu) entry of D_eps - D_eps*, the skew-adjoint part of the Frechet
+    derivative: partial(eps_sigma, y^nu_I) less that of `_adjoint`.  No
+    level above the highest jet order in the partials of eps holds a
+    nonzero residual, and the report keeps the nonzero ones alone, so
+    neither time nor memory grows with s.  Skew-adjointness gives
 
         R(l, I, nu, sigma) = -sum_{k>=l} (-1)^k C(k, l) sum_{|M|=k-l} mult(M)
                                d_M R(k, sorted(I+M), sigma, nu)
 
-    and the free ones (sigma < nu, odd levels of sigma = nu) vanish only if
-    all do: for even l, 2 R(l, I, sigma, sigma) is a sum of higher levels.
-    They come first, the rest only if one is nonzero; no chain lifts a jet
-    of order 2s, so none overflows.  The verdict is variational iff no
-    residual is kept; a kept residual containing opaque atoms downgrades
-    the verdict to undecided unless probing bounds it away from zero."""
-    ctx = sf.ctx
-    # q[nu][(sigma, F)] = partial(eps_nu, y^sigma_F), nonzero entries only
+    so the free residuals (sigma < nu, odd levels of sigma = nu) vanish
+    only if all do: for even l, 2 R(l, I, sigma, sigma) is a sum of higher
+    levels.  The pairs sigma <= nu hold every free residual; they come
+    first, and the pairs sigma > nu only if one of their residuals is
+    nonzero.  No chain lifts a jet of order 2s, so none overflows.  The
+    verdict is variational iff no residual is kept; a kept residual
+    containing opaque atoms downgrades the verdict to undecided unless
+    probing bounds it away from zero."""
+    ctx, m = sf.ctx, sf.ctx.m
+    # partials[sigma - 1][k][nu, I] = partial(eps_sigma, y^nu_I), nonzero only
     partials = [jet_partials(e) for e in sf.eps]
-    top = max(max(p, default=0) for p in partials)
     q = [{key: d for level in p.values() for key, d in level.items()} for p in partials]
-    pairs = [(sigma, nu) for sigma in range(1, ctx.m + 1) for nu in range(1, ctx.m + 1)]
-    cells = [(entry, *pair) for entry in _completion_plan(ctx.n, top) for pair in pairs]
-    free = {
-        k: _residual(q, ctx, entry, sigma, nu)
-        for k, (entry, sigma, nu) in enumerate(cells)
-        if sigma < nu or (sigma == nu and entry[0] % 2)
-    }
-    records = []
-    if any(value.terms for value in free.values()):
-        for k, (entry, sigma, nu) in enumerate(cells):
-            value = free[k] if k in free else _residual(q, ctx, entry, sigma, nu)
+    pairs = [(sigma, nu) for sigma in range(1, m + 1) for nu in range(1, m + 1)]
+    cells = {}
+    for sigma, nu in sorted(pairs, key=lambda pair: pair[0] > pair[1]):
+        if sigma > nu and not cells:
+            break
+        adjoint = _adjoint(partials, sigma, nu, ctx)
+        heads = {I: d for (s, I), d in q[sigma - 1].items() if s == nu}
+        for I in heads.keys() | adjoint.keys():
+            value = add(heads.get(I, ZERO), neg(adjoint.get(I, ZERO)))
             if value.terms:
-                records.append(HelmholtzRecord(entry[0], entry[1], sigma, nu, value))
-    return HelmholtzReport(tuple(records), probe_seed, ctx, sf.s)
+                cells[len(I), I, sigma, nu] = mul(num(Fraction(1, multiplicity(I))), value)
+    records = tuple(HelmholtzRecord(*key, cells[key]) for key in sorted(cells))
+    return HelmholtzReport(records, probe_seed, ctx, sf.s)
 
 
 def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:

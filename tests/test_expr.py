@@ -303,14 +303,16 @@ def test_jet_atoms_are_memoized_by_index(monkeypatch):
 
 
 def test_atom_ranks_follow_the_canonical_keys():
-    # after the corpus's atoms and nested sin/cos/exp atoms, the rank of
-    # every atom interned so far sorts the atoms as their keys do
+    # after the corpus's atoms and nested sin/cos/exp atoms, the ranks that
+    # the canonical rows of a new value read sort every atom interned so far
+    # as their keys do
     rng = random.Random(73)
     ctx = JetContext(n=2, m=2, order=2)
     for _ in range(40):
         e = random_mixed(rng, ctx)
         for name in ("sin", "cos", "exp"):
             e = add(func(name, e), random_mixed(rng, ctx))
+    expr._rows(add(e, func("sin", e)))
     ids = range(len(expr._ATOMS))
     assert sorted(expr._ATOM_RANKS) == list(ids)
     by_key = sorted(ids, key=expr._ATOM_KEYS.__getitem__)
