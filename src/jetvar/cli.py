@@ -160,7 +160,7 @@ def _cmd_numcheck(problem: ProblemFile, opts: dict):
     if problem.lagrangian is not None:
         gamma = _need(problem.section, "numcheck", "section")
         phi = _need(problem.variation, "numcheck", "variation")
-        quad = QuadratureSpec(nodes=opts["nodes"], step=opts["step"])
+        quad = QuadratureSpec(nodes=opts["nodes"])
         result = first_variation_check(
             problem.lagrangian, VariationProbe(gamma, phi), quad
         )

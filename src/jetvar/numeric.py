@@ -1,43 +1,42 @@
 """Numeric verification layer: quadrature and finite differences along
 concrete sections.
 
-This module deliberately avoids the symbolic Euler-Lagrange machinery on
-one side of each comparison, so that an error in the symbolic combinatorics
-shows up as a numeric mismatch instead of cancelling symmetrically."""
+Each comparison keeps the symbolic Euler-Lagrange machinery off one side,
+so that an error in it shows up as a numeric mismatch instead of
+cancelling.  So the s-derivative of the action is a difference of values
+of L: the exact one, built from the partials that `gradient` also gives
+`euler_lagrange`, equals the other side by integration by parts whatever
+those partials are, and a wrong partial would cancel."""
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .coords import BaseCoord, JetContext, JetCoord, coord_key
 from .dsl import render_expr
-from .errors import DivisionByZero, NotODEContext, ProbeBoundaryError
-from .expr import add, atom_id, coords_in, evaluate, max_jet_order, mul, num
+from .errors import DivisionByZero, NotODEContext, NumericOverflow, ProbeBoundaryError
+from .expr import atom_id, coords_in, evaluate, max_jet_order
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
 
 BOUNDARY_TOL = 1e-12
-RICHARDSON_DISAGREE = 1e-9
 # the most quadrature nodes a spec takes: building the rule costs O(nodes^2)
 MAX_NODES = 1000
-# the least finite-difference step: below it rounding swamps the difference
-MIN_STEP = 1e-8
+# the step h of the five-point difference of the action: its truncation
+# error is O(h^4), and below about 1e-3 rounding in the action dominates
+STEP = 1e-3
 
 
 class QuadratureSpec:
-    """Gauss-Legendre quadrature on [0, 1] plus a central finite-difference
-    step."""
+    """Gauss-Legendre quadrature on [0, 1]."""
 
-    __slots__ = ("nodes", "step")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes: int = 32, step: float = 1e-4):
+    def __init__(self, nodes: int = 32):
         if not 2 <= nodes <= MAX_NODES:
             raise ValueError(f"need 2 to {MAX_NODES} quadrature nodes, got {nodes}")
-        if not (math.isfinite(step) and step >= MIN_STEP):
-            raise ValueError(f"need a finite step of at least {MIN_STEP}, got {step}")
-        self.nodes, self.step = nodes, step
+        self.nodes = nodes
 
     def points_weights(self):
         """Nodes in ascending order and weights of the Gauss-Legendre rule
@@ -154,15 +153,11 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
     if ctx.n != 1:
         raise NotODEContext(f"the action oracle needs one base variable, got {ctx.n}")
     jets = _jets_by_atom(prolong_section(gamma, lam.r, ctx), lam.L)
-    return _integrate(lam.L, jets, quad)
-
-
-def _integrate(density, jets: tuple, quad: QuadratureSpec) -> float:
     points, weights = quad.points_weights()
     total = 0.0
     for x, w in zip(points, weights):
         env = {BaseCoord(1): x}
-        total += w * evaluate(density, env, _point_values(jets, env))
+        total += w * evaluate(lam.L, env, _point_values(jets, env))
     return total
 
 
@@ -170,55 +165,49 @@ def _integrate(density, jets: tuple, quad: QuadratureSpec) -> float:
 def first_variation_check(
     lam, probe: VariationProbe, quad: QuadratureSpec = QuadratureSpec()
 ) -> FirstVariationResult:
-    """Compare the finite-difference derivative of s -> action(gamma + s phi)
-    at s = 0 against the quadrature of sum_sigma eps_sigma(j^2r gamma) phi^sigma.
+    """Compare the derivative of s -> action(gamma + s phi) at s = 0 against
+    the quadrature of sum_sigma eps_sigma(j^2r gamma) phi^sigma.
 
     The two sides agree in the continuum because the probe's boundary
-    condition kills the boundary terms of integration by parts.  A second
-    central difference at half step triggers Richardson extrapolation when
-    the two estimates disagree."""
+    condition kills the boundary terms of integration by parts.  The
+    derivative is the five-point difference
+    (8 (S(h/2) - S(-h/2)) - (S(h) - S(-h))) / 6h, h = STEP.  Raises
+    NumericOverflow unless both sides and their difference are finite."""
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the variation oracle needs one base variable, got {ctx.n}")
-    # d/dx is Q-linear and the kernel canonical, so the jets of gamma + s phi
-    # are exactly those of gamma plus s times those of phi: each section is
-    # prolonged once, gamma first, to 2r, the order of the source form
+    # each section is prolonged once, gamma first, to 2r, the order of the
+    # source form; d/dx is linear, so the jets of gamma + s phi are the
+    # jets of gamma plus s times those of phi, and are shifted as floats
     gamma_jets = prolong_section(probe.gamma, 2 * lam.r, ctx)
     phi_jets = prolong_section(probe.phi, lam.r, ctx)
     _check_vanishing(phi_jets, max_jet_order(lam.L), ctx)
-    pairs = zip(_jets_by_atom(gamma_jets, lam.L), _jets_by_atom(phi_jets, lam.L))
-    pairs = [(a, g, p) for (a, g), (_, p) in pairs]
-
-    def shifted_action(s: float) -> float:
-        factor = num(Fraction(s))
-        shifted = tuple((a, add(g, mul(factor, p))) for a, g, p in pairs)
-        return _integrate(lam.L, shifted, quad)
-
-    def difference(h: float) -> float:
-        return (shifted_action(h) - shifted_action(-h)) / (2.0 * h)
-
-    h = quad.step
-    d_h = difference(h)
-    d_half = difference(h / 2.0)
-    lhs = d_h
-    if abs(d_h - d_half) > RICHARDSON_DISAGREE:
-        lhs = (4.0 * d_half - d_h) / 3.0
-
     sf = euler_lagrange(lam)
-    phi = probe.phi.components
-    jets = _jets_by_atom(gamma_jets, *sf.eps)
+    gamma_jets = _jets_by_atom(gamma_jets, lam.L, *sf.eps)
+    phi_jets = _jets_by_atom(phi_jets, lam.L)
+    shifts = (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
+    actions = [0.0] * len(shifts)
     points, weights = quad.points_weights()
     rhs = 0.0
     for x, w in zip(points, weights):
         env = {BaseCoord(1): x}
-        values = _point_values(jets, env)
+        g = _point_values(gamma_jets, env)
+        p = _point_values(phi_jets, env)
+        # a fresh table per shift: only the jets move with s, and an atom
+        # such as sin(u_{1}) cached at one shift is wrong at another
+        for i, s in enumerate(shifts):
+            shifted = {a: g[a] + s * p[a] for a, _ in phi_jets}
+            actions[i] += w * evaluate(lam.L, env, shifted)
         value = 0.0
-        for sigma in range(ctx.m):
-            value += evaluate(sf.eps[sigma], env, values) * evaluate(
-                phi[sigma], env, values
-            )
+        for eps, phi in zip(sf.eps, probe.phi.components):
+            value += evaluate(eps, env, g) * evaluate(phi, env, g)
         rhs += w * value
-    return FirstVariationResult(lhs, rhs, abs(lhs - rhs))
+    half_up, half_down, up, down = actions
+    lhs = (8.0 * (half_up - half_down) - (up - down)) / (6.0 * STEP)
+    abs_diff = abs(lhs - rhs)
+    if not math.isfinite(abs_diff):
+        raise NumericOverflow("the first variation overflows floating point")
+    return FirstVariationResult(lhs, rhs, abs_diff)
 
 
 @_naming_poles

@@ -54,7 +54,6 @@ DEFAULT_OPTIONS = {
     "verbose": False,
     "skip-variational-check": False,
     "nodes": 32,
-    "step": 1e-4,
 }
 # the spellings of a boolean option, read case-insensitively
 _BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
@@ -259,7 +258,7 @@ def _options(section: dict) -> dict:
             raise ProblemFileError(f"bad value for option {key!r}: {raw!r}") from None
     check_tolerance(out["tolerance"])
     try:
-        QuadratureSpec(nodes=out["nodes"], step=out["step"])
+        QuadratureSpec(nodes=out["nodes"])
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from None
     return out

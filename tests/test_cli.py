@@ -596,8 +596,6 @@ FIRST_VARIATION = """
         "nodes = 1",
         "nodes = 1001",
         "step = -1",
-        "step = inf",
-        "step = 1e-9",
         "tolerance = nan",
         "tolerance = -1",
     ],
@@ -607,14 +605,9 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, option):
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "ProblemFileError"
-
-
-def test_least_step_passes(tmp_path, capsys):
-    # at numeric.MIN_STEP the central difference still matches the source
-    # form (rel_diff about 6e-9); at 1e-10 it read 1.3e-6 and exited 1
-    path = problem(tmp_path, FIRST_VARIATION + "\n    [options]\n    step = 1e-8\n")
-    code, payload, _ = run(capsys, ["numcheck", path])
-    assert code == 0 and payload["pass"] is True
+    if option.startswith("step"):
+        # the finite-difference step is the constant numeric.STEP
+        assert diagnostic["message"] == "unknown option 'step'"
 
 
 @pytest.mark.parametrize(
@@ -658,6 +651,22 @@ def test_product_overflow_exits_2(tmp_path, capsys):
     code, payload, diagnostic = run(capsys, ["numcheck", path])
     assert code == 2 and payload is None
     assert diagnostic["error"] == "NumericOverflow"
+
+
+def test_first_variation_overflow_exits_2(tmp_path, capsys):
+    # every value is finite, but the source form times the variation
+    # overflows in the quadrature sum; the check read it as a pass, with
+    # rhs -inf and rel_diff NaN
+    text = FIRST_VARIATION.replace("1/2*u_{1}^2", "10^305*u_{1}^2").replace(
+        "comp1 = x^2*(1-x)^2", "comp1 = 10^4*x^2*(1-x)^2"
+    )
+    code, payload, diagnostic = run(capsys, ["numcheck", problem(tmp_path, text)])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "NumericOverflow"
+    text = text.replace("10^305", "10^300")
+    code, payload, _ = run(capsys, ["numcheck", problem(tmp_path, text)])
+    assert code == 0 and payload["pass"] is True
+    assert payload["rhs"] == pytest.approx(-4.0 / 3.0 * 1e303)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

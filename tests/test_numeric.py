@@ -29,7 +29,7 @@ from jetvar import (
     residual_on_section,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, evaluate, func, mul, num, ordered_terms, pow_, sym
+from jetvar.expr import add, evaluate, func, gradient, mul, num, ordered_terms, pow_, sym
 from jetvar.jets import prolong_section
 from jetvar.numeric import action
 
@@ -162,18 +162,19 @@ def test_first_variation_simple_potential(ode1):
 
 
 def test_first_variation_richardson_extrapolation(ode1):
-    # quartic Lagrangian with a coarse step: the plain central difference
-    # errs at the 1e-5 scale, so a small final difference shows the
-    # extrapolated value is used
+    # a quartic Lagrangian, whose central difference has a large truncation
+    # error: the five-point difference, the Richardson extrapolation of the
+    # central differences at h and h/2, is near the exact derivative
     gamma = SectionSpec((pow_(sym(X), 2),))
     phi = SectionSpec(
         (mul(pow_(sym(X), 2), pow_(add(num(1), mul(num(-1), sym(X))), 2)),)
     )
     lam = Lagrangian(pow_(sym(U1), 4), ode1, 1)
-    quad = QuadratureSpec(nodes=32, step=1e-2)
-    result = first_variation_check(lam, VariationProbe(gamma, phi), quad)
+    probe = VariationProbe(gamma, phi)
+    result = first_variation_check(lam, probe)
     assert result.rhs == pytest.approx(-32.0 / 35.0, abs=1e-10)
     assert result.abs_diff <= 1e-9
+    assert_near_exact(lam, probe, QuadratureSpec())
 
 
 def test_first_variation_second_order(ode2):
@@ -276,54 +277,65 @@ def section_jets(ctx, order):
     return [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(order + 1)]
 
 
-def reference_action(lam, components, quad):
-    jets = prolong_section(SectionSpec(components), lam.r, lam.ctx)
+def reference_first_variation(lam, probe, quad):
+    """The first-variation check with each section prolonged on its own, to
+    the order each side needs, every value evaluated term by term, and the
+    jets of gamma + s phi shifted as floats."""
+    ctx, h = lam.ctx, 1e-3
+    gamma = prolong_section(probe.gamma, lam.r, ctx)
+    phi = prolong_section(probe.phi, lam.r, ctx)
+    shifts = (h / 2.0, -h / 2.0, h, -h)
+    actions = [0.0] * len(shifts)
     points, weights = quad.points_weights()
-    total = 0.0
+    coords = section_jets(ctx, lam.r)
     for x, w in zip(points, weights):
         base = {X: x}
-        env = dict(base)
-        for coord in section_jets(lam.ctx, lam.r):
-            env[coord] = reference_evaluate(jets[coord], base)
-        total += w * reference_evaluate(lam.L, env)
-    return total
-
-
-def reference_first_variation(lam, probe, quad):
-    """The first-variation check with each shifted section gamma + s phi
-    prolonged on its own and every value evaluated term by term."""
-
-    def shifted(s):
-        factor = num(Fraction(s))
-        return tuple(
-            add(g, mul(factor, p)) for g, p in zip(probe.gamma.components, probe.phi.components)
-        )
-
-    def difference(h):
-        plus = reference_action(lam, shifted(h), quad)
-        minus = reference_action(lam, shifted(-h), quad)
-        return (plus - minus) / (2.0 * h)
-
-    h = quad.step
-    d_h = difference(h)
-    d_half = difference(h / 2.0)
-    lhs = d_h
-    if abs(d_h - d_half) > 1e-9:
-        lhs = (4.0 * d_half - d_h) / 3.0
+        g = {c: reference_evaluate(gamma[c], base) for c in coords}
+        p = {c: reference_evaluate(phi[c], base) for c in coords}
+        for i, s in enumerate(shifts):
+            env = dict(base)
+            for c in coords:
+                env[c] = g[c] + s * p[c]
+            actions[i] += w * reference_evaluate(lam.L, env)
+    lhs = (8.0 * (actions[0] - actions[1]) - (actions[2] - actions[3])) / (6.0 * h)
     sf = euler_lagrange(lam)
-    jets = prolong_section(probe.gamma, sf.s, lam.ctx)
-    points, weights = quad.points_weights()
+    jets = prolong_section(probe.gamma, sf.s, ctx)
     rhs = 0.0
     for x, w in zip(points, weights):
         base = {X: x}
         env = dict(base)
-        for coord in section_jets(lam.ctx, sf.s):
+        for coord in section_jets(ctx, sf.s):
             env[coord] = reference_evaluate(jets[coord], base)
         value = 0.0
         for eps, phi in zip(sf.eps, probe.phi.components):
             value += reference_evaluate(eps, env) * reference_evaluate(phi, base)
         rhs += w * value
     return lhs, rhs, abs(lhs - rhs)
+
+
+def exact_first_variation(lam, probe, quad):
+    """The s-derivative of the action in closed form: the quadrature of
+    sum_sigma,J dL/dy^sigma_J(j gamma) phi^sigma_J, with the partials from
+    `gradient`."""
+    ctx = lam.ctx
+    gamma = prolong_section(probe.gamma, lam.r, ctx)
+    phi = prolong_section(probe.phi, lam.r, ctx)
+    partials = [(c, d) for c, d in gradient(lam.L).items() if c.__class__ is JetCoord]
+    points, weights = quad.points_weights()
+    total = 0.0
+    for x, w in zip(points, weights):
+        base = {X: x}
+        env = dict(base)
+        for coord in section_jets(ctx, lam.r):
+            env[coord] = evaluate(gamma[coord], base)
+        total += w * sum(evaluate(d, env) * evaluate(phi[c], base) for c, d in partials)
+    return total
+
+
+def assert_near_exact(lam, probe, quad):
+    result = first_variation_check(lam, probe, quad)
+    exact = exact_first_variation(lam, probe, quad)
+    assert abs(result.lhs - exact) <= 1e-8 * max(1.0, abs(exact))
 
 
 def random_variation_case(rng, r, m):
@@ -351,12 +363,42 @@ def random_variation_case(rng, r, m):
 def test_first_variation_matches_separate_prolongations(r, m, seed):
     rng = random.Random(7000 + 100 * r + 10 * m + seed)
     lam, probe = random_variation_case(rng, r, m)
-    quad = QuadratureSpec(nodes=12, step=1e-3)
+    quad = QuadratureSpec(nodes=12)
     result = first_variation_check(lam, probe, quad)
     lhs, rhs, abs_diff = reference_first_variation(lam, probe, quad)
     assert same_float(result.lhs, lhs)
     assert same_float(result.rhs, rhs)
     assert same_float(result.abs_diff, abs_diff)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("nodes", [12, 32])
+def test_first_variation_is_near_the_exact_derivative(r, m, nodes):
+    # a central difference at step 1e-4 errs by up to 1.2e-6 on these draws
+    for seed in range(20):
+        rng = random.Random(7000 + 100 * r + 10 * m + seed)
+        assert_near_exact(*random_variation_case(rng, r, m), QuadratureSpec(nodes=nodes))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_prolongation_is_linear_in_the_section(r, m):
+    # the jets of gamma + s phi are those of gamma plus s times those of
+    # phi, exactly, so the check shifts the jets as floats
+    for seed in range(4):
+        rng = random.Random(9000 + 100 * r + 10 * m + seed)
+        _, probe = random_variation_case(rng, r, m)
+        wrap = func(rng.choice(("sin", "cos", "exp")), mul(num(rng.randint(1, 3)), sym(X)))
+        gamma = (add(probe.gamma.components[0], wrap),) + probe.gamma.components[1:]
+        s = num(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        ctx = JetContext(n=1, m=m, order=r)
+        shifted = SectionSpec(tuple(add(g, mul(s, p)) for g, p in zip(gamma, probe.phi.components)))
+        jets = prolong_section(shifted, 2 * r, ctx)
+        g_jets = prolong_section(SectionSpec(gamma), 2 * r, ctx)
+        p_jets = prolong_section(probe.phi, 2 * r, ctx)
+        for c in section_jets(ctx, 2 * r):
+            assert jets[c] == add(g_jets[c], mul(s, p_jets[c]))
 
 
 def test_first_variation_prolongs_each_section_once(ode2, monkeypatch):

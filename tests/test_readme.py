@@ -1,11 +1,13 @@
 """README stays true: its library tour runs and prints what its comments
-say, and every name its API paragraph lists imports from the module named."""
+say, every name its API paragraph lists imports from the module named, and
+its `[options]` list names every option the problem loader takes."""
 
 import importlib
 import re
 from pathlib import Path
 
 from jetvar import render_expr
+from jetvar.problem import DEFAULT_OPTIONS
 
 README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -38,3 +40,8 @@ def test_every_name_of_the_api_paragraph_imports_from_its_module():
         module = importlib.import_module(module_name)
         for name in re.findall(r"`(\w+)`", names):
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def test_the_options_list_names_every_option():
+    listed = README.split("* `[options]` accepts", 1)[1].split(";", 1)[0]
+    assert re.findall(r"`([\w-]+)`", listed) == list(DEFAULT_OPTIONS)
