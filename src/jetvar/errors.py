@@ -19,8 +19,9 @@ class OrderOverflow(JetvarError):
 
 
 class NonPolynomialParameter(JetvarError):
-    """The fiber scaling puts its parameter inside a function or a
-    denominator, so the fiber-scaling integral is not polynomial."""
+    """A source term has no Tonti weight 1/(d+1): a jet sits inside a
+    function, or the term's fiber degree d is -1 (its Lagrangian needs a
+    logarithm)."""
 
 
 class NonPolynomialDivision(JetvarError):

@@ -14,8 +14,8 @@ addition.  A process-wide table decodes each key to its factors once.  A
 key is unique only while every |k| < 2^15, so each value carries a bound
 on its exponents, set by each constructor from its operands' (a product
 adds them, a sum takes the maximum, a power multiplies, a derivative adds
-the larger of 1 and any sin/cos/exp chain-rule factor's); an operation
-whose bound would reach EXPONENT_LIMIT raises ExpansionBudget instead.
+the most a leaf moves an exponent); an operation whose bound would reach
+EXPONENT_LIMIT raises ExpansionBudget instead.
 
 Products distribute on construction, so structural equality decides
 equality of the functions denoted on the (Laurent-)polynomial fragment;
@@ -43,8 +43,8 @@ ordered by them.  The canonical order (constants last, higher total degree
 first, factors by coordinate order, see `ordered_terms`) is computed once
 per value on demand and cached on it, comparing atoms by their rank among
 the sort keys of all atoms interned so far (rebuilt from one sorted list
-when an atom was interned since), never by the nested keys of deep
-sin/cos/exp atoms; rendering and floating-point evaluation both follow
+when the value holds an atom interned since), never by the nested keys
+of deep sin/cos/exp atoms; rendering and floating-point evaluation follow
 it, so neither text nor floats depend on the history of the process.
 Rendering reads the cached rows directly and keeps a table per call of the
 text of each (atom id, exponent) factor and of each sin/cos/exp argument,
@@ -417,7 +417,10 @@ def _rows(e: Expr) -> tuple:
     rows = e._rows
     if rows is None:
         ranks = _ATOM_RANKS
-        if len(ranks) < len(_ATOMS):  # an atom was interned since the last rebuild
+        # new atoms never reorder older ones; bit length >> 4 is the top atom
+        if len(ranks) < len(_ATOMS) and (
+            max(map(int.bit_length, e.terms), default=0) >> 4 >= len(ranks)
+        ):
             ranks[:] = [0] * len(_ATOMS)
             for rank, (_, a) in enumerate(_SORTED_ATOMS):
                 ranks[a] = rank
@@ -477,12 +480,13 @@ def derive(e: Expr, leaf, accs: dict = None, scale=1):
     terms adds scale times the result per slot into accs, slot -> term
     dict, which the caller owns and collects, and returns the exponent
     bound of what it added; without accs, returns slot -> nonzero Expr.  If
-    a leaf raises, the dicts are left half filled."""
+    a leaf or the bound's ExpansionBudget raises, the dicts are left filled
+    in part."""
     if accs is None:
         accs = {}
         bound = derive(e, leaf, accs, scale)
         return {slot: v for slot, acc in accs.items() if (v := _collect(acc, bound)).terms}
-    bound = _checked(e._bound + 1)  # one exponent down, another atom's up
+    shift = 0  # the most a leaf moves any exponent, so the bound's growth
     memo: dict = {}
     factors = _FACTORS
     terms = e.terms.items() if scale == 1 else [(m, c * scale) for m, c in e.terms.items()]
@@ -491,12 +495,11 @@ def derive(e: Expr, leaf, accs: dict = None, scale=1):
             d = memo.get(a)
             if d is None:
                 if _ATOMS[a].__class__ is tuple:
-                    d, chain = _derive_function(a, leaf)
-                    # a's own exponent moves by 1 at most (exp's chain factor
-                    # holds a once, sin's and cos's not), any other's by chain
-                    bound = _checked(max(bound, e._bound + chain))
+                    d, step = _derive_function(a, leaf)
                 else:
                     d = leaf(a)
+                    step = 1 if d else 0
+                shift = max(shift, step)
                 memo[a] = d
             if not d:
                 continue
@@ -510,12 +513,12 @@ def derive(e: Expr, leaf, accs: dict = None, scale=1):
                     term = ck if dc == 1 else ck * dc
                     prev = acc.get(key)
                     acc[key] = term if prev is None else prev + term
-    return bound
+    return _checked(e._bound + shift)
 
 
 def _derive_function(a: int, leaf) -> tuple:
     """The leaf pairs of sin/cos/exp atom a by the chain rule, and the
-    exponent bound of their terms."""
+    largest |exponent| of their keys, the most any exponent moves."""
     name, arg = _ATOMS[a]
     dargs = derive(arg, leaf)
     if not dargs:
@@ -526,9 +529,11 @@ def _derive_function(a: int, leaf) -> tuple:
         outer = neg(func("sin", arg))
     else:
         outer = _ATOM_VALUES[a]
-    chains = [(slot, _mul2(outer, darg)) for slot, darg in dargs.items()]
-    u, bound = _UNIT[a], max(p._bound for _, p in chains)
-    return [(slot, [(dm - u, dc) for dm, dc in p.terms.items()]) for slot, p in chains], bound
+    u = _UNIT[a]
+    chains = [(slot, _mul2(outer, d).terms) for slot, d in dargs.items()]
+    pairs = [(slot, [(dm - u, dc) for dm, dc in p.items()]) for slot, p in chains]
+    shift = max((abs(k) for _, p in pairs for dm, _ in p for _, k in _FACTORS[dm]), default=0)
+    return pairs, shift
 
 
 def _gradient_leaf(a: int) -> tuple:
@@ -609,13 +614,11 @@ def _substitute_atom(a: int, bindings: dict):
     return None if image is _ATOM_VALUES[a] else image
 
 
-def integrate_param(e: Expr, lower, upper) -> Expr:
-    """The fiber-scaling integral of e(x, t*y^s_J) over t from lower to
-    upper: a monomial of total fiber-jet degree d is weighed by
-    (upper^(d+1) - lower^(d+1))/(d+1).  NonPolynomialParameter when a jet
-    coordinate sits inside a sin/cos/exp atom, or when d < 0."""
-    lo, hi = Fraction(lower), Fraction(upper)
-    weights: dict = {}  # degree -> weight
+def integrate_param(e: Expr) -> Expr:
+    """e with each monomial of total fiber-jet degree d weighed by 1/(d+1),
+    the integral of t^d over t from 0 to 1 when d >= 0.
+    NonPolynomialParameter when a jet coordinate sits inside a sin/cos/exp
+    atom, or when d = -1."""
     acc: dict = {}
     for m, c in e.terms.items():
         degree = 0
@@ -627,13 +630,9 @@ def integrate_param(e: Expr, lower, upper) -> Expr:
                 x.__class__ is JetCoord for x in _ATOM_COORDS[a]
             ):
                 raise NonPolynomialParameter("parameter inside a function application")
-        if degree < 0:
-            raise NonPolynomialParameter("parameter in a denominator")
-        w = weights.get(degree)
-        if w is None:
-            p = degree + 1
-            w = weights[degree] = (hi**p - lo**p) / p
-        acc[m] = c * w
+        if degree == -1:
+            raise NonPolynomialParameter("a monomial of fiber degree -1 has no Tonti weight")
+        acc[m] = c * Fraction(1, degree + 1)
     return _collect(acc, e._bound)
 
 

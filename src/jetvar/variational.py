@@ -352,19 +352,17 @@ def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzRep
 
 
 def tonti_lagrangian(sf: SourceForm) -> Lagrangian:
-    """The fiber-scaling Lagrangian
-
-        L = sum_sigma y^sigma int_0^1 eps_sigma(x, t y, ..., t y_J) dt
-
-    where a monomial of eps_sigma of total fiber-jet degree d is weighed by
-    int_0^1 t^d dt = 1/(d+1) (`integrate_param`); requires each component
-    to be polynomial in all fiber jet coordinates.  For a variational
-    source form, euler_lagrange of the result returns the input
-    symbolically."""
-    total = ZERO
-    for sigma, e in enumerate(sf.eps, start=1):
-        total = add(total, mul(sym(JetCoord(sigma)), integrate_param(e, 0, 1)))
-    return Lagrangian(total, sf.ctx, sf.s)
+    """L = sum_sigma y^sigma eps_sigma with each monomial of total fiber-jet
+    degree d weighed by 1/(d+1) (`integrate_param`), the homotopy formula of
+    Vainberg and Tonti (Olver, §5.4).  E shifts every fiber degree by the
+    same amount, so a variational eps splits into variational parts eps_d
+    homogeneous of degree d, and E(y eps_d) = eps_d + D*_{eps_d}(y) =
+    eps_d + D_{eps_d}(y) = (d+1) eps_d by self-adjointness and Euler's
+    theorem.  So euler_lagrange of L returns a variational input exactly
+    for every d != -1; d = -1 (as in u^-1, whose Lagrangian is log u), or
+    a jet inside sin/cos/exp, raises NonPolynomialParameter."""
+    parts = (mul(sym(JetCoord(sigma)), integrate_param(e)) for sigma, e in enumerate(sf.eps, 1))
+    return Lagrangian(add(*parts), sf.ctx, sf.s)
 
 
 # --- naturality under fibered isomorphisms -------------------------------------

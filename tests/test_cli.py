@@ -172,6 +172,49 @@ def test_tonti_skip_flag_reports_failed_verification(tmp_path, capsys):
     assert payload["verified"] is False
 
 
+SCALAR_SOURCE = """
+    [context]
+    n = 1
+    m = 1
+    order = 2
+    base = x
+    fiber = u
+
+    [source]
+    eps1 = {eps1}
+"""
+
+
+def test_tonti_weighs_negative_fiber_degrees(tmp_path, capsys):
+    # the Ermakov source has parts of fiber degree 1 and -3, weighed by 1/2
+    # and -1/2
+    path = problem(tmp_path, SCALAR_SOURCE.format(eps1="-u_{1,1} - 2*u^-3"))
+    code, payload, _ = run(capsys, ["tonti", path])
+    assert code == 0
+    assert payload["lagrangian"] == "-1/2*u*u_{1,1} + u^(-2)"
+    assert payload["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "eps1, message",
+    [
+        # the Euler-Lagrange form of u_{1}^2*u^-2: fiber degree -1, and its
+        # Lagrangians need log u
+        ("2*u_{1}^2*u^-3 - 2*u_{1,1}*u^-2", "fiber degree -1"),
+        ("u_{1,1} + sin(u)", "parameter inside a function application"),
+    ],
+    ids=["degree-minus-one", "jet-inside-sin"],
+)
+def test_tonti_refuses_a_variational_source_without_a_weight(tmp_path, capsys, eps1, message):
+    path = problem(tmp_path, SCALAR_SOURCE.format(eps1=eps1))
+    code, payload, _ = run(capsys, ["helmholtz", path])
+    assert code == 0 and payload["verdict"] == "variational"
+    code, payload, diagnostic = run(capsys, ["tonti", path])
+    assert code == 2 and payload is None
+    assert diagnostic["error"] == "NonPolynomialParameter"
+    assert message in diagnostic["message"]
+
+
 def test_cartan(tmp_path, capsys):
     path = problem(
         tmp_path,

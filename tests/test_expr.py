@@ -157,23 +157,18 @@ def test_substitute_matches_composition():
 
 def test_integrate_param_monomials():
     u, u1, x = sym(U), sym(U1), sym(X)
-    # a monomial of fiber-jet degree k scales by t^k and is weighed by 1/(k+1)
+    # a monomial of fiber-jet degree k is weighed by 1/(k+1), the integral
+    # of t^k over [0, 1]
     for k in range(7):
         weighed = mul(num(Fraction(1, k + 1)), pow_(u, k))
-        assert integrate_param(pow_(u, k), 0, 1) == weighed
-    assert integrate_param(num(5), 0, 1) == num(5)
+        assert integrate_param(pow_(u, k)) == weighed
+    assert integrate_param(num(5)) == num(5)
     # base coordinates, also inside atoms, do not scale; negative jet
     # exponents count towards the degree: here 3 - 1 = 2
     e = mul(x, func("sin", x), pow_(u, 3), pow_(u1, -1))
-    assert integrate_param(e, 0, 1) == mul(num(Fraction(1, 3)), e)
-    # on [1/2, 1] the weights are 1/2 for degree 0 and 3/8 for degree 1
-    assert integrate_param(add(x, u1), Fraction(1, 2), 1) == add(
-        mul(num(Fraction(1, 2)), x), mul(num(Fraction(3, 8)), u1)
-    )
-    # a weight of zero drops the monomial: t is odd on [-1, 1]
-    assert integrate_param(add(num(1), u), -1, 1) == num(2)
+    assert integrate_param(e) == mul(num(Fraction(1, 3)), e)
     # an integral coefficient stays an int: 3 * 1/3 = 1
-    integral = integrate_param(add(mul(num(3), pow_(u, 2)), num(Fraction(1, 2))), 0, 1)
+    integral = integrate_param(add(mul(num(3), pow_(u, 2)), num(Fraction(1, 2))))
     assert [c.__class__ for c, _ in ordered_terms(integral)] == [int, Fraction]
 
 
@@ -186,17 +181,14 @@ def test_integrate_param_matches_quadrature():
     for _ in range(15):
         e = add(random_polynomial(rng, ctx, degree=3, terms=3), laurent)
         env = random_env(rng, coords_in(e))
-        for lo, hi in ((0, 1), (Fraction(1, 2), 1)):
-            exact = evaluate(integrate_param(e, lo, hi), env)
-            # Gauss-Legendre in t on [lo, hi] of e at the jets scaled by t
-            approx = 0.0
-            for tk, wk in zip(nodes, weights):
-                t = float(lo) + float(hi - lo) * (tk + 1) / 2
-                point = {
-                    c: t * v if isinstance(c, JetCoord) else v for c, v in env.items()
-                }
-                approx += float(hi - lo) / 2 * wk * evaluate(e, point)
-            assert exact == pytest.approx(approx, rel=1e-10, abs=1e-10)
+        exact = evaluate(integrate_param(e), env)
+        # Gauss-Legendre in t on [0, 1] of e at the jets scaled by t
+        approx = 0.0
+        for tk, wk in zip(nodes, weights):
+            t = (tk + 1) / 2
+            point = {c: t * v if isinstance(c, JetCoord) else v for c, v in env.items()}
+            approx += wk / 2 * evaluate(e, point)
+        assert exact == pytest.approx(approx, rel=1e-10, abs=1e-10)
 
 
 def test_integrate_param_rejects_nonpolynomial_parameter():
@@ -204,12 +196,19 @@ def test_integrate_param_rejects_nonpolynomial_parameter():
     inside = "^parameter inside a function application$"
     for e in (func("sin", u), mul(x, func("exp", add(x, sym(U1))))):
         with pytest.raises(NonPolynomialParameter, match=inside):
-            integrate_param(e, 0, 1)
-    for e in (pow_(u, -1), pow_(u, -2), mul(x, u, pow_(sym(U1), -2))):
-        with pytest.raises(NonPolynomialParameter, match="^parameter in a denominator$"):
-            integrate_param(e, 0, 1)
+            integrate_param(e)
+    # a negative degree d other than -1 is weighed by 1/(d+1) as well
+    for e, weight in (
+        (pow_(u, -2), -1),
+        (pow_(u, -3), Fraction(-1, 2)),
+        (mul(x, u, pow_(sym(U1), -3)), -1),
+    ):
+        assert integrate_param(e) == mul(num(weight), e)
+    for e in (pow_(u, -1), mul(x, pow_(u, 2), pow_(sym(U1), -3)), add(u, pow_(sym(U1), -1))):
+        with pytest.raises(NonPolynomialParameter, match="fiber degree -1"):
+            integrate_param(e)
     # an atom of base coordinates only scales like a constant
-    assert integrate_param(func("cos", x), 0, 1) == func("cos", x)
+    assert integrate_param(func("cos", x)) == func("cos", x)
 
 
 def test_division():
@@ -317,6 +316,29 @@ def test_atom_ranks_follow_the_canonical_keys():
     assert sorted(expr._ATOM_RANKS) == list(ids)
     by_key = sorted(ids, key=expr._ATOM_KEYS.__getitem__)
     assert by_key == sorted(ids, key=expr._ATOM_RANKS.__getitem__)
+
+
+def test_ranks_are_rebuilt_only_for_a_value_that_holds_a_newer_atom():
+    # a new atom never reorders the older ones, so the canonical rows of a
+    # value of older atoms read the ranks as they are, and match the rows
+    # read after a rebuild
+    def rebuild():  # the rows of a new value that holds the newest atom
+        expr._rows(mul(num(2), expr._ATOM_VALUES[-1]))
+        assert len(expr._ATOM_RANKS) == len(expr._ATOMS)
+
+    rng = random.Random(79)
+    ctx = JetContext(n=2, m=2, order=2)
+    e = random_mixed(rng, ctx)
+    rebuild()
+    known = len(expr._ATOMS)
+    for k in range(2, 6):  # atoms that sort among the older ones
+        func("exp", mul(num(k), e))
+        sym(JetCoord(2, (2,) * k))
+    assert len(expr._ATOMS) > known
+    rows = expr._rows(add(mul(e, e), num(3)))
+    assert len(expr._ATOM_RANKS) == known
+    rebuild()
+    assert expr._rows(add(mul(e, e), num(3))) == rows
 
 
 def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):

@@ -139,14 +139,20 @@ def test_wide_keys_and_large_exponents_match_sympy():
 @pytest.mark.parametrize("seed", range(CASES))
 def test_tonti_matches_sympy_integral(seed):
     rng = random.Random(5000 + seed)
-    # half the components gain a Laurent term, which may put t in a
-    # denominator or inside an atom: 17 of the 25 forms are accepted
+    # half the components gain a Laurent term, which may put t^-1 or t
+    # inside an atom; then half gain a term of fiber degree -2 or -3: 17 of
+    # the 25 forms are accepted, 13 of them with such a term
     eps = []
     for _ in range(CTX.m):
         e = random_polynomial(rng, CTX)
         if rng.random() < 0.5:
             e = add(e, random_laurent(rng, CTX, terms=1))
         eps.append(e)
+    jets = [sym(c) for c in coordinate_atoms(CTX, CTX.order) if isinstance(c, JetCoord)]
+    for sigma in range(CTX.m):
+        if rng.random() < 0.5:
+            pole = pow_(rng.choice(jets), rng.choice((-2, -3)))
+            eps[sigma] = add(eps[sigma], mul(num(rng.randint(1, 5)), pole, sym(BaseCoord(1))))
     sf = SourceForm(tuple(eps), CTX)
     t = sympy.Symbol("t")
     scaling = {
@@ -155,13 +161,16 @@ def test_tonti_matches_sympy_integral(seed):
         if isinstance(c, JetCoord)
     }
     integrands = [sympy.expand(to_sympy(e).xreplace(scaling)) for e in eps]
-    if not all(f.is_polynomial(t) for f in integrands):
-        # t in a denominator or inside sin/cos/exp: no polynomial integral
+    atoms = set().union(*(f.atoms(sympy.sin, sympy.cos, sympy.exp) for f in integrands))
+    if any(a.has(t) for a in atoms) or any(f.coeff(t, -1) != 0 for f in integrands):
+        # t inside sin/cos/exp, or a monomial of fiber degree -1: no weight
         with pytest.raises(NonPolynomialParameter):
             tonti_lagrangian(sf)
         return
+    # the antiderivative at t = 1 is the integral over [0, 1] of the
+    # polynomial part, and weighs a t^d with d <= -2 by 1/(d+1)
     want = sum(
-        oracle_symbol(JetCoord(sigma)) * sympy.integrate(f, (t, 0, 1))
+        oracle_symbol(JetCoord(sigma)) * sympy.integrate(f, t).subs(t, 1)
         for sigma, f in enumerate(integrands, start=1)
     )
     assert same(tonti_lagrangian(sf).L, want)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st, target  # noqa: E402
 from jetvar import (  # noqa: E402
     JetContext,
     Lagrangian,
+    NonPolynomialParameter,
     SourceForm,
     decide_zero,
     euler_lagrange,
@@ -25,7 +26,7 @@ from jetvar import (  # noqa: E402
 )
 from jetvar.coords import JetCoord  # noqa: E402
 from jetvar.errors import DslError, JetvarError  # noqa: E402
-from jetvar.expr import add, func, mul, neg, num, pow_, sym  # noqa: E402
+from jetvar.expr import add, func, mul, neg, num, ordered_terms, pow_, sym  # noqa: E402
 from jetvar.forms import exterior_derivative, form_from_terms  # noqa: E402
 
 from corpus import coordinate_atoms  # noqa: E402
@@ -71,6 +72,50 @@ def test_euler_lagrange_of_tonti_is_identity(drawn):
     ctx, L = drawn
     source = euler_lagrange(Lagrangian(L, ctx))
     assert euler_lagrange(tonti_lagrangian(source)).eps == source.eps
+
+
+LAURENT_CONTEXTS = [
+    JetContext(n=n, m=m, order=r)
+    for n, m, r in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2))
+]
+
+
+def laurent_lagrangians(ctx):
+    """Sums of up to three terms, each a nonzero integer in -3..3 times a
+    power of a jet coordinate and up to two powers of base and jet
+    coordinates, every exponent nonzero in -3..3."""
+    coords = coordinate_atoms(ctx, ctx.order)
+    exponents = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    jets = st.sampled_from([sym(c) for c in coords if isinstance(c, JetCoord)])
+    power = st.builds(pow_, st.sampled_from([sym(c) for c in coords]), exponents)
+    term = st.builds(
+        lambda c, p, ps: mul(num(c), p, *ps),
+        exponents,
+        st.builds(pow_, jets, exponents),
+        st.lists(power, max_size=2),
+    )
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: add(*ts))
+
+
+def fiber_degrees(e):
+    return {
+        sum(k for c, k in factors if isinstance(c, JetCoord)) for _, factors in ordered_terms(e)
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(with_context(laurent_lagrangians, LAURENT_CONTEXTS))
+def test_tonti_inverts_euler_lagrange_on_laurent_lagrangians(drawn):
+    # E(L) splits into variational parts of one fiber degree d each, and
+    # y . eps_d / (d+1) is a Lagrangian of each part unless d = -1
+    ctx, L = drawn
+    source = euler_lagrange(Lagrangian(L, ctx))
+    target(float(sum(len(e.terms) for e in source.eps)))
+    if any(-1 in fiber_degrees(e) for e in source.eps):
+        with pytest.raises(NonPolynomialParameter, match="fiber degree -1"):
+            tonti_lagrangian(source)
+    else:
+        assert euler_lagrange(tonti_lagrangian(source)).eps == source.eps
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
