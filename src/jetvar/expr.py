@@ -50,14 +50,14 @@ Rendering reads the cached rows directly and keeps a table per call of the
 text of each (atom id, exponent) factor and of each sin/cos/exp argument,
 so each is rendered once per call.
 
-`evaluate` reads a float plan, built on a value's first evaluation and
-cached on it: the canonical rows with each coefficient converted once by
-float(c).  The plan keeps the operations of a term-by-term evaluation, so
-its floats are bit-identical to one: the same row order, a single term
-returned as it is, several summed from 0.0, and each term's product
-started at float(c) and multiplied by each factor in turn.  The values
-of atoms go to a table keyed by atom id, which calls at one point may
-share.
+`evaluate` takes N points at once, a column of N numbers per coordinate,
+and walks a float plan once for all of them: the canonical rows, each
+coefficient converted once by float(c), built on a value's first
+evaluation and cached on it.  Each point gets the operations of a
+term-by-term evaluation, so its float is bit-identical to one: the same
+row order, a single term returned as it is, several summed from 0.0, and
+each product started at float(c) and multiplied by each factor in turn.
+The columns of atoms go to a table by atom id, which calls may share.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def _intern(atom) -> int:
 
 
 def atom_id(c: Coord) -> int:
-    """The intern id of coordinate c, the key of its value in an atom table
-    of `evaluate`."""
+    """The intern id of coordinate c, the key of its column in an atom
+    table of `evaluate`."""
     return _intern(c)
 
 
@@ -639,56 +639,62 @@ def integrate_param(e: Expr) -> Expr:
 # --- numeric evaluation --------------------------------------------------------
 
 
-def evaluate(e: Expr, env: dict, values: dict | None = None) -> float:
-    """Floating-point value at the point env binds (coordinate -> number),
-    summed term by term in canonical order.  Raises NumericOverflow when
-    the value, or the argument of a sin/cos/exp atom, is not finite.
+def evaluate(e: Expr, env: dict, values: dict | None = None) -> list:
+    """Floating-point values at N points, each summed term by term in
+    canonical order: env binds each coordinate to a column of N numbers
+    (N is 1 when env is empty), and the i-th value, at point i, is
+    bit-identical to one taken at that point alone, as in
+    `evaluate(e, {c: [x]})[0]`.  Raises NumericOverflow when a value, or
+    the argument of a sin/cos/exp atom, is not finite at some point.
 
-    `values` is the point's atom table, atom id -> float: an atom found
-    there is not evaluated again, and each atom this call evaluates is
-    added.  Calls at one point may share one table, because an atom's value
-    depends on the point alone; coordinates are read from env once each."""
+    `values` is the atom table of the points, atom id -> column: an atom
+    found there is not evaluated again, and each atom this call evaluates
+    is added.  Calls at the same points may share one table, because an
+    atom's value depends on the point alone."""
+    n = len(next(iter(env.values()))) if env else 1
     try:
-        value = _evaluate(e, env, {} if values is None else values)
-        if math.isfinite(value):
-            return value
+        column = _evaluate(e, env, {} if values is None else values, n)
+        if all(map(math.isfinite, column)):
+            return column
     except OverflowError:
         pass
     raise NumericOverflow("a value overflows floating point at this point")
 
 
-def _evaluate(e: Expr, env: dict, values: dict) -> float:
+def _evaluate(e: Expr, env: dict, values: dict, n: int) -> list:
     try:
         plan = e._plan
     except AttributeError:  # first evaluation of this value
         plan = e._plan = tuple((float(c), factors) for c, factors in _rows(e))
-    total = 0.0
-    for product, factors in plan:
+    total = [0.0] * n
+    for c, factors in plan:
+        product = [c] * n
         for a, k in factors:
             v = values.get(a)
             if v is None:
-                v = values[a] = _evaluate_atom(a, env, values)
+                v = values[a] = _evaluate_atom(a, env, values, n)
             if k != 1:
-                if k < 0 and v == 0.0:
+                if k < 0 and 0.0 in v:
                     raise DivisionByZero(
                         f"{_atom_text(_ATOMS[a])} is 0 at this point, so its power {k} has a pole",
                         (_ATOM_VALUES[a], k),
                     )
-                v = v**k
-            product *= v
-        total += product
+                v = [x**k for x in v]
+            product = [p * x for p, x in zip(product, v)]
+        if len(plan) > 1:
+            total = [t + p for t, p in zip(total, product)]
     # a single term is its own value: 0.0 + -0.0 would lose the sign
     return product if len(plan) == 1 else total
 
 
-def _evaluate_atom(a: int, env: dict, values: dict) -> float:
+def _evaluate_atom(a: int, env: dict, values: dict, n: int) -> list:
     atom = _ATOMS[a]
     if atom.__class__ is tuple:
-        arg = _evaluate(atom[1], env, values)
-        if not math.isfinite(arg):
+        arg = _evaluate(atom[1], env, values, n)
+        if not all(map(math.isfinite, arg)):
             raise OverflowError  # evaluate reports it as NumericOverflow
-        return _MATH[atom[0]](arg)
+        return list(map(_MATH[atom[0]], arg))
     try:
-        return float(env[atom])
+        return list(map(float, env[atom]))
     except KeyError:
         raise UnboundCoordinate(f"no value bound for {atom}") from None

@@ -6,12 +6,15 @@ so that an error in it shows up as a numeric mismatch instead of
 cancelling.  So the s-derivative of the action is a difference of values
 of L: the exact one, built from the partials that `gradient` also gives
 `euler_lagrange`, equals the other side by integration by parts whatever
-those partials are, and a wrong partial would cancel."""
+those partials are, and a wrong partial would cancel.  Each value is
+taken at all the quadrature nodes, or all the given points, in one
+`evaluate` call, and sums run in node order as a loop over them would."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .coords import BaseCoord, JetContext, JetCoord, coord_key
 from .dsl import render_expr
@@ -90,11 +93,11 @@ def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
     prolonged variation vanishes at both endpoints: the boundary terms of a
     Lagrangian with jets up to order r involve those only, so r = 0 has none."""
     coords = [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(r)]
-    for endpoint in (0.0, 1.0):
-        env = {BaseCoord(1): endpoint}
-        values: dict = {}
-        for coord in coords:
-            value = evaluate(jets[coord], env, values)
+    ends = (0.0, 1.0)
+    env, values = {BaseCoord(1): ends}, {}
+    columns = [evaluate(jets[coord], env, values) for coord in coords]
+    for endpoint, *row in zip(ends, *columns):
+        for coord, value in zip(coords, row):
             if abs(value) > BOUNDARY_TOL:
                 raise ProbeBoundaryError(
                     f"variation direction has {ctx.coord_name(coord)} = "
@@ -136,13 +139,18 @@ def _jets_by_atom(jets: dict, *exprs) -> tuple:
 
 
 def _point_values(jets: tuple, base_env: dict) -> dict:
-    """The atom table of one base point: every jet of the section is
-    evaluated into it, under the atom id of its coordinate, so values taken
-    later at the point read the jets, and every atom met, from the table."""
+    """The atom table of the base points of base_env: every jet of the
+    section is evaluated into it, under the atom id of its coordinate, so
+    later values at the points read the jets, and every atom met, from it."""
     values: dict = {}
     for a, e in jets:
         values[a] = evaluate(e, base_env, values)
     return values
+
+
+def _quadrature(weights, values) -> float:
+    """The sum of w * v over the nodes, added in node order to 0.0."""
+    return functools.reduce(operator.add, map(operator.mul, weights, values), 0.0)
 
 
 @_naming_poles
@@ -154,11 +162,8 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
         raise NotODEContext(f"the action oracle needs one base variable, got {ctx.n}")
     jets = _jets_by_atom(prolong_section(gamma, lam.r, ctx), lam.L)
     points, weights = quad.points_weights()
-    total = 0.0
-    for x, w in zip(points, weights):
-        env = {BaseCoord(1): x}
-        total += w * evaluate(lam.L, env, _point_values(jets, env))
-    return total
+    env = {BaseCoord(1): points}
+    return _quadrature(weights, evaluate(lam.L, env, _point_values(jets, env)))
 
 
 @_naming_poles
@@ -185,24 +190,22 @@ def first_variation_check(
     sf = euler_lagrange(lam)
     gamma_jets = _jets_by_atom(gamma_jets, lam.L, *sf.eps)
     phi_jets = _jets_by_atom(phi_jets, lam.L)
-    shifts = (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
-    actions = [0.0] * len(shifts)
     points, weights = quad.points_weights()
-    rhs = 0.0
-    for x, w in zip(points, weights):
-        env = {BaseCoord(1): x}
-        g = _point_values(gamma_jets, env)
-        p = _point_values(phi_jets, env)
-        # a fresh table per shift: only the jets move with s, and an atom
-        # such as sin(u_{1}) cached at one shift is wrong at another
-        for i, s in enumerate(shifts):
-            shifted = {a: g[a] + s * p[a] for a, _ in phi_jets}
-            actions[i] += w * evaluate(lam.L, env, shifted)
-        value = 0.0
-        for eps, phi in zip(sf.eps, probe.phi.components):
-            value += evaluate(eps, env, g) * evaluate(phi, env, g)
-        rhs += w * value
-    half_up, half_down, up, down = actions
+    env = {BaseCoord(1): points}
+    g = _point_values(gamma_jets, env)
+    p = _point_values(phi_jets, env)
+    # a fresh table per shift: only the jets move with s, and an atom
+    # such as sin(u_{1}) cached at one shift is wrong at another
+    shifted = (
+        {a: [y + s * z for y, z in zip(g[a], p[a])] for a, _ in phi_jets}
+        for s in (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
+    )
+    half_up, half_down, up, down = (_quadrature(weights, evaluate(lam.L, env, t)) for t in shifted)
+    density = [0.0] * len(points)
+    for eps, phi in zip(sf.eps, probe.phi.components):
+        pairs = zip(density, evaluate(eps, env, g), evaluate(phi, env, g))
+        density = [v + e * f for v, e, f in pairs]
+    rhs = _quadrature(weights, density)
     lhs = (8.0 * (half_up - half_down) - (up - down)) / (6.0 * STEP)
     abs_diff = abs(lhs - rhs)
     if not math.isfinite(abs_diff):
@@ -216,13 +219,10 @@ def residual_on_section(sf, gamma: SectionSpec, points) -> list:
     given base points (numbers for n = 1, index-ordered tuples otherwise)."""
     ctx = sf.ctx
     jets = _jets_by_atom(prolong_section(gamma, sf.s, ctx), *sf.eps)
-    out = []
-    for p in points:
-        if ctx.n == 1 and not isinstance(p, (tuple, list)):
-            p = (p,)
+    rows = [(p,) if ctx.n == 1 and not isinstance(p, (tuple, list)) else p for p in points]
+    for p in rows:
         if len(p) != ctx.n:
             raise ValueError(f"base point {p!r} has wrong dimension")
-        base_env = {BaseCoord(i): float(p[i - 1]) for i in range(1, ctx.n + 1)}
-        values = _point_values(jets, base_env)
-        out.append([evaluate(e, base_env, values) for e in sf.eps])
-    return out
+    base_env = {BaseCoord(i): [float(p[i - 1]) for p in rows] for i in range(1, ctx.n + 1)}
+    values = _point_values(jets, base_env)
+    return [list(row) for row in zip(*[evaluate(e, base_env, values) for e in sf.eps])]

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from jetvar.coords import BaseCoord, JetCoord, multi_indices
-from jetvar.expr import add, func, mul, num, pow_, sym
+from jetvar.expr import add, evaluate, func, mul, num, pow_, sym
 
 
 def coordinate_atoms(ctx, order):
@@ -82,6 +82,12 @@ def random_env(rng, coords):
         magnitude = Fraction(rng.randint(50, 250), 100)
         env[c] = magnitude if rng.random() < 0.5 else -magnitude
     return env
+
+
+def evaluate_at(e, env, values=None):
+    """The value of e at the one point env binds (coordinate -> number):
+    `evaluate` on columns of one number each, sharing the atom table values."""
+    return evaluate(e, {c: [x] for c, x in env.items()}, values)[0]
 
 
 # each kind of nesting the expression language counts against its limit:

@@ -215,6 +215,16 @@ def test_a_jet_coordinate_is_one_token():
     assert [tok[0] for tok in dsl.tokenize("u _ { 1 , 2 } * v")] == ["JET", "OP", "IDENT", "END"]
 
 
+def test_a_base_name_is_memoized_by_index(monkeypatch):
+    ctx = JetContext(n=2, m=1, order=1, base_names=("s", "t"))
+    first = parse_expr("t^2 + s*t*u", ctx).expr
+    built = []
+    monkeypatch.setattr(dsl, "BaseCoord", lambda *args: built.append(args) or BaseCoord(*args))
+    again = parse_expr("t^2 + s*t*u", ctx).expr
+    assert again == first and built == []
+    assert render_expr(again, ctx) == "s*t*u + t^2"
+
+
 def test_a_product_of_single_terms_is_built_as_one_value(monkeypatch):
     ctx = JetContext(n=1, m=1, order=1, base_names=("x",))
     products = []

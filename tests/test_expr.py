@@ -38,7 +38,7 @@ from jetvar.expr import (
     sym,
 )
 
-from corpus import random_env, random_laurent, random_mixed, random_polynomial
+from corpus import evaluate_at, random_env, random_laurent, random_mixed, random_polynomial
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -86,11 +86,11 @@ def test_arithmetic_matches_float_evaluation():
         a = random_mixed(rng, ctx)
         b = random_mixed(rng, ctx)
         env = random_env(rng, coords_in(a) | coords_in(b))
-        fa, fb = evaluate(a, env), evaluate(b, env)
-        assert evaluate(add(a, b), env) == pytest.approx(fa + fb, rel=1e-12, abs=1e-12)
-        assert evaluate(mul(a, b), env) == pytest.approx(fa * fb, rel=1e-12, abs=1e-9)
-        assert evaluate(neg(a), env) == pytest.approx(-fa, rel=1e-12, abs=1e-12)
-        assert evaluate(pow_(a, 2), env) == pytest.approx(fa * fa, rel=1e-12, abs=1e-9)
+        fa, fb = evaluate_at(a, env), evaluate_at(b, env)
+        assert evaluate_at(add(a, b), env) == pytest.approx(fa + fb, rel=1e-12, abs=1e-12)
+        assert evaluate_at(mul(a, b), env) == pytest.approx(fa * fb, rel=1e-12, abs=1e-9)
+        assert evaluate_at(neg(a), env) == pytest.approx(-fa, rel=1e-12, abs=1e-12)
+        assert evaluate_at(pow_(a, 2), env) == pytest.approx(fa * fa, rel=1e-12, abs=1e-9)
 
 
 def test_partial_product_rule():
@@ -120,8 +120,8 @@ def test_partial_matches_difference_quotient():
         down = dict(env)
         up[c] += h
         down[c] -= h
-        numeric = (evaluate(e, up) - evaluate(e, down)) / (2 * float(h))
-        assert evaluate(partial(e, c), env) == pytest.approx(numeric, rel=1e-5, abs=1e-4)
+        numeric = (evaluate_at(e, up) - evaluate_at(e, down)) / (2 * float(h))
+        assert evaluate_at(partial(e, c), env) == pytest.approx(numeric, rel=1e-5, abs=1e-4)
 
 
 def test_partial_chain_rules():
@@ -149,9 +149,9 @@ def test_substitute_matches_composition():
         env = random_env(rng, coords_in(e) | coords_in(inner) | {X, U})
         composed = substitute(e, {U1: inner})
         direct_env = dict(env)
-        direct_env[U1] = evaluate(inner, env)
-        assert evaluate(composed, env) == pytest.approx(
-            evaluate(e, direct_env), rel=1e-12, abs=1e-9
+        direct_env[U1] = evaluate_at(inner, env)
+        assert evaluate_at(composed, env) == pytest.approx(
+            evaluate_at(e, direct_env), rel=1e-12, abs=1e-9
         )
 
 
@@ -181,13 +181,13 @@ def test_integrate_param_matches_quadrature():
     for _ in range(15):
         e = add(random_polynomial(rng, ctx, degree=3, terms=3), laurent)
         env = random_env(rng, coords_in(e))
-        exact = evaluate(integrate_param(e), env)
+        exact = evaluate_at(integrate_param(e), env)
         # Gauss-Legendre in t on [0, 1] of e at the jets scaled by t
         approx = 0.0
         for tk, wk in zip(nodes, weights):
             t = (tk + 1) / 2
             point = {c: t * v if isinstance(c, JetCoord) else v for c, v in env.items()}
-            approx += wk / 2 * evaluate(e, point)
+            approx += wk / 2 * evaluate_at(e, point)
         assert exact == pytest.approx(approx, rel=1e-10, abs=1e-10)
 
 
@@ -225,8 +225,9 @@ def test_evaluate_errors_and_functions():
     u = sym(U)
     with pytest.raises(UnboundCoordinate):
         evaluate(u, {})
-    assert evaluate(func("sin", u), {U: math.pi / 2}) == pytest.approx(1.0)
-    assert evaluate(func("exp", num(0)), {}) == pytest.approx(1.0)
+    assert evaluate(func("sin", u), {U: [math.pi / 2, 0.0]}) == pytest.approx([1.0, 0.0])
+    # with no coordinate bound, a value is taken at one point
+    assert evaluate(func("exp", num(0)), {}) == [1.0]
 
 
 def test_structure_queries():
@@ -241,7 +242,7 @@ def test_negative_powers_evaluate():
     u = sym(U)
     e = pow_(u, -2)
     assert ordered_terms(e) == [(1, ((U, -2),))]
-    assert evaluate(e, {U: 2}) == pytest.approx(0.25)
+    assert evaluate_at(e, {U: 2}) == pytest.approx(0.25)
     d = partial(e, U)
     assert d == mul(num(-2), pow_(u, -3))
 

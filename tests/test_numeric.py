@@ -33,7 +33,7 @@ from jetvar.expr import add, evaluate, func, gradient, mul, num, ordered_terms, 
 from jetvar.jets import prolong_section
 from jetvar.numeric import action
 
-from corpus import coordinate_atoms, random_env, random_laurent, random_polynomial
+from corpus import coordinate_atoms, evaluate_at, random_env, random_laurent, random_polynomial
 
 X = BaseCoord(1)
 U = JetCoord(1)
@@ -210,7 +210,7 @@ def test_residual_on_section_values(ode2, plane2):
 
 def test_eval_expr_at_transcendental():
     e = mul(func("exp", sym(X)), sym(U))
-    value = evaluate(e, {X: 1.0, U: 2.0})
+    value = evaluate_at(e, {X: 1.0, U: 2.0})
     assert value == pytest.approx(2.0 * math.e)
 
 
@@ -250,6 +250,10 @@ def same_float(a, b):
     return a == b and a.hex() == b.hex()
 
 
+def same_floats(column, reference):
+    return len(column) == len(reference) and all(map(same_float, column, reference))
+
+
 LAURENT_CTX = JetContext(n=2, m=2, order=2)
 
 
@@ -258,17 +262,23 @@ def test_evaluate_matches_term_by_term_reference(seed):
     rng = random.Random(6000 + seed)
     e = mul(random_laurent(rng, LAURENT_CTX), random_laurent(rng, LAURENT_CTX, terms=2))
     coords = coordinate_atoms(LAURENT_CTX, LAURENT_CTX.order)
-    # several points, so that later ones run on the plan the first one cached,
-    # and a shared table on the last
-    for _ in range(4):
-        env = random_env(rng, coords)
-        assert same_float(evaluate(e, env), reference_evaluate(e, env))
+    # columns of 1, 2 and 32 points, so that later ones run on the plan the
+    # first one cached, and a shared table on the last
+    for n in (1, 2, 32):
+        points = [random_env(rng, coords) for _ in range(n)]
+        env = {c: [p[c] for p in points] for c in coords}
+        assert same_floats(evaluate(e, env), [reference_evaluate(e, p) for p in points])
     table: dict = {}
     for part in (e, mul(e, e), add(e, num(Fraction(1, 3)))):
-        assert same_float(evaluate(part, env, table), reference_evaluate(part, env))
+        reference = [reference_evaluate(part, p) for p in points]
+        assert same_floats(evaluate(part, env, table), reference)
     # a single term keeps the sign of a zero value
     single = mul(num(-2), sym(U))
-    assert same_float(evaluate(single, {U: 0.0}), reference_evaluate(single, {U: 0.0}))
+    reference = [reference_evaluate(single, {U: x}) for x in (0.0, 1.5)]
+    assert same_floats(evaluate(single, {U: [0.0, 1.5]}), reference)
+    # with no coordinate bound, a constant is taken at one point
+    third = num(Fraction(-1, 3))
+    assert same_floats(evaluate(third, {}), [reference_evaluate(third, {})])
 
 
 def section_jets(ctx, order):
@@ -327,8 +337,8 @@ def exact_first_variation(lam, probe, quad):
         base = {X: x}
         env = dict(base)
         for coord in section_jets(ctx, lam.r):
-            env[coord] = evaluate(gamma[coord], base)
-        total += w * sum(evaluate(d, env) * evaluate(phi[c], base) for c, d in partials)
+            env[coord] = evaluate_at(gamma[coord], base)
+        total += w * sum(evaluate_at(d, env) * evaluate_at(phi[c], base) for c, d in partials)
     return total
 
 
@@ -417,23 +427,68 @@ def test_first_variation_prolongs_each_section_once(ode2, monkeypatch):
     assert sorted(calls) == [2, 4]
 
 
+def test_numeric_work_does_not_grow_with_the_points(monkeypatch):
+    # each value is taken at all its points in one call, so the number of
+    # calls is the same at any number of nodes or base points
+    calls = []
+    real = jetvar.numeric.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jetvar.numeric, "evaluate", counting)
+    lam, probe = random_variation_case(random.Random(1), 2, 2)
+    sf = euler_lagrange(lam)
+    counts = []
+    for nodes, points in ((8, 2), (64, 20)):
+        first_variation_check(lam, probe, QuadratureSpec(nodes=nodes))
+        checked = len(calls)
+        residual_on_section(sf, probe.gamma, [k / points for k in range(points)])
+        counts.append((checked, len(calls) - checked))
+        calls.clear()
+    assert counts[0] == counts[1]
+
+
 def test_cached_plan_keeps_pole_and_overflow_checks():
     u, u1 = sym(U), sym(U1)
     pole = add(pow_(u, -1), u1)
-    assert evaluate(pole, {U: 2.0, U1: 1.0}) == 1.5
+    assert evaluate_at(pole, {U: 2.0, U1: 1.0}) == 1.5
     with pytest.raises(DivisionByZero):
-        evaluate(pole, {U: 0.0, U1: 1.0})
+        evaluate_at(pole, {U: 0.0, U1: 1.0})
     growth = mul(func("exp", u), u1)
-    assert evaluate(growth, {U: 1.0, U1: 1.0}) == math.e
+    assert evaluate_at(growth, {U: 1.0, U1: 1.0}) == math.e
     with pytest.raises(NumericOverflow):
-        evaluate(growth, {U: 1000.0, U1: 1.0})
+        evaluate_at(growth, {U: 1000.0, U1: 1.0})
     product = mul(pow_(u, 200), pow_(u1, 200))
-    assert evaluate(product, {U: 1.0, U1: 1.0}) == 1.0
+    assert evaluate_at(product, {U: 1.0, U1: 1.0}) == 1.0
     with pytest.raises(NumericOverflow):
-        evaluate(product, {U: 100.0, U1: 100.0})
+        evaluate_at(product, {U: 100.0, U1: 100.0})
     # an argument that is not finite, reached through a shared table
     wave = func("sin", product)
     table: dict = {}
-    assert evaluate(wave, {U: 1.0, U1: 1.0}, table) == math.sin(1.0)
+    assert evaluate_at(wave, {U: 1.0, U1: 1.0}, table) == math.sin(1.0)
     with pytest.raises(NumericOverflow):
-        evaluate(wave, {U: 100.0, U1: 100.0}, {})
+        evaluate_at(wave, {U: 100.0, U1: 100.0}, {})
+
+
+@pytest.mark.parametrize("case", ["pole", "exp", "power", "product", "argument"])
+@pytest.mark.parametrize("where", [0, 1, 31])
+def test_a_failing_point_fails_its_column_as_it_fails_alone(case, where):
+    u, u1 = sym(U), sym(U1)
+    e, bad = {
+        "pole": (add(pow_(u, -1), u1), {U: 0.0, U1: 1.0}),
+        "exp": (mul(func("exp", u), u1), {U: 1000.0, U1: 1.0}),
+        "power": (mul(pow_(u, 200), pow_(u1, 200)), {U: 100.0, U1: 100.0}),
+        # a product that overflows to inf, alone and as a sin argument
+        "product": (mul(u, u1), {U: 1e200, U1: 1e200}),
+        "argument": (func("sin", mul(u, u1)), {U: 1e200, U1: 1e200}),
+    }[case]
+    with pytest.raises((DivisionByZero, NumericOverflow)) as alone:
+        evaluate_at(e, bad)
+    points = [{U: 1.0 + k / 64, U1: 0.5} for k in range(32)]
+    points[where] = bad
+    with pytest.raises(alone.type) as column:
+        evaluate(e, {c: [p[c] for p in points] for c in (U, U1)})
+    assert str(column.value) == str(alone.value)
+    assert getattr(column.value, "pole", None) == getattr(alone.value, "pole", None)

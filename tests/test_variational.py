@@ -10,11 +10,13 @@ import jetvar.variational
 from jetvar import (
     DegreeMismatch,
     DimensionMismatch,
+    DivisionByZero,
     FiberedIso,
     JetContext,
     Lagrangian,
     NonPolynomialParameter,
     NotODEContext,
+    NumericOverflow,
     SourceForm,
     classical_helmholtz_ode,
     decide_zero,
@@ -26,8 +28,8 @@ from jetvar import (
     tonti_lagrangian,
     total_derivative,
 )
-from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import ZERO, add, func, is_zero, mul, neg, num, pow_, sym
+from jetvar.coords import BaseCoord, JetCoord, coord_key
+from jetvar.expr import ZERO, add, coords_in, evaluate, func, is_zero, mul, neg, num, pow_, sym
 from jetvar.forms import form_from_terms, max_form_order
 
 from corpus import random_polynomial
@@ -325,6 +327,53 @@ def test_decide_zero_answers_yes_no_or_undecided():
     assert decide_zero([hidden_zero(u1)]) is None
     assert decide_zero([hidden_zero(u1), u]) is False  # a no outweighs undecided
     assert not decide_zero([hidden_zero(u1)])  # undecided never reads as yes
+
+
+def pointwise_probe(e, seed):
+    """The probe point by point: the random points of `_probe_nonzero`,
+    drawn in the same order, each evaluated alone, a failing one read as
+    nothing."""
+    rng = random.Random(seed)
+    coords = sorted(coords_in(e), key=coord_key)
+    for _ in range(jetvar.variational.PROBE_POINTS):
+        env = {}
+        for c in coords:
+            magnitude = Fraction(rng.randint(50, 250), 100)
+            env[c] = [magnitude if rng.random() < 0.5 else -magnitude]
+        try:
+            if abs(evaluate(e, env)[0]) > jetvar.variational.PROBE_THRESHOLD:
+                return False
+        except (NumericOverflow, DivisionByZero):
+            pass
+    return None
+
+
+@pytest.mark.parametrize(
+    "build, answer",
+    [
+        # overflows for u above about 1.9, clearly nonzero below
+        pytest.param(lambda u: func("exp", func("exp", func("exp", u))), False, id="some"),
+        # overflows at every probe point, |u| >= 1/2
+        pytest.param(lambda u: func("exp", mul(num(10**6), pow_(u, 2))), None, id="all"),
+    ],
+)
+# seeds whose points include u > 1.9: 3, 1 and 6 of the 20
+@pytest.mark.parametrize("seed", [0, 1, 6])
+def test_the_probe_reads_a_failing_point_as_nothing(monkeypatch, build, answer, seed):
+    e = build(sym(U))
+    calls = []
+    real = jetvar.variational.evaluate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jetvar.variational, "evaluate", counting)
+    assert decide_zero([e], seed) is answer
+    assert pointwise_probe(e, seed) is answer
+    # the column of all points failed, so the points were taken one by one
+    sizes = [len(env[U]) for _, env in calls]
+    assert sizes[0] == jetvar.variational.PROBE_POINTS and set(sizes[1:]) == {1}
 
 
 @pytest.mark.parametrize(
