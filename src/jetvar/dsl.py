@@ -39,6 +39,7 @@ from .expr import (
     _ATOMS,
     ONE,
     Expr,
+    _base,
     _rows,
     add,
     func,
@@ -48,7 +49,6 @@ from .expr import (
     neg,
     num,
     pow_,
-    sym,
 )
 from .forms import (
     DiffForm,
@@ -63,7 +63,6 @@ from .forms import (
 # Deeper nesting would exhaust the interpreter stack while parsing or
 # rendering; each level costs at most five Python frames.
 MAX_NESTING = 100
-_BASE_VALUES: dict = {}  # i -> the Expr of x^i: a repeat hashes no BaseCoord
 
 
 class ParsedExpr:
@@ -270,10 +269,7 @@ class _Parser:
         if name in ctx.base_names:
             if index or self.accept("_"):
                 raise DslSyntaxError(f"base variable {name!r} carries no jet index", span)
-            i = ctx.base_names.index(name) + 1
-            if i not in _BASE_VALUES:
-                _BASE_VALUES[i] = sym(BaseCoord(i))
-            return _BASE_VALUES[i]
+            return _base(ctx.base_names.index(name) + 1)
         if name in ctx.fiber_names:
             return jet(ctx.fiber_names.index(name) + 1, self._jet_index(tok))
         rest = name[1:]

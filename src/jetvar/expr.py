@@ -62,6 +62,7 @@ The columns of atoms go to a table by atom id, which calls may share.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import insort
 from fractions import Fraction
@@ -264,6 +265,13 @@ def jet(sigma: int, J: tuple) -> Expr:
     if value is None:
         value = _JET_VALUES[(sigma, J)] = sym(JetCoord(sigma, J))
     return value
+
+
+@functools.cache
+def _base(i: int) -> Expr:
+    """The value of the base coordinate x^i; a repeat builds and hashes no
+    BaseCoord."""
+    return sym(BaseCoord(i))
 
 
 def as_expr(value) -> Expr:
@@ -641,19 +649,22 @@ def integrate_param(e: Expr) -> Expr:
 
 def evaluate(e: Expr, env: dict, values: dict | None = None) -> list:
     """Floating-point values at N points, each summed term by term in
-    canonical order: env binds each coordinate to a column of N numbers
-    (N is 1 when env is empty), and the i-th value, at point i, is
-    bit-identical to one taken at that point alone, as in
+    canonical order: env binds each coordinate to a column of N numbers,
+    and value i is bit-identical to one taken at point i alone, as in
     `evaluate(e, {c: [x]})[0]`.  Raises NumericOverflow when a value, or
-    the argument of a sin/cos/exp atom, is not finite at some point.
+    the argument of a sin/cos/exp atom, is not finite at some point, and
+    ValueError unless every column of env and values holds N numbers.
 
     `values` is the atom table of the points, atom id -> column: an atom
     found there is not evaluated again, and each atom this call evaluates
     is added.  Calls at the same points may share one table, because an
-    atom's value depends on the point alone."""
-    n = len(next(iter(env.values()))) if env else 1
+    atom's value depends on the point alone.  With no column, N is 1."""
+    values = {} if values is None else values
+    lengths = set(map(len, [*env.values(), *values.values()])) or {1}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of different lengths {sorted(lengths)}")
     try:
-        column = _evaluate(e, env, {} if values is None else values, n)
+        column = _evaluate(e, env, values, lengths.pop())
         if all(map(math.isfinite, column)):
             return column
     except OverflowError:

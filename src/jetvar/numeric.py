@@ -7,8 +7,7 @@ cancelling.  So the s-derivative of the action is a difference of values
 of L: the exact one, built from the partials that `gradient` also gives
 `euler_lagrange`, equals the other side by integration by parts whatever
 those partials are, and a wrong partial would cancel.  Each value is
-taken at all the quadrature nodes, or all the given points, in one
-`evaluate` call, and sums run in node order as a loop over them would."""
+taken at all nodes or points by one `evaluate` call, summed in node order."""
 
 from __future__ import annotations
 
@@ -93,10 +92,9 @@ def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
     prolonged variation vanishes at both endpoints: the boundary terms of a
     Lagrangian with jets up to order r involve those only, so r = 0 has none."""
     coords = [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(r)]
-    ends = (0.0, 1.0)
-    env, values = {BaseCoord(1): ends}, {}
+    env, values = {BaseCoord(1): (0.0, 1.0)}, {}
     columns = [evaluate(jets[coord], env, values) for coord in coords]
-    for endpoint, *row in zip(ends, *columns):
+    for endpoint, *row in zip(env[BaseCoord(1)], *columns):
         for coord, value in zip(coords, row):
             if abs(value) > BOUNDARY_TOL:
                 raise ProbeBoundaryError(
@@ -196,11 +194,9 @@ def first_variation_check(
     p = _point_values(phi_jets, env)
     # a fresh table per shift: only the jets move with s, and an atom
     # such as sin(u_{1}) cached at one shift is wrong at another
-    shifted = (
-        {a: [y + s * z for y, z in zip(g[a], p[a])] for a, _ in phi_jets}
-        for s in (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
-    )
-    half_up, half_down, up, down = (_quadrature(weights, evaluate(lam.L, env, t)) for t in shifted)
+    shifts = (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
+    tables = ({a: [y + s * z for y, z in zip(g[a], p[a])] for a, _ in phi_jets} for s in shifts)
+    half_up, half_down, up, down = (_quadrature(weights, evaluate(lam.L, env, t)) for t in tables)
     density = [0.0] * len(points)
     for eps, phi in zip(sf.eps, probe.phi.components):
         pairs = zip(density, evaluate(eps, env, g), evaluate(phi, env, g))

@@ -200,20 +200,17 @@ def null_lagrangian_from_eta(eta: DiffForm) -> Lagrangian:
 
 
 def _probe_nonzero(e: Expr, seed: int) -> bool:
-    """Evaluate at random rational points away from coordinate zeros, as
-    one column; true when some value is clearly nonzero.  An overflow or a
-    pole reads nothing: when the column meets one, each point goes alone."""
+    """Evaluate at random rational points away from coordinate zeros; true
+    when some value is clearly nonzero.  An overflow or a pole reads nothing."""
     rng = random.Random(seed)
-    env: dict = {c: [] for c in sorted(coords_in(e), key=coord_key)}
+    coords = sorted(coords_in(e), key=coord_key)
     for _ in range(PROBE_POINTS):
-        for column in env.values():
+        env = {}
+        for c in coords:
             magnitude = Fraction(rng.randint(50, 250), 100)
-            column.append(magnitude if rng.random() < 0.5 else -magnitude)
-    with contextlib.suppress(NumericOverflow, DivisionByZero):
-        return any(abs(v) > PROBE_THRESHOLD for v in evaluate(e, env))
-    for i in range(PROBE_POINTS):
+            env[c] = [magnitude if rng.random() < 0.5 else -magnitude]
         with contextlib.suppress(NumericOverflow, DivisionByZero):
-            if abs(evaluate(e, {c: col[i : i + 1] for c, col in env.items()})[0]) > PROBE_THRESHOLD:
+            if abs(evaluate(e, env)[0]) > PROBE_THRESHOLD:
                 return True
     return False
 

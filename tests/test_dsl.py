@@ -219,7 +219,8 @@ def test_a_base_name_is_memoized_by_index(monkeypatch):
     ctx = JetContext(n=2, m=1, order=1, base_names=("s", "t"))
     first = parse_expr("t^2 + s*t*u", ctx).expr
     built = []
-    monkeypatch.setattr(dsl, "BaseCoord", lambda *args: built.append(args) or BaseCoord(*args))
+    for module in (dsl, jetvar_expr):
+        monkeypatch.setattr(module, "BaseCoord", lambda *args: built.append(args) or BaseCoord(*args))
     again = parse_expr("t^2 + s*t*u", ctx).expr
     assert again == first and built == []
     assert render_expr(again, ctx) == "s*t*u + t^2"

@@ -29,7 +29,7 @@ from jetvar import (
     residual_on_section,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, evaluate, func, gradient, mul, num, ordered_terms, pow_, sym
+from jetvar.expr import add, atom_id, evaluate, func, gradient, mul, num, ordered_terms, pow_, sym
 from jetvar.jets import prolong_section
 from jetvar.numeric import action
 
@@ -151,6 +151,15 @@ def test_boundary_check_names_the_first_nonvanishing_jet(phi, r, outcome):
         assert result.rhs == pytest.approx(outcome, abs=1e-12)
 
 
+def test_the_boundary_check_reads_both_endpoints_before_it_judges_either(ode1):
+    # the endpoints are one column, so an overflow at x = 1 is raised ahead
+    # of the jet u = 1.0 that does not vanish at x = 0
+    lam = Lagrangian(pow_(sym(U1), 2), ode1, 1)
+    phi = SectionSpec((func("exp", mul(num(1000), sym(X))),))
+    with pytest.raises(NumericOverflow):
+        first_variation_check(lam, VariationProbe(SectionSpec((sym(X),)), phi))
+
+
 def test_first_variation_simple_potential(ode1):
     # L = u^3 on gamma = x: dS = int 3x^2 phi = 3/20 for phi = x(1-x)
     gamma = SectionSpec((sym(X),))
@@ -206,6 +215,18 @@ def test_residual_on_section_values(ode2, plane2):
     )
     rows = residual_on_section(laplace, dome, [(0.2, 0.3), (0.5, 0.5)])
     assert [row[0] for row in rows] == pytest.approx([4.0, 4.0])
+
+
+def test_residuals_read_the_section_at_every_point_first(ode1):
+    # the section u = 1/x has a pole at x = 0, the second point; at the
+    # first, u = 2 and exp(1000 u) overflows, but the section's jets are
+    # taken at every point before any component is
+    sf = SourceForm((func("exp", mul(num(1000), sym(U))),), ode1, 0)
+    gamma = SectionSpec((pow_(sym(X), -1),))
+    with pytest.raises(NumericOverflow):
+        residual_on_section(sf, gamma, [0.5])
+    with pytest.raises(DivisionByZero):
+        residual_on_section(sf, gamma, [0.5, 0.0])
 
 
 def test_eval_expr_at_transcendental():
@@ -425,6 +446,19 @@ def test_first_variation_prolongs_each_section_once(ode2, monkeypatch):
     # the variation, whose jets also serve the boundary check, and the base
     # section
     assert sorted(calls) == [2, 4]
+
+
+def test_columns_of_different_lengths_are_refused():
+    e = add(mul(sym(U), sym(U1)), num(1))
+    with pytest.raises(ValueError, match="different lengths"):
+        evaluate(e, {U: [1.0, 2.0], U1: [1.0, 2.0, 3.0]})
+    with pytest.raises(ValueError, match="different lengths"):
+        evaluate(e, {U1: [1.0, 2.0, 3.0]}, {atom_id(U): [1.0, 2.0]})
+    # with no coordinate bound, N is the length of the table's columns
+    table = {atom_id(U): [1.0, 2.0, 3.0], atom_id(U1): [0.5, 0.5, 0.5]}
+    assert evaluate(e, {}, table) == [1.5, 2.0, 2.5]
+    with pytest.raises(ValueError, match="different lengths"):
+        evaluate(e, {}, {atom_id(U): [1.0, 2.0, 3.0], atom_id(U1): [0.5]})
 
 
 def test_numeric_work_does_not_grow_with_the_points(monkeypatch):

@@ -10,13 +10,11 @@ import jetvar.variational
 from jetvar import (
     DegreeMismatch,
     DimensionMismatch,
-    DivisionByZero,
     FiberedIso,
     JetContext,
     Lagrangian,
     NonPolynomialParameter,
     NotODEContext,
-    NumericOverflow,
     SourceForm,
     classical_helmholtz_ode,
     decide_zero,
@@ -28,8 +26,8 @@ from jetvar import (
     tonti_lagrangian,
     total_derivative,
 )
-from jetvar.coords import BaseCoord, JetCoord, coord_key
-from jetvar.expr import ZERO, add, coords_in, evaluate, func, is_zero, mul, neg, num, pow_, sym
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import ZERO, add, func, is_zero, mul, neg, num, pow_, sym
 from jetvar.forms import form_from_terms, max_form_order
 
 from corpus import random_polynomial
@@ -329,25 +327,6 @@ def test_decide_zero_answers_yes_no_or_undecided():
     assert not decide_zero([hidden_zero(u1)])  # undecided never reads as yes
 
 
-def pointwise_probe(e, seed):
-    """The probe point by point: the random points of `_probe_nonzero`,
-    drawn in the same order, each evaluated alone, a failing one read as
-    nothing."""
-    rng = random.Random(seed)
-    coords = sorted(coords_in(e), key=coord_key)
-    for _ in range(jetvar.variational.PROBE_POINTS):
-        env = {}
-        for c in coords:
-            magnitude = Fraction(rng.randint(50, 250), 100)
-            env[c] = [magnitude if rng.random() < 0.5 else -magnitude]
-        try:
-            if abs(evaluate(e, env)[0]) > jetvar.variational.PROBE_THRESHOLD:
-                return False
-        except (NumericOverflow, DivisionByZero):
-            pass
-    return None
-
-
 @pytest.mark.parametrize(
     "build, answer",
     [
@@ -359,8 +338,11 @@ def pointwise_probe(e, seed):
 )
 # seeds whose points include u > 1.9: 3, 1 and 6 of the 20
 @pytest.mark.parametrize("seed", [0, 1, 6])
-def test_the_probe_reads_a_failing_point_as_nothing(monkeypatch, build, answer, seed):
-    e = build(sym(U))
+def test_the_probe_reads_a_failing_point_as_nothing(build, answer, seed):
+    assert decide_zero([build(sym(U))], seed) is answer
+
+
+def test_the_probe_stops_at_the_first_clearly_nonzero_point(monkeypatch):
     calls = []
     real = jetvar.variational.evaluate
 
@@ -369,11 +351,12 @@ def test_the_probe_reads_a_failing_point_as_nothing(monkeypatch, build, answer, 
         return real(*args)
 
     monkeypatch.setattr(jetvar.variational, "evaluate", counting)
-    assert decide_zero([e], seed) is answer
-    assert pointwise_probe(e, seed) is answer
-    # the column of all points failed, so the points were taken one by one
-    sizes = [len(env[U]) for _, env in calls]
-    assert sizes[0] == jetvar.variational.PROBE_POINTS and set(sizes[1:]) == {1}
+    # |sin(u)| > 0.47 at every probe point, |u| in [1/2, 5/2]
+    assert decide_zero([func("sin", sym(U))]) is False
+    assert [len(env[U]) for _, env in calls] == [1]
+    calls.clear()
+    assert decide_zero([hidden_zero(sym(U1))]) is None
+    assert len(calls) == jetvar.variational.PROBE_POINTS
 
 
 @pytest.mark.parametrize(
