@@ -3,18 +3,24 @@
 Usage: jetvar <subcommand> <problem-file> [--verbose]
        [--skip-variational-check] [--tolerance T] [--seed S]
 
+A command line of exactly that form, each flag spelled in full after the
+file and no value led by `-`, is read by `_read_argv`; any other (help,
+an abbreviated flag, `--flag=value`, a usage error) goes to argparse,
+imported only then, which writes all help and usage text.
+
 Results are printed to stdout as JSON; diagnostics and warnings go to
 stderr as one JSON document.
 Exit code 0 means the check passed, 1 means it ran but answered in the
 negative or could not decide, 2 means the input could not be processed, 3
-means an internal error (a bug, never an answer).
+means an internal error (a bug, never an answer), 141 means stdout or
+stderr was closed by its reader.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
+import os
 import sys
 import warnings
 
@@ -210,23 +216,38 @@ _COMMANDS = {
 
 def _emit(document, stream) -> None:
     """Write one JSON document and a newline as it is encoded, in batches of
-    chunks: not the whole text at once, nor a system call per chunk."""
+    chunks: not the whole text at once, nor a system call per chunk; then
+    flush, so that a closed stream fails here and not at exit."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
     while batch := "".join(itertools.islice(chunks, 1 << 16)):
         stream.write(batch)
     stream.write("\n")
+    stream.flush()
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a usage error as a JSON diagnostic,
-    exit 2; its subcommand parsers are of the same class."""
+# each flag of every subcommand: its dest and the conversion of its value,
+# None for a flag that takes none; build_parser declares the same flags
+_FLAGS = {
+    "--verbose": ("verbose", None),
+    "--skip-variational-check": ("skip-variational-check", None),
+    "--tolerance": ("tolerance", float),
+    "--seed": ("seed", int),
+}
 
-    def error(self, message):
-        _emit({"error": "UsageError", "message": message}, sys.stderr)
-        self.exit(2)
 
+def build_parser():
+    """The argparse reader of every command line `_read_argv` leaves; the
+    only place argparse is imported."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser that reports a usage error as a JSON diagnostic,
+        exit 2; its subcommand parsers are of the same class."""
+
+        def error(self, message):
+            _emit({"error": "UsageError", "message": message}, sys.stderr)
+            self.exit(2)
+
     parser = _Parser(
         prog="jetvar",
         description="symbolic variational calculus on jet spaces",
@@ -253,6 +274,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv):
+    """The dict argparse would make of `<command> <file>` followed by flags
+    from _FLAGS spelled in full, each value converted as argparse converts
+    it; None for any other command line, or a value led by `-` or that does
+    not convert, all of which argparse then reads."""
+    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    flags = {"command": argv[0], "file": argv[1]}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token not in _FLAGS:
+            return None
+        dest, convert = _FLAGS[token]
+        if convert is None:
+            flags[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            flags[dest] = convert(value)
+        except ValueError:
+            return None
+    return flags
+
+
 def _run(command: str, path: str, flags: dict):
     """The exit code and stdout payload of a command: 1 unless it answers yes."""
     problem = load_problem(path)
@@ -262,9 +309,9 @@ def _run(command: str, path: str, flags: dict):
     return (0 if answer is True else 1), payload
 
 
-def main(argv=None) -> int:
-    flags = vars(build_parser().parse_args(argv))
-    command, path = flags.pop("command"), flags.pop("file")
+def _answer(command: str, path: str, flags: dict) -> int:
+    """Run a command and write its payload to stdout, or a diagnostic to
+    stderr; the exit code."""
     diag = {}
     # the warnings the filters let through join the JSON on stderr instead
     # of printing as raw text
@@ -272,6 +319,8 @@ def main(argv=None) -> int:
         try:
             code, payload = _run(command, path, flags)
             _emit(payload, sys.stdout)
+        except BrokenPipeError:  # a closed stream: main handles it
+            raise
         except DslError as exc:
             code, diag = 2, {"error": type(exc).__name__, "message": exc.message}
             diag["span"] = None if exc.span is None else list(exc.span)
@@ -286,6 +335,22 @@ def main(argv=None) -> int:
     if diag:
         _emit(diag, sys.stderr)
     return code
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    flags = _read_argv(argv) or vars(build_parser().parse_args(argv))
+    try:
+        return _answer(flags.pop("command"), flags.pop("file"), flags)
+    except BrokenPipeError:
+        # the reader of stdout or stderr has gone: write nothing more, and
+        # leave the interpreter's flush at exit nothing to fail on (exit 120)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

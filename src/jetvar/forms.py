@@ -45,6 +45,7 @@ from .expr import (
     Expr,
     ONE,
     ZERO,
+    _rational,
     add,
     as_expr,
     coords_in,
@@ -447,7 +448,8 @@ def _determinant(rows) -> Expr:
 
 def _invert_matrix(rows):
     """Exact inverse of a matrix of rationals, the transposed cofactors over
-    the determinant, each taken with _determinant; raises SingularBaseMap."""
+    the determinant, each taken with _determinant, an integral entry as an
+    int; raises SingularBaseMap."""
     entries = [[num(v) for v in row] for row in rows]
     det = _determinant(entries)
     if is_zero(det):
@@ -458,7 +460,7 @@ def _invert_matrix(rows):
         return (-1) ** (i + j) * _determinant(minor).value
 
     n = len(rows)
-    return [[cofactor(j, i) / det.value for j in range(n)] for i in range(n)]
+    return [[_rational(cofactor(j, i) / det.value) for j in range(n)] for i in range(n)]
 
 
 def prolong_isomorphism(iso: FiberedIso, order: int, ctx: JetContext) -> Prolongation:

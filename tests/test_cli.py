@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import jetvar.cli
-from jetvar.cli import main
+from jetvar.cli import build_parser, main
 from jetvar.dsl import MAX_NESTING
 from jetvar.errors import DslError
 from jetvar.problem import load_problem
@@ -987,6 +987,167 @@ def test_help_stays_plain_text(capsys):
         main(["el", "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: jetvar el")
+
+
+# --- how a command line is read ----------------------------------------------
+
+
+def subcommand_parsers():
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def test_the_reader_knows_the_flags_of_every_subcommand():
+    commands = subcommand_parsers()
+    assert list(commands) == list(jetvar.cli._COMMANDS)
+    for sub in commands.values():
+        flags = {
+            option: (action.dest, action.type if action.nargs != 0 else None)
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        assert flags == jetvar.cli._FLAGS
+        assert all(a.const is True for a in sub._actions if a.nargs == 0 and a.dest != "help")
+
+
+def test_a_command_line_the_reader_accepts_reads_the_same_through_argparse():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    flags = ["--verbose", "--skip-variational-check", "--verb", "--v", "--skip", "-h", "--help"]
+    flags += ["--", "--tolerance=1e-3", "--seed=2", "--seed=-5", "--verbose=1", "--s"]
+    valued = ["--tolerance", "--seed", "--tol", "--se"]
+    values = ["1e-3", "0.5", "3", "-5", "-1e-3", "abc", "1.5", "nan", "-inf", " 7", "", "1_000"]
+    well_formed = st.one_of(
+        st.sampled_from(flags[:2]).map(lambda flag: [flag]),
+        st.tuples(st.sampled_from(valued[:2]), st.sampled_from(values[:4])).map(list),
+    )
+    word = st.one_of(
+        well_formed,
+        well_formed,
+        st.sampled_from(flags).map(lambda flag: [flag]),
+        st.tuples(st.sampled_from(valued), st.sampled_from(values)).map(list),
+        st.sampled_from(values).map(lambda value: [value]),
+    )
+    commands = list(jetvar.cli._COMMANDS) + ["bogus", "e", "-h", "--help"]
+    files = ["p.ini", "p.ini", "el", "", "-", "-p.ini", "--verbose", "a=b"]
+    accepted, drawn = [], []
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(commands),
+        st.sampled_from(files),
+        st.lists(word, max_size=5),
+        st.sampled_from([0, 0, 0, 1, 2]),
+    )
+    def agree(command, file, words, at):
+        tokens = [token for w in words for token in w]
+        argv = [command] + tokens[:at] + [file] + tokens[at:]
+        drawn.append(argv)
+        read = jetvar.cli._read_argv(argv)
+        if read is not None:
+            accepted.append(argv)
+            parsed = vars(build_parser().parse_args(argv))
+            assert repr(sorted(read.items())) == repr(sorted(parsed.items()))
+
+    agree()
+    assert len(drawn) >= 300 and len(accepted) >= 50
+    assert any(len(argv) > 4 for argv in accepted)
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "text, argv, flags, same_as",
+    [
+        (OBSTRUCTED_SOURCE, ["helmholtz", "FILE", "--verb"], {"verbose": True}, ["--verbose"]),
+        (
+            FIRST_VARIATION,
+            ["numcheck", "FILE", "--tolerance=1e-3"],
+            {"tolerance": 1e-3},
+            ["--tolerance", "1e-3"],
+        ),
+        (FREE_PARTICLE, ["el", "--verbose", "FILE"], {"verbose": True}, ["--verbose"]),
+        (FREE_SOURCE, ["helmholtz", "FILE", "--seed", "-5"], {"seed": -5}, None),
+    ],
+    ids=["abbreviation", "equals", "flag-before-file", "dash-led-value"],
+)
+def test_argparse_reads_what_the_reader_leaves(
+    tmp_path, capsys, monkeypatch, text, argv, flags, same_as
+):
+    # each command line runs with the flags, and as their documented form
+    path = problem(tmp_path, text)
+    argv = [path if arg == "FILE" else arg for arg in argv]
+    assert jetvar.cli._read_argv(argv) is None
+    seen = []
+    real_run = jetvar.cli._run
+    monkeypatch.setattr(jetvar.cli, "_run", lambda *args: seen.append(args) or real_run(*args))
+    left = outcome(capsys, argv)
+    assert seen == [(argv[0], path, flags)]
+    assert left[0] in (0, 1) and left[1] and left[2] == ""
+    if same_as is not None:
+        documented = [argv[0], path, *same_as]
+        assert jetvar.cli._read_argv(documented) is not None
+        assert left == outcome(capsys, documented)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["el", "FILE", "--help"]], ids=["help", "h", "el-help"]
+)
+def test_help_is_argparse_text(tmp_path, capsys, argv):
+    argv = [problem(tmp_path, FREE_PARTICLE) if arg == "FILE" else arg for arg in argv]
+    assert jetvar.cli._read_argv(argv) is None
+    parser = subcommand_parsers()["el"] if argv[0] == "el" else build_parser()
+    assert outcome(capsys, argv) == (0, parser.format_help(), "")
+
+
+def in_child(code, *args, env=None, **kwargs):
+    """Run python -c code with jetvar importable from this checkout."""
+    src = str(Path(jetvar.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **(env or {})}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv, loaded", [([], False), (["--verb"], True)])
+def test_a_documented_command_line_never_imports_argparse(tmp_path, argv, loaded):
+    code = (
+        "import sys, jetvar.cli; jetvar.cli.main(sys.argv[1:]); "
+        "print('argparse' in sys.modules)"
+    )
+    path = problem(tmp_path, FREE_PARTICLE)
+    proc = in_child(code, "el", path, *argv, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.endswith(f"\n{loaded}\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_a_closed_stream_exits_141_and_writes_nothing_more(tmp_path, stream, unbuffered):
+    # stdout carries the payload of a good file, stderr the diagnostic of a
+    # missing one; the other stream must stay empty
+    path = problem(tmp_path, FREE_PARTICLE) if stream == "stdout" else str(tmp_path / "no.ini")
+    read, write = os.pipe()
+    os.close(read)
+    other = "stderr" if stream == "stdout" else "stdout"
+    try:
+        proc = in_child(
+            "import sys, jetvar.cli; sys.exit(jetvar.cli.main(sys.argv[1:]))",
+            "el",
+            path,
+            env={"PYTHONUNBUFFERED": unbuffered},
+            **{stream: write, other: subprocess.PIPE},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert getattr(proc, other) == b""
 
 
 UNSORTED_INDEX = """

@@ -49,6 +49,7 @@ from jetvar.forms import (
     scale,
     wedge,
 )
+from jetvar.jets import Prolongation
 
 from corpus import random_polynomial
 
@@ -523,8 +524,26 @@ def test_invert_matrix_is_an_exact_inverse(n):
             for i in range(n)
         ]
         assert product == identity
-        assert all(isinstance(v, Fraction) for row in inverse for v in row)
+        assert all(
+            type(v) is (int if v.denominator == 1 else Fraction)
+            for row in inverse
+            for v in row
+        )
         inverted += 1
+
+
+def test_an_integral_inverse_jacobian_has_int_entries(plane1):
+    # the chain rule scales each prolonged jet by these entries, and an
+    # integral coefficient of an expression is an int
+    x1, x2 = sym(BaseCoord(1)), sym(BaseCoord(2))
+    iso = FiberedIso((add(mul(num(2), x1), x2), add(x1, x2)), (sym(U),))
+    pro = prolong_isomorphism(iso, 1, plane1)
+    assert pro.b == [[1, -1], [-1, 2]]
+    assert all(type(v) is int for row in pro.b for v in row)
+    as_fractions = [[Fraction(v) for v in row] for row in pro.b]
+    same = Prolongation(dict(pro), 1, as_fractions, plane1)
+    for l in (1, 2):
+        assert pro[JetCoord(1, (l,))] == same[JetCoord(1, (l,))]
 
 
 @pytest.mark.parametrize(
