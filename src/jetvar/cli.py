@@ -3,10 +3,9 @@
 Usage: jetvar <subcommand> <problem-file> [--verbose]
        [--skip-variational-check] [--tolerance T] [--seed S]
 
-A command line of exactly that form, each flag spelled in full after the
-file and no value led by `-`, is read by `_read_argv`; any other (help,
-an abbreviated flag, `--flag=value`, a usage error) goes to argparse,
-imported only then, which writes all help and usage text.
+A command line of just a subcommand and a file is read by `_read_argv`;
+any other (a flag, help, a usage error) goes to argparse, imported only
+then, which writes all help and usage text.
 
 Results are printed to stdout as JSON; diagnostics and warnings go to
 stderr as one JSON document.
@@ -225,16 +224,6 @@ def _emit(document, stream) -> None:
     stream.flush()
 
 
-# each flag of every subcommand: its dest and the conversion of its value,
-# None for a flag that takes none; build_parser declares the same flags
-_FLAGS = {
-    "--verbose": ("verbose", None),
-    "--skip-variational-check": ("skip-variational-check", None),
-    "--tolerance": ("tolerance", float),
-    "--seed": ("seed", int),
-}
-
-
 def build_parser():
     """The argparse reader of every command line `_read_argv` leaves; the
     only place argparse is imported."""
@@ -247,6 +236,13 @@ def build_parser():
         def error(self, message):
             _emit({"error": "UsageError", "message": message}, sys.stderr)
             self.exit(2)
+
+        def print_help(self, file=None):
+            # argparse drops a failed write of its help text; let it raise,
+            # so that a closed stdout exits 141 here and not 120 at exit
+            file = file or sys.stdout or sys.stderr
+            file.write(self.format_help())
+            file.flush()
 
     parser = _Parser(
         prog="jetvar",
@@ -275,29 +271,11 @@ def build_parser():
 
 
 def _read_argv(argv):
-    """The dict argparse would make of `<command> <file>` followed by flags
-    from _FLAGS spelled in full, each value converted as argparse converts
-    it; None for any other command line, or a value led by `-` or that does
-    not convert, all of which argparse then reads."""
-    if len(argv) < 2 or argv[0] not in _COMMANDS or argv[1].startswith("-"):
-        return None
-    flags = {"command": argv[0], "file": argv[1]}
-    tokens = iter(argv[2:])
-    for token in tokens:
-        if token not in _FLAGS:
-            return None
-        dest, convert = _FLAGS[token]
-        if convert is None:
-            flags[dest] = True
-            continue
-        value = next(tokens, None)
-        if value is None or value.startswith("-"):
-            return None
-        try:
-            flags[dest] = convert(value)
-        except ValueError:
-            return None
-    return flags
+    """The dict argparse would make of `<command> <file>` with no flag; None
+    for any other command line, which argparse then reads."""
+    if len(argv) == 2 and argv[0] in _COMMANDS and not argv[1].startswith("-"):
+        return {"command": argv[0], "file": argv[1]}
+    return None
 
 
 def _run(command: str, path: str, flags: dict):
@@ -340,8 +318,8 @@ def _answer(command: str, path: str, flags: dict) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    flags = _read_argv(argv) or vars(build_parser().parse_args(argv))
     try:
+        flags = _read_argv(argv) or vars(build_parser().parse_args(argv))
         return _answer(flags.pop("command"), flags.pop("file"), flags)
     except BrokenPipeError:
         # the reader of stdout or stderr has gone: write nothing more, and

@@ -992,42 +992,12 @@ def test_help_stays_plain_text(capsys):
 # --- how a command line is read ----------------------------------------------
 
 
-def subcommand_parsers():
-    return build_parser()._subparsers._group_actions[0].choices
-
-
-def test_the_reader_knows_the_flags_of_every_subcommand():
-    commands = subcommand_parsers()
-    assert list(commands) == list(jetvar.cli._COMMANDS)
-    for sub in commands.values():
-        flags = {
-            option: (action.dest, action.type if action.nargs != 0 else None)
-            for action in sub._actions
-            for option in action.option_strings
-            if option.startswith("--") and option != "--help"
-        }
-        assert flags == jetvar.cli._FLAGS
-        assert all(a.const is True for a in sub._actions if a.nargs == 0 and a.dest != "help")
-
-
 def test_a_command_line_the_reader_accepts_reads_the_same_through_argparse():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    flags = ["--verbose", "--skip-variational-check", "--verb", "--v", "--skip", "-h", "--help"]
-    flags += ["--", "--tolerance=1e-3", "--seed=2", "--seed=-5", "--verbose=1", "--s"]
-    valued = ["--tolerance", "--seed", "--tol", "--se"]
-    values = ["1e-3", "0.5", "3", "-5", "-1e-3", "abc", "1.5", "nan", "-inf", " 7", "", "1_000"]
-    well_formed = st.one_of(
-        st.sampled_from(flags[:2]).map(lambda flag: [flag]),
-        st.tuples(st.sampled_from(valued[:2]), st.sampled_from(values[:4])).map(list),
-    )
-    word = st.one_of(
-        well_formed,
-        well_formed,
-        st.sampled_from(flags).map(lambda flag: [flag]),
-        st.tuples(st.sampled_from(valued), st.sampled_from(values)).map(list),
-        st.sampled_from(values).map(lambda value: [value]),
-    )
+    tokens = ["--verbose", "--skip-variational-check", "--verb", "--skip", "-h", "--help", "--"]
+    tokens += ["--tolerance", "--seed", "--tol", "--tolerance=1e-3", "--seed=-5", "--verbose=1"]
+    tokens += ["1e-3", "3", "-5", "-1e-3", "abc", "nan", ""]
     commands = list(jetvar.cli._COMMANDS) + ["bogus", "e", "-h", "--help"]
     files = ["p.ini", "p.ini", "el", "", "-", "-p.ini", "--verbose", "a=b"]
     accepted, drawn = [], []
@@ -1036,11 +1006,10 @@ def test_a_command_line_the_reader_accepts_reads_the_same_through_argparse():
     @hypothesis.given(
         st.sampled_from(commands),
         st.sampled_from(files),
-        st.lists(word, max_size=5),
+        st.lists(st.sampled_from(tokens), max_size=4),
         st.sampled_from([0, 0, 0, 1, 2]),
     )
-    def agree(command, file, words, at):
-        tokens = [token for w in words for token in w]
+    def agree(command, file, tokens, at):
         argv = [command] + tokens[:at] + [file] + tokens[at:]
         drawn.append(argv)
         read = jetvar.cli._read_argv(argv)
@@ -1050,8 +1019,8 @@ def test_a_command_line_the_reader_accepts_reads_the_same_through_argparse():
             assert repr(sorted(read.items())) == repr(sorted(parsed.items()))
 
     agree()
-    assert len(drawn) >= 300 and len(accepted) >= 50
-    assert any(len(argv) > 4 for argv in accepted)
+    assert len(drawn) >= 300 and len(accepted) >= 20
+    assert all(len(argv) == 2 for argv in accepted)
 
 
 def outcome(capsys, argv):
@@ -1067,6 +1036,7 @@ def outcome(capsys, argv):
 @pytest.mark.parametrize(
     "text, argv, flags, same_as",
     [
+        (OBSTRUCTED_SOURCE, ["helmholtz", "FILE", "--verbose"], {"verbose": True}, None),
         (OBSTRUCTED_SOURCE, ["helmholtz", "FILE", "--verb"], {"verbose": True}, ["--verbose"]),
         (
             FIRST_VARIATION,
@@ -1077,7 +1047,7 @@ def outcome(capsys, argv):
         (FREE_PARTICLE, ["el", "--verbose", "FILE"], {"verbose": True}, ["--verbose"]),
         (FREE_SOURCE, ["helmholtz", "FILE", "--seed", "-5"], {"seed": -5}, None),
     ],
-    ids=["abbreviation", "equals", "flag-before-file", "dash-led-value"],
+    ids=["flag", "abbreviation", "equals", "flag-before-file", "dash-led-value"],
 )
 def test_argparse_reads_what_the_reader_leaves(
     tmp_path, capsys, monkeypatch, text, argv, flags, same_as
@@ -1093,9 +1063,7 @@ def test_argparse_reads_what_the_reader_leaves(
     assert seen == [(argv[0], path, flags)]
     assert left[0] in (0, 1) and left[1] and left[2] == ""
     if same_as is not None:
-        documented = [argv[0], path, *same_as]
-        assert jetvar.cli._read_argv(documented) is not None
-        assert left == outcome(capsys, documented)
+        assert left == outcome(capsys, [argv[0], path, *same_as])
 
 
 @pytest.mark.parametrize(
@@ -1104,8 +1072,11 @@ def test_argparse_reads_what_the_reader_leaves(
 def test_help_is_argparse_text(tmp_path, capsys, argv):
     argv = [problem(tmp_path, FREE_PARTICLE) if arg == "FILE" else arg for arg in argv]
     assert jetvar.cli._read_argv(argv) is None
-    parser = subcommand_parsers()["el"] if argv[0] == "el" else build_parser()
-    assert outcome(capsys, argv) == (0, parser.format_help(), "")
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    text = capsys.readouterr().out
+    assert exit_info.value.code == 0 and text.startswith("usage: jetvar")
+    assert outcome(capsys, argv) == (0, text, "")
 
 
 def in_child(code, *args, env=None, **kwargs):
@@ -1115,7 +1086,7 @@ def in_child(code, *args, env=None, **kwargs):
     return subprocess.run([sys.executable, "-c", code, *args], env=env, **kwargs)
 
 
-@pytest.mark.parametrize("argv, loaded", [([], False), (["--verb"], True)])
+@pytest.mark.parametrize("argv, loaded", [([], False), (["--verbose"], True)])
 def test_a_documented_command_line_never_imports_argparse(tmp_path, argv, loaded):
     code = (
         "import sys, jetvar.cli; jetvar.cli.main(sys.argv[1:]); "
@@ -1128,19 +1099,27 @@ def test_a_documented_command_line_never_imports_argparse(tmp_path, argv, loaded
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("stream", ["stdout", "stderr"])
-def test_a_closed_stream_exits_141_and_writes_nothing_more(tmp_path, stream, unbuffered):
-    # stdout carries the payload of a good file, stderr the diagnostic of a
-    # missing one; the other stream must stay empty
-    path = problem(tmp_path, FREE_PARTICLE) if stream == "stdout" else str(tmp_path / "no.ini")
+@pytest.mark.parametrize(
+    "stream, argv",
+    [
+        ("stdout", ["el", "FILE"]),
+        ("stderr", ["el", "MISSING"]),
+        ("stdout", ["el", "FILE", "--help"]),
+        ("stderr", ["el"]),
+    ],
+    ids=["payload", "diagnostic", "help", "usage-error"],
+)
+def test_a_closed_stream_exits_141_and_writes_nothing_more(tmp_path, stream, argv, unbuffered):
+    # a good file's payload and the help text go to stdout, a missing file's
+    # diagnostic and a usage error to stderr; the other stream must stay empty
+    files = {"FILE": problem(tmp_path, FREE_PARTICLE), "MISSING": str(tmp_path / "no.ini")}
     read, write = os.pipe()
     os.close(read)
     other = "stderr" if stream == "stdout" else "stdout"
     try:
         proc = in_child(
             "import sys, jetvar.cli; sys.exit(jetvar.cli.main(sys.argv[1:]))",
-            "el",
-            path,
+            *[files.get(arg, arg) for arg in argv],
             env={"PYTHONUNBUFFERED": unbuffered},
             **{stream: write, other: subprocess.PIPE},
         )
