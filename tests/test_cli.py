@@ -1052,7 +1052,7 @@ def outcome(capsys, argv):
 def test_argparse_reads_what_the_reader_leaves(
     tmp_path, capsys, monkeypatch, text, argv, flags, same_as
 ):
-    # each command line runs with the flags, and as their documented form
+    # each command line runs with its flags, and prints what the full spelling prints
     path = problem(tmp_path, text)
     argv = [path if arg == "FILE" else arg for arg in argv]
     assert jetvar.cli._read_argv(argv) is None
@@ -1087,7 +1087,7 @@ def in_child(code, *args, env=None, **kwargs):
 
 
 @pytest.mark.parametrize("argv, loaded", [([], False), (["--verbose"], True)])
-def test_a_documented_command_line_never_imports_argparse(tmp_path, argv, loaded):
+def test_a_bare_command_line_never_imports_argparse(tmp_path, argv, loaded):
     code = (
         "import sys, jetvar.cli; jetvar.cli.main(sys.argv[1:]); "
         "print('argparse' in sys.modules)"
