@@ -12,7 +12,7 @@ stderr as one JSON document.
 Exit code 0 means the check passed, 1 means it ran but answered in the
 negative or could not decide, 2 means the input could not be processed, 3
 means an internal error (a bug, never an answer), 141 means stdout or
-stderr was closed by its reader.
+stderr cannot be written (closed, full, or its reader gone).
 """
 
 from __future__ import annotations
@@ -213,15 +213,33 @@ _COMMANDS = {
 }
 
 
+class _Unwritable(Exception):
+    """stdout or stderr takes no output: closed before start, full, or its
+    reader gone."""
+
+
 def _emit(document, stream) -> None:
     """Write one JSON document and a newline as it is encoded, in batches of
     chunks: not the whole text at once, nor a system call per chunk; then
-    flush, so that a closed stream fails here and not at exit."""
+    flush, so that a stream that takes no output fails here, as _Unwritable,
+    and not at exit."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(document)
-    while batch := "".join(itertools.islice(chunks, 1 << 16)):
-        stream.write(batch)
-    stream.write("\n")
-    stream.flush()
+    batches = iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), "")
+    _write(stream, itertools.chain(batches, ["\n"]))
+
+
+def _write(stream, texts) -> None:
+    """Write each text to stream, then flush; _Unwritable if the stream is
+    None (its descriptor was closed before start) or a write or the flush
+    fails."""
+    if stream is None:
+        raise _Unwritable
+    try:
+        for text in texts:
+            stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        raise _Unwritable from exc
 
 
 def build_parser():
@@ -240,9 +258,7 @@ def build_parser():
         def print_help(self, file=None):
             # argparse drops a failed write of its help text; let it raise,
             # so that a closed stdout exits 141 here and not 120 at exit
-            file = file or sys.stdout or sys.stderr
-            file.write(self.format_help())
-            file.flush()
+            _write(sys.stdout if file is None else file, [self.format_help()])
 
     parser = _Parser(
         prog="jetvar",
@@ -297,7 +313,7 @@ def _answer(command: str, path: str, flags: dict) -> int:
         try:
             code, payload = _run(command, path, flags)
             _emit(payload, sys.stdout)
-        except BrokenPipeError:  # a closed stream: main handles it
+        except _Unwritable:  # main handles it
             raise
         except DslError as exc:
             code, diag = 2, {"error": type(exc).__name__, "message": exc.message}
@@ -321,12 +337,13 @@ def main(argv=None) -> int:
     try:
         flags = _read_argv(argv) or vars(build_parser().parse_args(argv))
         return _answer(flags.pop("command"), flags.pop("file"), flags)
-    except BrokenPipeError:
-        # the reader of stdout or stderr has gone: write nothing more, and
-        # leave the interpreter's flush at exit nothing to fail on (exit 120)
+    except _Unwritable:
+        # stdout or stderr takes no output: write nothing more, and leave
+        # the interpreter's flush at exit nothing to fail on (exit 120)
         devnull = os.open(os.devnull, os.O_WRONLY)
         for stream in (sys.stdout, sys.stderr):
-            os.dup2(devnull, stream.fileno())
+            if stream is not None:
+                os.dup2(devnull, stream.fileno())
         os.close(devnull)
         return 141
 

@@ -57,7 +57,8 @@ evaluation and cached on it.  Each point gets the operations of a
 term-by-term evaluation, so its float is bit-identical to one: the same
 row order, a single term returned as it is, several summed from 0.0, and
 each product started at float(c) and multiplied by each factor in turn.
-The columns of atoms go to a table by atom id, which calls may share.
+Each call evaluates each atom once, into a table of its own; a caller
+binds what it knows, such as the jets of a section, as coordinate columns.
 """
 
 from __future__ import annotations
@@ -205,12 +206,6 @@ def _intern(atom) -> int:
         _ATOM_ORDERS.append(order)
         _ATOM_ID[atom] = a
     return a
-
-
-def atom_id(c: Coord) -> int:
-    """The intern id of coordinate c, the key of its column in an atom
-    table of `evaluate`."""
-    return _intern(c)
 
 
 def _atom_text(atom) -> str:
@@ -647,24 +642,19 @@ def integrate_param(e: Expr) -> Expr:
 # --- numeric evaluation --------------------------------------------------------
 
 
-def evaluate(e: Expr, env: dict, values: dict | None = None) -> list:
+def evaluate(e: Expr, env: dict) -> list:
     """Floating-point values at N points, each summed term by term in
     canonical order: env binds each coordinate to a column of N numbers,
     and value i is bit-identical to one taken at point i alone, as in
     `evaluate(e, {c: [x]})[0]`.  Raises NumericOverflow when a value, or
     the argument of a sin/cos/exp atom, is not finite at some point, and
-    ValueError unless every column of env and values holds N numbers.
-
-    `values` is the atom table of the points, atom id -> column: an atom
-    found there is not evaluated again, and each atom this call evaluates
-    is added.  Calls at the same points may share one table, because an
-    atom's value depends on the point alone.  With no column, N is 1."""
-    values = {} if values is None else values
-    lengths = set(map(len, [*env.values(), *values.values()])) or {1}
+    ValueError unless every column of env holds N numbers.  With no
+    column, N is 1."""
+    lengths = set(map(len, env.values())) or {1}
     if len(lengths) > 1:
         raise ValueError(f"columns of different lengths {sorted(lengths)}")
     try:
-        column = _evaluate(e, env, values, lengths.pop())
+        column = _evaluate(e, env, {}, lengths.pop())
         if all(map(math.isfinite, column)):
             return column
     except OverflowError:

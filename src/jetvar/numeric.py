@@ -7,7 +7,9 @@ cancelling.  So the s-derivative of the action is a difference of values
 of L: the exact one, built from the partials that `gradient` also gives
 `euler_lagrange`, equals the other side by integration by parts whatever
 those partials are, and a wrong partial would cancel.  Each value is
-taken at all nodes or points by one `evaluate` call, summed in node order."""
+taken at all nodes or points by one `evaluate` call, which reads the jets
+of the section as float columns taken once at those points; the nodes are
+summed in node order."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import operator
 from .coords import BaseCoord, JetContext, JetCoord, coord_key
 from .dsl import render_expr
 from .errors import DivisionByZero, NotODEContext, NumericOverflow, ProbeBoundaryError
-from .expr import atom_id, coords_in, evaluate, max_jet_order
+from .expr import coords_in, evaluate, max_jet_order
 from .jets import SectionSpec, prolong_section
 from .variational import euler_lagrange
 
@@ -92,8 +94,8 @@ def _check_vanishing(jets: dict, r: int, ctx: JetContext) -> None:
     prolonged variation vanishes at both endpoints: the boundary terms of a
     Lagrangian with jets up to order r involve those only, so r = 0 has none."""
     coords = [JetCoord(s, (1,) * k) for s in range(1, ctx.m + 1) for k in range(r)]
-    env, values = {BaseCoord(1): (0.0, 1.0)}, {}
-    columns = [evaluate(jets[coord], env, values) for coord in coords]
+    env = {BaseCoord(1): (0.0, 1.0)}
+    columns = [evaluate(jets[coord], env) for coord in coords]
     for endpoint, *row in zip(env[BaseCoord(1)], *columns):
         for coord, value in zip(coords, row):
             if abs(value) > BOUNDARY_TOL:
@@ -129,21 +131,11 @@ class FirstVariationResult:
         self.lhs, self.rhs, self.abs_diff = lhs, rhs, abs_diff
 
 
-def _jets_by_atom(jets: dict, *exprs) -> tuple:
-    """The jets of a prolonged section that occur in exprs, as (atom id,
-    Expr) pairs in coordinate order."""
+def _jet_columns(jets: dict, base_env: dict, *exprs) -> dict:
+    """Each jet of a prolonged section that occurs in exprs, bound to its
+    column at the base points of base_env, evaluated in coordinate order."""
     coords = {c for e in exprs for c in coords_in(e) if c.__class__ is JetCoord}
-    return tuple((atom_id(c), jets[c]) for c in sorted(coords, key=coord_key))
-
-
-def _point_values(jets: tuple, base_env: dict) -> dict:
-    """The atom table of the base points of base_env: every jet of the
-    section is evaluated into it, under the atom id of its coordinate, so
-    later values at the points read the jets, and every atom met, from it."""
-    values: dict = {}
-    for a, e in jets:
-        values[a] = evaluate(e, base_env, values)
-    return values
+    return {c: evaluate(jets[c], base_env) for c in sorted(coords, key=coord_key)}
 
 
 def _quadrature(weights, values) -> float:
@@ -158,10 +150,10 @@ def action(lam, gamma: SectionSpec, quad: QuadratureSpec = QuadratureSpec()) -> 
     ctx = lam.ctx
     if ctx.n != 1:
         raise NotODEContext(f"the action oracle needs one base variable, got {ctx.n}")
-    jets = _jets_by_atom(prolong_section(gamma, lam.r, ctx), lam.L)
+    jets = prolong_section(gamma, lam.r, ctx)
     points, weights = quad.points_weights()
-    env = {BaseCoord(1): points}
-    return _quadrature(weights, evaluate(lam.L, env, _point_values(jets, env)))
+    base = {BaseCoord(1): points}
+    return _quadrature(weights, evaluate(lam.L, base | _jet_columns(jets, base, lam.L)))
 
 
 @_naming_poles
@@ -186,20 +178,16 @@ def first_variation_check(
     phi_jets = prolong_section(probe.phi, lam.r, ctx)
     _check_vanishing(phi_jets, max_jet_order(lam.L), ctx)
     sf = euler_lagrange(lam)
-    gamma_jets = _jets_by_atom(gamma_jets, lam.L, *sf.eps)
-    phi_jets = _jets_by_atom(phi_jets, lam.L)
     points, weights = quad.points_weights()
-    env = {BaseCoord(1): points}
-    g = _point_values(gamma_jets, env)
-    p = _point_values(phi_jets, env)
-    # a fresh table per shift: only the jets move with s, and an atom
-    # such as sin(u_{1}) cached at one shift is wrong at another
+    base = {BaseCoord(1): points}
+    env = base | _jet_columns(gamma_jets, base, lam.L, *sf.eps)
+    p = _jet_columns(phi_jets, base, lam.L)
     shifts = (STEP / 2.0, -STEP / 2.0, STEP, -STEP)
-    tables = ({a: [y + s * z for y, z in zip(g[a], p[a])] for a, _ in phi_jets} for s in shifts)
-    half_up, half_down, up, down = (_quadrature(weights, evaluate(lam.L, env, t)) for t in tables)
+    moved = ({c: [y + s * z for y, z in zip(env[c], col)] for c, col in p.items()} for s in shifts)
+    half_up, half_down, up, down = (_quadrature(weights, evaluate(lam.L, env | m)) for m in moved)
     density = [0.0] * len(points)
     for eps, phi in zip(sf.eps, probe.phi.components):
-        pairs = zip(density, evaluate(eps, env, g), evaluate(phi, env, g))
+        pairs = zip(density, evaluate(eps, env), evaluate(phi, env))
         density = [v + e * f for v, e, f in pairs]
     rhs = _quadrature(weights, density)
     lhs = (8.0 * (half_up - half_down) - (up - down)) / (6.0 * STEP)
@@ -214,11 +202,11 @@ def residual_on_section(sf, gamma: SectionSpec, points) -> list:
     """Source form components evaluated along the prolonged section at the
     given base points (numbers for n = 1, index-ordered tuples otherwise)."""
     ctx = sf.ctx
-    jets = _jets_by_atom(prolong_section(gamma, sf.s, ctx), *sf.eps)
+    jets = prolong_section(gamma, sf.s, ctx)
     rows = [(p,) if ctx.n == 1 and not isinstance(p, (tuple, list)) else p for p in points]
     for p in rows:
         if len(p) != ctx.n:
             raise ValueError(f"base point {p!r} has wrong dimension")
     base_env = {BaseCoord(i): [float(p[i - 1]) for p in rows] for i in range(1, ctx.n + 1)}
-    values = _point_values(jets, base_env)
-    return [list(row) for row in zip(*[evaluate(e, base_env, values) for e in sf.eps])]
+    env = base_env | _jet_columns(jets, base_env, *sf.eps)
+    return [list(row) for row in zip(*[evaluate(e, env) for e in sf.eps])]

@@ -136,13 +136,13 @@ class HelmholtzReport:
     """The nonzero residuals in (level, I, sigma, nu) order, decided with
     the probe seeded by seed; every other residual up to level s is zero."""
 
-    __slots__ = ("records", "answer", "verdict", "ctx", "s")
+    __slots__ = ("records", "answer", "verdict", "s")
 
-    def __init__(self, records: tuple, seed: int, ctx: JetContext, s: int):
+    def __init__(self, records: tuple, seed: int, s: int):
         self.records = records
         self.answer = decide_zero([rec.residual for rec in records], seed)
         self.verdict = VERDICTS[self.answer]
-        self.ctx, self.s = ctx, s
+        self.s = s
 
 
 # --- Euler-Lagrange operator --------------------------------------------------
@@ -309,7 +309,7 @@ def helmholtz_residuals(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
             if value.terms:
                 cells[len(I), I, sigma, nu] = mul(num(Fraction(1, multiplicity(I))), value)
     records = tuple(HelmholtzRecord(*key, cells[key]) for key in sorted(cells))
-    return HelmholtzReport(records, probe_seed, ctx, sf.s)
+    return HelmholtzReport(records, probe_seed, sf.s)
 
 
 def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzReport:
@@ -345,7 +345,7 @@ def classical_helmholtz_ode(sf: SourceForm, probe_seed: int = 0) -> HelmholtzRep
                 if c.terms:
                     records.append(HelmholtzRecord(l, (1,) * l, sigma, nu, c))
     records.sort(key=lambda rec: (rec.level, rec.I, rec.sigma, rec.nu))
-    return HelmholtzReport(tuple(records), probe_seed, ctx, 2)
+    return HelmholtzReport(tuple(records), probe_seed, 2)
 
 
 # --- Tonti reconstruction ------------------------------------------------------

@@ -84,10 +84,10 @@ def random_env(rng, coords):
     return env
 
 
-def evaluate_at(e, env, values=None):
+def evaluate_at(e, env):
     """The value of e at the one point env binds (coordinate -> number):
-    `evaluate` on columns of one number each, sharing the atom table values."""
-    return evaluate(e, {c: [x] for c, x in env.items()}, values)[0]
+    `evaluate` on columns of one number each."""
+    return evaluate(e, {c: [x] for c, x in env.items()})[0]
 
 
 # each kind of nesting the expression language counts against its limit:

@@ -1129,6 +1129,34 @@ def test_a_closed_stream_exits_141_and_writes_nothing_more(tmp_path, stream, arg
     assert getattr(proc, other) == b""
 
 
+@pytest.mark.parametrize(
+    "stream, sink, argv",
+    [
+        ("stdout", "closed", ["el", "FILE"]),
+        ("stdout", "full", ["el", "FILE"]),
+        ("stderr", "closed", ["el", "MISSING"]),
+        ("stderr", "full", ["el", "MISSING"]),
+        ("stderr", "full", ["el"]),
+    ],
+    ids=["payload-closed", "payload-full", "diagnostic-closed", "diagnostic-full", "usage-full"],
+)
+def test_an_unwritable_stream_exits_141_and_writes_nothing_more(tmp_path, stream, sink, argv):
+    # a descriptor closed before start leaves sys.stdout or sys.stderr None;
+    # /dev/full fails every write; the other stream must stay empty
+    files = {"FILE": problem(tmp_path, FREE_PARTICLE), "MISSING": str(tmp_path / "no.ini")}
+    other = "stderr" if stream == "stdout" else "stdout"
+    fd = 1 if stream == "stdout" else 2
+    with open("/dev/full", "wb") as full:
+        proc = in_child(
+            "import sys, jetvar.cli; sys.exit(jetvar.cli.main(sys.argv[1:]))",
+            *[files.get(arg, arg) for arg in argv],
+            preexec_fn=(lambda: os.close(fd)) if sink == "closed" else None,
+            **{stream: full, other: subprocess.PIPE},
+        )
+    assert proc.returncode == 141
+    assert getattr(proc, other) == b""
+
+
 UNSORTED_INDEX = """
     [context]
     n = 2

@@ -287,6 +287,25 @@ def test_only_expr_and_jets_handle_term_dicts():
     assert packing == {"expr.py"}
 
 
+def test_only_expr_handles_intern_ids():
+    # intern ids stay in the kernel: only expr names _intern, and every
+    # call of evaluate passes a value and its coordinate columns, no table
+    naming, wide = set(), []
+    for path in sorted(Path(jets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {
+                getattr(node, field, None) for field in ("id", "attr", "name", "asname")
+            }
+            if "_intern" in names:
+                naming.add(path.name)
+            if isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 2:
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "evaluate":
+                    wide.append(f"{path.name}:{node.lineno}")
+    assert naming == {"expr.py"}
+    assert wide == []
+
+
 def test_iterated_total_derivative_is_composition():
     rng = random.Random(43)
     ctx = JetContext(n=2, m=1, order=1)

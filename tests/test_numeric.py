@@ -29,7 +29,7 @@ from jetvar import (
     residual_on_section,
 )
 from jetvar.coords import BaseCoord, JetCoord
-from jetvar.expr import add, atom_id, evaluate, func, gradient, mul, num, ordered_terms, pow_, sym
+from jetvar.expr import add, evaluate, func, gradient, mul, num, ordered_terms, pow_, sym
 from jetvar.jets import prolong_section
 from jetvar.numeric import action
 
@@ -227,6 +227,10 @@ def test_residuals_read_the_section_at_every_point_first(ode1):
         residual_on_section(sf, gamma, [0.5])
     with pytest.raises(DivisionByZero):
         residual_on_section(sf, gamma, [0.5, 0.0])
+    # the jets are read in coordinate order: u = 1/x fails before u_{1}
+    both = SourceForm((add(sym(U), sym(U1)),), ode1, 1)
+    with pytest.raises(DivisionByZero, match="power -1 has"):
+        residual_on_section(both, gamma, [0.0])
 
 
 def test_eval_expr_at_transcendental():
@@ -284,15 +288,11 @@ def test_evaluate_matches_term_by_term_reference(seed):
     e = mul(random_laurent(rng, LAURENT_CTX), random_laurent(rng, LAURENT_CTX, terms=2))
     coords = coordinate_atoms(LAURENT_CTX, LAURENT_CTX.order)
     # columns of 1, 2 and 32 points, so that later ones run on the plan the
-    # first one cached, and a shared table on the last
+    # first one cached
     for n in (1, 2, 32):
         points = [random_env(rng, coords) for _ in range(n)]
         env = {c: [p[c] for p in points] for c in coords}
         assert same_floats(evaluate(e, env), [reference_evaluate(e, p) for p in points])
-    table: dict = {}
-    for part in (e, mul(e, e), add(e, num(Fraction(1, 3)))):
-        reference = [reference_evaluate(part, p) for p in points]
-        assert same_floats(evaluate(part, env, table), reference)
     # a single term keeps the sign of a zero value
     single = mul(num(-2), sym(U))
     reference = [reference_evaluate(single, {U: x}) for x in (0.0, 1.5)]
@@ -452,13 +452,6 @@ def test_columns_of_different_lengths_are_refused():
     e = add(mul(sym(U), sym(U1)), num(1))
     with pytest.raises(ValueError, match="different lengths"):
         evaluate(e, {U: [1.0, 2.0], U1: [1.0, 2.0, 3.0]})
-    with pytest.raises(ValueError, match="different lengths"):
-        evaluate(e, {U1: [1.0, 2.0, 3.0]}, {atom_id(U): [1.0, 2.0]})
-    # with no coordinate bound, N is the length of the table's columns
-    table = {atom_id(U): [1.0, 2.0, 3.0], atom_id(U1): [0.5, 0.5, 0.5]}
-    assert evaluate(e, {}, table) == [1.5, 2.0, 2.5]
-    with pytest.raises(ValueError, match="different lengths"):
-        evaluate(e, {}, {atom_id(U): [1.0, 2.0, 3.0], atom_id(U1): [0.5]})
 
 
 def test_numeric_work_does_not_grow_with_the_points(monkeypatch):
@@ -498,12 +491,11 @@ def test_cached_plan_keeps_pole_and_overflow_checks():
     assert evaluate_at(product, {U: 1.0, U1: 1.0}) == 1.0
     with pytest.raises(NumericOverflow):
         evaluate_at(product, {U: 100.0, U1: 100.0})
-    # an argument that is not finite, reached through a shared table
+    # an argument that is not finite
     wave = func("sin", product)
-    table: dict = {}
-    assert evaluate_at(wave, {U: 1.0, U1: 1.0}, table) == math.sin(1.0)
+    assert evaluate_at(wave, {U: 1.0, U1: 1.0}) == math.sin(1.0)
     with pytest.raises(NumericOverflow):
-        evaluate_at(wave, {U: 100.0, U1: 100.0}, {})
+        evaluate_at(wave, {U: 100.0, U1: 100.0})
 
 
 @pytest.mark.parametrize("case", ["pole", "exp", "power", "product", "argument"])
