@@ -41,11 +41,10 @@ the caller's context, never cached.
 Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
 first, factors by coordinate order, see `ordered_terms`) is computed once
-per value on demand and cached on it, comparing atoms by their rank among
-the sort keys of all atoms interned so far (rebuilt from one sorted list
-when the value holds an atom interned since), never by the nested keys
-of deep sin/cos/exp atoms; rendering and floating-point evaluation follow
-it, so neither text nor floats depend on the history of the process.
+per value on demand and cached on it, comparing atoms by the sort key that
+`_intern` computes once per atom; no two atoms share a key.  Rendering and
+floating-point evaluation follow it, so neither text nor floats depend on
+the history of the process.
 Rendering reads the cached rows directly and keeps a table per call of the
 text of each (atom id, exponent) factor and of each sin/cos/exp argument,
 so each is rendered once per call.
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import insort
 from fractions import Fraction
 
 from .coords import FUNCTIONS, BaseCoord, Coord, JetCoord, coord_key, index_with
@@ -146,8 +144,6 @@ _ATOMS: list = []  # id -> atom
 _ATOM_VALUES: list = []  # id -> the Expr of the atom alone
 _UNIT: list = []  # id -> the packed monomial of the atom alone
 _ATOM_KEYS: list = []  # id -> sort key in the canonical order
-_ATOM_RANKS: list = []  # id -> position in _SORTED_ATOMS, rebuilt by `_rows`
-_SORTED_ATOMS: list = []  # (sort key, id) of every atom, ascending
 _ATOM_COORDS: list = []  # id -> frozenset of the coordinates inside
 _ATOM_ORDERS: list = []  # id -> jet order of a jet coordinate, -1 otherwise
 # (sigma, J sorted) -> the Expr of that jet coordinate, one per interned atom
@@ -197,7 +193,6 @@ def _intern(atom) -> int:
             if atom.__class__ is JetCoord:
                 order = len(atom.J)
         a = len(_ATOMS)
-        insort(_SORTED_ATOMS, (key, a))
         _ATOMS.append(atom)
         _UNIT.append(1 << (16 * a))
         _ATOM_VALUES.append(Expr({_UNIT[a]: 1}, 1))
@@ -419,20 +414,13 @@ def _rows(e: Expr) -> tuple:
     (atom id, exponent) in coordinate order; cached on e."""
     rows = e._rows
     if rows is None:
-        ranks = _ATOM_RANKS
-        # new atoms never reorder older ones; bit length >> 4 is the top atom
-        if len(ranks) < len(_ATOMS) and (
-            max(map(int.bit_length, e.terms), default=0) >> 4 >= len(ranks)
-        ):
-            ranks[:] = [0] * len(_ATOMS)
-            for rank, (_, a) in enumerate(_SORTED_ATOMS):
-                ranks[a] = rank
+        keys = _ATOM_KEYS
         keyed = []
         for m, c in e.terms.items():
-            factors = tuple(sorted(_FACTORS[m], key=lambda f: ranks[f[0]]))
+            factors = tuple(sorted(_FACTORS[m], key=lambda f: keys[f[0]]))
             if factors:
                 grade = sum(k for _, k in factors)
-                key = (0, -grade, tuple((ranks[a], -k) for a, k in factors))
+                key = (0, -grade, tuple((keys[a], -k) for a, k in factors))
             else:
                 key = (1,)
             keyed.append((key, c, factors))

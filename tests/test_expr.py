@@ -1,8 +1,12 @@
 """Expression kernel: canonical form, calculus, fiber-scaling integration."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,44 +306,63 @@ def test_jet_atoms_are_memoized_by_index(monkeypatch):
     assert len(expr._JET_VALUES) <= len(expr._ATOMS)
 
 
-def test_atom_ranks_follow_the_canonical_keys():
-    # after the corpus's atoms and nested sin/cos/exp atoms, the ranks that
-    # the canonical rows of a new value read sort every atom interned so far
-    # as their keys do
+# each corpus value nests sin/cos/exp atoms three deep; a child builds the
+# values in index order, or with "decoys" first interns atoms that sort
+# before many of theirs and then builds the values in reverse; either way it
+# prints each value's text by index
+HISTORY = """
+import random, sys
+from corpus import random_mixed
+from jetvar import JetContext, render_expr
+from jetvar.coords import BaseCoord, JetCoord
+from jetvar.expr import add, func, num, sym
+
+ctx = JetContext(n=2, m=2, order=2)
+
+def value(i):
+    rng = random.Random(i)
+    e = random_mixed(rng, ctx)
+    for name in ("sin", "cos", "exp"):
+        e = add(func(name, e), random_mixed(rng, ctx))
+    return e
+
+order = range(40)
+if sys.argv[1] == "decoys":
+    sym(BaseCoord(3))
+    sym(JetCoord(1, (1, 1, 1)))
+    for k in (1, 2, 3):
+        for name in ("sin", "cos", "exp"):
+            func(name, num(k))
+    order = reversed(order)
+values = {i: value(i) for i in order}
+for i in sorted(values):
+    print(render_expr(values[i], ctx))
+"""
+
+
+def test_canonical_order_is_independent_of_intern_history():
+    # no two atoms share a sort key, not even atoms whose arguments differ by
+    # a factor, so ordering by the keys is a total order that the ids never
+    # enter; two processes that intern the same values in different orders,
+    # one with extra atoms first, render the same text
     rng = random.Random(73)
     ctx = JetContext(n=2, m=2, order=2)
     for _ in range(40):
         e = random_mixed(rng, ctx)
         for name in ("sin", "cos", "exp"):
-            e = add(func(name, e), random_mixed(rng, ctx))
-    expr._rows(add(e, func("sin", e)))
-    ids = range(len(expr._ATOMS))
-    assert sorted(expr._ATOM_RANKS) == list(ids)
-    by_key = sorted(ids, key=expr._ATOM_KEYS.__getitem__)
-    assert by_key == sorted(ids, key=expr._ATOM_RANKS.__getitem__)
-
-
-def test_ranks_are_rebuilt_only_for_a_value_that_holds_a_newer_atom():
-    # a new atom never reorders the older ones, so the canonical rows of a
-    # value of older atoms read the ranks as they are, and match the rows
-    # read after a rebuild
-    def rebuild():  # the rows of a new value that holds the newest atom
-        expr._rows(mul(num(2), expr._ATOM_VALUES[-1]))
-        assert len(expr._ATOM_RANKS) == len(expr._ATOMS)
-
-    rng = random.Random(79)
-    ctx = JetContext(n=2, m=2, order=2)
-    e = random_mixed(rng, ctx)
-    rebuild()
-    known = len(expr._ATOMS)
-    for k in range(2, 6):  # atoms that sort among the older ones
-        func("exp", mul(num(k), e))
-        sym(JetCoord(2, (2,) * k))
-    assert len(expr._ATOMS) > known
-    rows = expr._rows(add(mul(e, e), num(3)))
-    assert len(expr._ATOM_RANKS) == known
-    rebuild()
-    assert expr._rows(add(mul(e, e), num(3))) == rows
+            e = add(func(name, e), func(name, mul(num(2), e)), random_mixed(rng, ctx))
+    keys = expr._ATOM_KEYS
+    assert len(set(keys)) == len(keys)
+    paths = [str(Path(expr.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    texts = [
+        subprocess.run(
+            [sys.executable, "-c", HISTORY, side], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for side in ("plain", "decoys")
+    ]
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == 40 and "exp(" in texts[0]
 
 
 def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):

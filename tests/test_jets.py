@@ -288,15 +288,16 @@ def test_only_expr_and_jets_handle_term_dicts():
 
 
 def test_only_expr_handles_intern_ids():
-    # intern ids stay in the kernel: only expr names _intern, and every
-    # call of evaluate passes a value and its coordinate columns, no table
+    # intern ids and the canonical atom order stay in the kernel: only expr
+    # names _intern and _ATOM_KEYS, and every call of evaluate passes a value
+    # and its coordinate columns, no table
     naming, wide = set(), []
     for path in sorted(Path(jets.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = {
                 getattr(node, field, None) for field in ("id", "attr", "name", "asname")
             }
-            if "_intern" in names:
+            if names & {"_intern", "_ATOM_KEYS"}:
                 naming.add(path.name)
             if isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 2:
                 func = node.func
