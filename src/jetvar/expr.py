@@ -40,9 +40,12 @@ the caller's context, never cached.
 
 Intern ids depend on which atoms a process met first, so nothing is ever
 ordered by them.  The canonical order (constants last, higher total degree
-first, factors by coordinate order, see `ordered_terms`) is computed once
-per value on demand and cached on it, comparing atoms by the sort key that
-`_intern` computes once per atom; no two atoms share a key.  Rendering and
+first, factors by coordinate order, see `ordered_terms`) compares atoms by
+the sort key that `_intern` computes once per atom; no two atoms share a
+key.  Each monomial's row, its term sort key and its factors in that
+order, is worked out once per process into a second bounded table beside
+the decode table, so a value's order, computed on demand and cached on it,
+costs one lookup per term and one sort of the terms.  Rendering and
 floating-point evaluation follow it, so neither text nor floats depend on
 the history of the process.
 Rendering reads the cached rows directly and keeps a table per call of the
@@ -85,8 +88,9 @@ EXPONENT_LIMIT = 1 << 15
 # |k| times the bits of the coefficient's, at most twice what the power has,
 # so a refused power has over 2^15 bits, past the renderer's 4300 digits
 COEFFICIENT_BITS = 1 << 16
-# the monomial decode table empties itself at this size, so a long-lived
-# process keeps it bounded; the benchmark's workloads stay below 6000
+# the monomial decode and row tables each empty themselves at this size, so
+# a long-lived process keeps them bounded; the benchmark's workloads stay
+# below 4000 decoded monomials and 1500 rows
 FACTOR_TABLE_LIMIT = 1 << 16
 
 
@@ -152,30 +156,40 @@ _JET_VALUES: dict = {}
 _LIFTS: dict = {}
 
 
-class _FactorTable(dict):
-    """Packed monomial -> its (atom id, exponent) factors by atom id, kept
-    until the table holds FACTOR_TABLE_LIMIT monomials, then emptied in
-    place: decoding is pure, so a clear costs only decoding again.  A step
-    skips the zero digits below the lowest set bit."""
+class _Memo(dict):
+    """key -> fill(key), kept until the table holds FACTOR_TABLE_LIMIT keys,
+    then emptied in place: fill is pure, so a clear costs only filling
+    again."""
 
-    def __missing__(self, m: int) -> tuple:
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
         if len(self) >= FACTOR_TABLE_LIMIT:
             self.clear()
-        factors = []
-        a, rest = 0, m
-        while rest:
-            skip = ((rest & -rest).bit_length() - 1) >> 4
-            a += skip
-            rest >>= skip << 4
-            k = ((rest + 0x8000) & 0xFFFF) - 0x8000
-            factors.append(_PAIRS.setdefault((a, k), (a, k)))
-            rest = (rest - k) >> 16
-            a += 1
-        factors = self[m] = tuple(factors)
-        return factors
+        value = self[key] = self.fill(key)
+        return value
 
 
-_FACTORS = _FactorTable()
+def _decode(m: int) -> tuple:
+    """The (atom id, exponent) factors of packed monomial m by atom id; a
+    step skips the zero digits below the lowest set bit."""
+    factors = []
+    a, rest = 0, m
+    while rest:
+        skip = ((rest & -rest).bit_length() - 1) >> 4
+        a += skip
+        rest >>= skip << 4
+        k = ((rest + 0x8000) & 0xFFFF) - 0x8000
+        factors.append(_PAIRS.setdefault((a, k), (a, k)))
+        rest = (rest - k) >> 16
+        a += 1
+    return tuple(factors)
+
+
+_FACTORS = _Memo(_decode)
 _PAIRS: dict = {}  # (atom id, exponent) -> that pair, one tuple each
 
 
@@ -409,23 +423,30 @@ def max_jet_order(e: Expr) -> int:
 # --- canonical order -----------------------------------------------------------
 
 
+def _order(m: int) -> tuple:
+    """The row of monomial m: the sort key of its terms, (0, -grade, ((atom
+    key, -k), ...)) or (1,) for the constant, and its (atom id, exponent)
+    factors in coordinate order."""
+    keys = _ATOM_KEYS
+    factors = tuple(sorted(_FACTORS[m], key=lambda f: keys[f[0]]))
+    if not factors:
+        return (1,), ()
+    grade = sum(k for _, k in factors)
+    return (0, -grade, tuple((keys[a], -k) for a, k in factors)), factors
+
+
+_ORDERED = _Memo(_order)
+
+
 def _rows(e: Expr) -> tuple:
     """(coefficient, factors) per term in canonical order, factors as
     (atom id, exponent) in coordinate order; cached on e."""
     rows = e._rows
     if rows is None:
-        keys = _ATOM_KEYS
-        keyed = []
-        for m, c in e.terms.items():
-            factors = tuple(sorted(_FACTORS[m], key=lambda f: keys[f[0]]))
-            if factors:
-                grade = sum(k for _, k in factors)
-                key = (0, -grade, tuple((keys[a], -k) for a, k in factors))
-            else:
-                key = (1,)
-            keyed.append((key, c, factors))
-        keyed.sort(key=lambda row: row[0])
-        rows = e._rows = tuple((c, f) for _, c, f in keyed)
+        ordered = _ORDERED
+        keyed = [(ordered[m], c) for m, c in e.terms.items()]
+        keyed.sort(key=lambda row: row[0][0])
+        rows = e._rows = tuple((c, row[1]) for row, c in keyed)
     return rows
 
 

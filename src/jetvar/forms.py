@@ -230,11 +230,12 @@ def _map_generators(form: DiffForm, image, coeff=None) -> DiffForm:
     """The form with each basis one-form g replaced by the 1-form image(g),
     given as (generator, coefficient) pairs, and each coefficient c by
     coeff(c); every wedge word is multiplied out.  Each generator's image
-    is computed once per call."""
+    is computed once per call, and each term's coefficient is multiplied
+    once per wedge word of its images' product, not once per image pair."""
     images: dict = {}
     pairs = []
     for gens, c in form.terms.items():
-        products = [((), c if coeff is None else coeff(c))]
+        products = [((), ONE)]
         for g in gens:
             if g not in images:
                 images[g] = image(g)
@@ -244,7 +245,9 @@ def _map_generators(form: DiffForm, image, coeff=None) -> DiffForm:
                 for h, hc in images[g]
                 if h not in word
             ]
-        pairs.extend(products)
+        c = c if coeff is None else coeff(c)
+        words = form_from_terms(form.ctx, form.degree, products).terms
+        pairs.extend((word, mul(c, p)) for word, p in words.items())
     return form_from_terms(form.ctx, form.degree, pairs)
 
 

@@ -367,8 +367,9 @@ def test_canonical_order_is_independent_of_intern_history():
 
 def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):
     # the same seeded values, their gradients and canonical rows, once with
-    # the decode table left to grow and once capped low enough to empty it
-    # many times: the capped table never passes its limit, and no result moves
+    # the decode and row tables left to grow and once capped low enough to
+    # empty each many times: no capped table passes its limit, and no result
+    # moves
     ctx = JetContext(n=2, m=2, order=2)
 
     def run(check):
@@ -386,10 +387,16 @@ def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):
     uncleared = run(lambda: None)
     limit = 64
     monkeypatch.setattr(expr, "FACTOR_TABLE_LIMIT", limit)
-    expr._FACTORS.clear()
+    tables = (expr._FACTORS, expr._ORDERED)
+    for table in tables:
+        table.clear()
     sizes = []
-    assert run(lambda: sizes.append(len(expr._FACTORS))) == uncleared
-    assert max(sizes) <= limit
-    # every row's monomial was decoded, far more monomials than the limit
+    assert run(lambda: sizes.append([len(table) for table in tables])) == uncleared
+    assert max(max(s) for s in sizes) <= limit
+    # a table shrinks between two checks only by emptying itself
+    for t in range(len(tables)):
+        assert sum(b[t] < a[t] for a, b in zip(sizes, sizes[1:])) >= 4
+    # every row's monomial was decoded and ordered, far more monomials than
+    # the limit
     monomials = {f for rows, grad in uncleared for r in (rows, *grad.values()) for _, f in r}
     assert len(monomials) > 4 * limit

@@ -267,7 +267,7 @@ def test_add_total_derivatives_equals_summing_them():
 def test_only_expr_and_jets_handle_term_dicts():
     # the term-dict format stays in the kernel: only expr and jets name
     # _collect, only jets passes a dict to total_derivative to add into,
-    # and only expr names the tables that pack and unpack monomials
+    # and only expr names the tables that pack, unpack and order monomials
     naming, adding, packing = set(), set(), set()
     for path in sorted(Path(jets.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -276,7 +276,7 @@ def test_only_expr_and_jets_handle_term_dicts():
             }
             if "_collect" in names:
                 naming.add(path.name)
-            if names & {"_FACTORS", "_UNIT"}:
+            if names & {"_FACTORS", "_UNIT", "_ORDERED"}:
                 packing.add(path.name)
             if isinstance(node, ast.Call) and any(k.arg == "into" for k in node.keywords):
                 func = node.func
