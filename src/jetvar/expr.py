@@ -44,8 +44,9 @@ first, factors by coordinate order, see `ordered_terms`) compares atoms by
 the sort key that `_intern` computes once per atom; no two atoms share a
 key.  Each monomial's row, its term sort key and its factors in that
 order, is worked out once per process into a second bounded table beside
-the decode table, so a value's order, computed on demand and cached on it,
-costs one lookup per term and one sort of the terms.  Rendering and
+the decode table (the key's (atom key, exponent) pairs are shared through
+a third), so a value's order, computed on demand and cached on it, costs
+one lookup per term and one sort of the terms.  Rendering and
 floating-point evaluation follow it, so neither text nor floats depend on
 the history of the process.
 Rendering reads the cached rows directly and keeps a table per call of the
@@ -88,9 +89,9 @@ EXPONENT_LIMIT = 1 << 15
 # |k| times the bits of the coefficient's, at most twice what the power has,
 # so a refused power has over 2^15 bits, past the renderer's 4300 digits
 COEFFICIENT_BITS = 1 << 16
-# the monomial decode and row tables each empty themselves at this size, so
-# a long-lived process keeps them bounded; the benchmark's workloads stay
-# below 4000 decoded monomials and 1500 rows
+# the monomial decode and row tables and the factor key table each empty
+# themselves at this size, so a long-lived process keeps them bounded; the
+# benchmark's workloads stay below 4000 decoded monomials and 1500 rows
 FACTOR_TABLE_LIMIT = 1 << 16
 
 
@@ -427,15 +428,18 @@ def _order(m: int) -> tuple:
     """The row of monomial m: the sort key of its terms, (0, -grade, ((atom
     key, -k), ...)) or (1,) for the constant, and its (atom id, exponent)
     factors in coordinate order."""
-    keys = _ATOM_KEYS
+    keys, pairs = _ATOM_KEYS, _FACTOR_KEYS
     factors = tuple(sorted(_FACTORS[m], key=lambda f: keys[f[0]]))
     if not factors:
         return (1,), ()
     grade = sum(k for _, k in factors)
-    return (0, -grade, tuple((keys[a], -k) for a, k in factors)), factors
+    return (0, -grade, tuple([pairs[f] for f in factors])), factors
 
 
 _ORDERED = _Memo(_order)
+# (atom id, exponent) -> (atom key, -exponent), one tuple each, so that rows
+# share them
+_FACTOR_KEYS = _Memo(lambda f: (_ATOM_KEYS[f[0]], -f[1]))
 
 
 def _rows(e: Expr) -> tuple:

@@ -367,9 +367,9 @@ def test_canonical_order_is_independent_of_intern_history():
 
 def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):
     # the same seeded values, their gradients and canonical rows, once with
-    # the decode and row tables left to grow and once capped low enough to
-    # empty each many times: no capped table passes its limit, and no result
-    # moves
+    # the decode, row and factor key tables left to grow and once capped low
+    # enough to empty each many times: no capped table passes its limit, and
+    # no result moves
     ctx = JetContext(n=2, m=2, order=2)
 
     def run(check):
@@ -387,7 +387,7 @@ def test_a_full_factor_table_empties_itself_and_changes_no_result(monkeypatch):
     uncleared = run(lambda: None)
     limit = 64
     monkeypatch.setattr(expr, "FACTOR_TABLE_LIMIT", limit)
-    tables = (expr._FACTORS, expr._ORDERED)
+    tables = (expr._FACTORS, expr._ORDERED, expr._FACTOR_KEYS)
     for table in tables:
         table.clear()
     sizes = []

@@ -276,7 +276,7 @@ def test_only_expr_and_jets_handle_term_dicts():
             }
             if "_collect" in names:
                 naming.add(path.name)
-            if names & {"_FACTORS", "_UNIT", "_ORDERED"}:
+            if names & {"_FACTORS", "_UNIT", "_ORDERED", "_FACTOR_KEYS"}:
                 packing.add(path.name)
             if isinstance(node, ast.Call) and any(k.arg == "into" for k in node.keywords):
                 func = node.func
