@@ -44,7 +44,7 @@ first, factors by coordinate order, see `ordered_terms`) compares atoms by
 the sort key that `_intern` computes once per atom; no two atoms share a
 key.  Each monomial's row, its term sort key and its factors in that
 order, is worked out once per process into a second bounded table beside
-the decode table (the key's (atom key, exponent) pairs are shared through
+the decode table (the key's (atom key, -exponent) pairs are shared through
 a third), so a value's order, computed on demand and cached on it, costs
 one lookup per term and one sort of the terms.  Rendering and
 floating-point evaluation follow it, so neither text nor floats depend on
